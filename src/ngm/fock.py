@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CutoffError, NormalizationError
-from .numerics import laguerre_sequence
 
 __all__ = [
     "FockVector",
@@ -210,35 +209,33 @@ def _displacement_slab(alpha, rows, cols):
     would silently rotate weight back into the kept levels.
     """
     a2 = abs(alpha) ** 2
-    n_top = rows + cols
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n_top + 1.0)))))
-    out = np.zeros((rows, cols), dtype=complex)
     if a2 == 0.0:
-        nd = min(rows, cols)
-        out[:nd, :nd] = np.eye(nd)
-        return out
+        return np.eye(rows, cols, dtype=complex)
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, rows + cols + 1.0)))))
     loga = np.log(abs(alpha))
     up = -np.conj(alpha) / abs(alpha)  # unit-modulus phase factors only:
     dn = alpha / abs(alpha)            # magnitudes live in the log prefactor
-    for k in range(1 - rows, cols):
-        # diagonal n - m = k; Laguerre degree runs along min(m, n)
-        if k >= 0:
-            ms = np.arange(0, min(rows, cols - k))
-            ns = ms + k
-            phase = up**k
-        else:
-            ns = np.arange(0, min(cols, rows + k))
-            ms = ns - k
-            phase = dn ** (-k)
-        if ms.size == 0:
-            continue
-        deg = int(np.minimum(ms, ns)[-1])
-        lag = np.fromiter(laguerre_sequence(abs(k), a2, deg), dtype=float, count=deg + 1)
-        low = np.minimum(ms, ns)
-        high = np.maximum(ms, ns)
-        pref = np.exp(0.5 * (lf[low] - lf[high]) + abs(k) * loga - 0.5 * a2)
-        out[ms, ns] = phase * pref * lag[low]
-    return out
+    # diagonal k = n - m needs L_d^(|k|)(|α|²) at degree d = min(m, n), and
+    # so degree d only at orders |k| < max(rows, cols) - d: the recurrence
+    # in d runs over that shrinking prefix of orders, all orders at once
+    top = max(rows, cols)
+    orders = np.arange(top)
+    lag = np.empty((min(rows, cols), top))
+    lag[0] = 1.0
+    if lag.shape[0] > 1:
+        lag[1, : top - 1] = 1.0 + orders[: top - 1] - a2
+    for d in range(2, lag.shape[0]):
+        o = orders[: top - d]
+        lag[d, : top - d] = (
+            (2 * d - 1 + o - a2) * lag[d - 1, : top - d] - (d - 1 + o) * lag[d - 2, : top - d]
+        ) / d
+    phase = np.array([dn ** (-k) if k < 0 else up**k for k in range(1 - rows, cols)])
+    m = np.arange(rows)[:, None]
+    n = np.arange(cols)[None, :]
+    low = np.minimum(m, n)
+    k = n - m
+    pref = np.exp(0.5 * (lf[low] - lf[np.maximum(m, n)]) + np.abs(k) * loga - 0.5 * a2)
+    return phase[k + rows - 1] * pref * lag[low, np.abs(k)]
 
 
 def _displaced_squeezed_projection(alpha, xi, n_c):

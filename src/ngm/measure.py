@@ -24,6 +24,9 @@ from .fock import as_density
 from .numerics import grid_weights
 from .wigner import (
     GaussianMoments,
+    _moments_of,
+    _negative_part,
+    _require_mass,
     moments,
     negative_volume,
     wigner_from_fock,
@@ -64,13 +67,13 @@ class MeasureValue:
         return complex(self.re_mu, self.im_mu)
 
     def validate(self):
-        if abs(self.im_mu - np.pi * self.neg_volume) > 1e-10:
+        if not abs(self.im_mu - np.pi * self.neg_volume) <= 1e-10:
             raise ConsistencyError(
                 "imaginary part does not equal pi times the negative volume"
             )
-        if self.im_mu < 0.0:
+        if not self.im_mu >= 0.0:
             raise ConsistencyError("imaginary part must be non-negative")
-        if abs(self.re_mu - (self.gaussian_entropy - self.re_entropy)) > 1e-12:
+        if not abs(self.re_mu - (self.gaussian_entropy - self.re_entropy)) <= 1e-12:
             raise ConsistencyError(
                 "real part does not equal the entropy difference"
             )
@@ -105,12 +108,18 @@ class MeasureValue:
 
 def wigner_entropy_real(field):
     """-int W ln|W|, with the integrand at its (zero) limit below the floor."""
-    w = grid_weights(field.grid)
-    vals = field.values
+    return _entropy(field.values, grid_weights(field.grid))
+
+
+def _entropy(vals, w):
+    # one buffer carries log|W|, then the integrand, then its weighted terms
     mag = np.abs(vals)
-    logs = np.log(np.maximum(mag, ENTROPY_FLOOR))
-    integrand = np.where(mag < ENTROPY_FLOOR, 0.0, vals * logs)
-    return -float(np.sum(w * integrand))
+    integrand = np.maximum(mag, ENTROPY_FLOOR)
+    np.log(integrand, out=integrand)
+    integrand *= vals
+    integrand[mag < ENTROPY_FLOOR] = 0.0
+    integrand *= w
+    return -float(np.sum(integrand))
 
 
 def gaussian_associate_entropy(m):
@@ -137,12 +146,18 @@ def _gaussian_cross(m, m_tilde):
 
 
 def measure_from_field(field, m=None):
-    """Assemble the measure from a normalized field (moments optional)."""
+    """Assemble the measure from a normalized field (moments optional).
+
+    One pass: the weights are built and the mass checked once, for the
+    moments, the entropy and the negative volume together.
+    """
+    w = grid_weights(field.grid)
+    _require_mass(float(np.sum(w * field.values)))
     if m is None:
-        m = moments(field)
-    re_h = wigner_entropy_real(field)
+        m = _moments_of(field.values, field.grid, physical=True)
+    re_h = _entropy(field.values, w)
     h_g = gaussian_associate_entropy(m)
-    neg = negative_volume(field)
+    neg = _negative_part(field.values, w)
     re_mu = h_g - re_h
     if re_mu < -1e-3:
         warnings.warn(

@@ -11,7 +11,6 @@ counts for this reason); convolution is linear, via FFT with zero padding.
 import os
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import CapacityError, GridError, TruncationRiskError
 
@@ -239,6 +238,10 @@ def convolve(a, b, grid, boundary_tol=BOUNDARY_TOL):
     edges; the product is formed with zero padding to full length and
     cropped back, scaled by the area element.
     """
+    # imported here: scipy.signal doubles the package's import time and
+    # only this sampled-kernel route needs it
+    from scipy.signal import fftconvolve
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != grid.shape or b.shape != grid.shape:

@@ -1,33 +1,33 @@
 """Wigner synthesis from Fock-basis states.
 
-The field is assembled as W = W0 * F with W0 the vacuum Gaussian
-(1/pi) e^{-q^2-p^2} and F a polynomial accumulated over the density-matrix
-diagonals: the |n><n+k| pair contributes
+The field is the Weyl transform of the density matrix,
 
-    (-1)^n sqrt(n!/(n+k)!) (sqrt2 (q+ip))^k  L_n^(k)(2q^2+2p^2)
+    W(q, p) = (1/pi) integral <q-y|rho|q+y> e^{2ipy} dy,
 
-with the conjugate-power twin for the lower triangle and the plain
-(-1)^n L_n term on the diagonal.  Prefactors run in log space; one
-three-term Laguerre recurrence per diagonal serves values and analytic
-gradients alike (the gradient needs superscript k+1 sums, obtained from
-the same recurrence through L_n^(k+1) = sum_{i<=n} L_i^(k)).
+with rho = sum_k lam_k |v_k><v_k| from its eigendecomposition (a pure
+state is rank 1) and each wavefunction psi_k(x) = sum_n v_nk phi_n(x)
+evaluated from the normalised Hermite-function recurrence, which cannot
+overflow.  The y integral is a trapezoid sum, exact to
+rounding once the step resolves the state's reach sqrt(2 dim + 1) + 12
+in p, and becomes a real GEMM against cosine and sine tables, taken a
+block of q rows at a time so that the kernel stays in cache.  The
+analytic gradient rides along: dW/dp brings a factor 2iy into the same
+transform, and dW/dq uses psi' from the Hermite ladder
+phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order above
+the state's cutoff.
 
-Hermitian input makes F real up to roundoff; the imaginary residue is
-checked and dropped, never silently discarded above tolerance.
+An anti-Hermitian part of the input is synthesized separately as the
+imaginary field; its residue is checked and dropped, never silently
+discarded above tolerance.
 """
 
 import struct
 
 import numpy as np
 
-from .errors import ConsistencyError, NormalizationError
+from .errors import ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density, state_moments
-from .numerics import (
-    LOG_FACTORIAL,
-    PhaseSpaceGrid,
-    grid_weights,
-    integrate,
-)
+from .numerics import PhaseSpaceGrid, axis_weights, grid_weights, integrate
 
 __all__ = [
     "WignerField",
@@ -45,6 +45,9 @@ __all__ = [
 
 #: imaginary residue above this is a consistency failure (non-Hermitian input)
 IMAG_RESIDUE_HARD = 1e-9
+
+#: a field whose quadrature mass misses 1 by more than this is rejected
+MASS_TOL = 1e-4
 
 _MAGIC = b"NGMW"
 
@@ -96,118 +99,205 @@ class WignerField:
         return self.grad_q is not None and self.grad_p is not None
 
 
-#: per-chunk float budget for the Laguerre table (~190 MB)
-_TABLE_CELLS = 24_000_000
+#: margin added to the turning radius sqrt(2 dim + 1): past it every
+#: Hermite function of the state, and so W itself, is below double
+#: precision
+SUPPORT_MARGIN = 12.0
+
+#: eigenvalues of rho whose running total stays at or below this share of
+#: its trace norm, per dimension, are dropped.  dim * eps is the rounding
+#: level of forming rho and of eigh, so a pure state keeps rank 1 at any
+#: cutoff (a flat 1e-15 kept 2 to 8 rounding eigenvalues of pure states
+#: at n_c = 60 to 160, each costing a wavefunction and a gather).
+#: Dropping them moves W pointwise by at most dim * RANK_TOL / pi
+RANK_TOL = np.finfo(float).eps
+
+#: largest denominator b of the y step h = (a / b) * dq / 2
+_MAX_DENOMINATOR = 8
+
+#: complex cells in one block of K: 256 KiB per buffer
+_BLOCK_CELLS = 1 << 14
+
+#: unit roundoff of float64
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-def _suffix(a):
-    # suffix sums give the superscript-(k+1) gradient coefficients
-    s = np.cumsum(a[::-1])[::-1]
-    return np.concatenate((s[1:], [0.0 + 0.0j]))
+def _require_finite(values, label):
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{label} has non-finite entries")
 
 
-def _laguerre_table(k, u, m, out, work):
-    """Rows L_0^(k)(u) .. L_{m-1}^(k)(u) of the three-term recurrence."""
-    out[0] = 1.0
-    if m > 1:
-        np.subtract(1.0 + k, u, out=out[1])
-    for j in range(2, m):
-        np.subtract(2 * j - 1 + k, u, out=work)
-        work *= out[j - 1]
-        np.multiply(out[j - 2], j - 1 + k, out=out[j])
-        np.subtract(work, out[j], out=out[j])
-        out[j] *= 1.0 / j
+def _hermite_functions(x, table):
+    """Fill the rows of table with phi_0(x), phi_1(x), ..., the normalised
+    Hermite functions."""
+    n = table.shape[0]
+    table[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    if n > 1:
+        table[1] = np.sqrt(2.0) * x * table[0]
+    for k in range(2, n):
+        table[k] = np.sqrt(2.0 / k) * x * table[k - 1] - np.sqrt((k - 1) / k) * table[k - 2]
+
+
+def _truncate(lam, vec, tol):
+    """Drop the smallest |lam| while their running total stays <= tol."""
+    order = np.argsort(np.abs(lam))
+    keep = np.sort(order[np.cumsum(np.abs(lam[order])) > tol])
+    return lam[keep], vec[:, keep]
+
+
+def _y_step(half, h_max):
+    """(a, b) with h = half * a / b the largest step <= h_max, b small."""
+    best = (1, int(np.ceil(half / h_max)))
+    for b in range(1, _MAX_DENOMINATOR + 1):
+        a = int(b * h_max / half)
+        if a >= 1 and a * best[1] > best[0] * b:
+            best = (a, b)
+    return best
+
+
+def _weyl(lam, vec, q, p, with_grad):
+    """W = (1/pi) int <q-y|rho|q+y> e^{2ipy} dy for rho = sum lam_k |v_k><v_k|.
+
+    Hermitian symmetry, K(q,-y) = conj K(q,y), folds the integral onto
+    y >= 0.  The trapezoid sum in y aliases W(q, p + m pi/h) onto W(q, p);
+    W vanishes past the reach R, so h <= pi/(max|p| + R) makes it exact to
+    rounding, and y stops at R.  h is a rational multiple a/b of the half
+    q step, so every q +- y sits on one lattice of step dq/(2b): each
+    eigenvector's wavefunction is evaluated there once and K gathered.
+    """
+    n_fields = 3 if with_grad else 1
+    dim = vec.shape[0]
+    reach = np.sqrt(2.0 * dim + 1.0) + SUPPORT_MARGIN
+    rows = np.flatnonzero(np.abs(q) < reach)
+    cols = np.flatnonzero(np.abs(p) < reach)
+    if lam.size == 0 or rows.size == 0 or cols.size == 0:
+        return list(np.zeros((n_fields, q.size, p.size)))
+    pc = p[cols]
+    h_max = np.pi / (np.max(np.abs(pc)) + reach)
+    half = 0.5 * (q[1] - q[0]) if q.size > 1 else h_max
+    a, b = _y_step(half, h_max)
+    step = half / b
+    h = a * step
+    n_y = int(np.ceil(reach / h)) + 1
+    y = h * np.arange(n_y)
+
+    # lattice index of q_i - y_j and q_i + y_j, shifted so both are >= 0
+    centre = 2 * b * np.arange(rows.size) + a * (n_y - 1)
+    offset = a * np.arange(n_y)
+    # coordinates count from the row nearest q = 0, so q-axes mirrored
+    # about 0 (the finite-difference check's +-h shifts of a symmetric
+    # grid) get mirrored lattices and equal rounding at their centre
+    z = int(np.argmin(np.abs(q[rows])))
+    x = q[rows[z]] + step * (np.arange(centre[-1] + offset[-1] + 1) - centre[z])
+    # x is monotone, so the points with |x| < reach form one slice
+    live = np.flatnonzero(np.abs(x) < reach)
+    live = slice(live[0], live[-1] + 1)
+    # one order more than rho carries feeds the derivative ladder
+    coef = np.vstack((vec, np.zeros((1, lam.size)))) if with_grad else vec
+    table = np.zeros((coef.shape[0], x.size))
+    _hermite_functions(x[live], table[:, live])
+    psi = coef.real.T @ table + 1j * (coef.imag.T @ table)
+    if with_grad:
+        # phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}
+        ladder = np.sqrt(np.arange(1, dim + 1) / 2.0)[:, None]
+        dcoef = np.zeros_like(coef)
+        dcoef[:-1] += ladder * coef[1:]
+        dcoef[1:] -= ladder * coef[:-1]
+        dpsi = dcoef.real.T @ table + 1j * (dcoef.imag.T @ table)
+
+    # W = sum_j w_j (Re K cos 2py - Im K sin 2py): a real GEMM against T,
+    # whose cos and -sin rows interleave to match the float view of K
+    w = np.full(n_y, 2.0 * h / np.pi)
+    w[0] = h / np.pi
+    n_terms = 2 * n_y
+    T = np.empty((n_y, 2, pc.size))
+    np.multiply.outer(2.0 * y, pc, out=T[:, 1])
+    np.cos(T[:, 1], out=T[:, 0])
+    np.sin(T[:, 1], out=T[:, 1])
+    T[:, 0] *= w[:, None]
+    T[:, 1] *= -w[:, None]
+    T = T.reshape(n_terms, pc.size)
+    # values inside the GEMM's own rounding bound carry no sign: zeroed
+    gamma = n_terms * _UNIT_ROUNDOFF / (1.0 - n_terms * _UNIT_ROUNDOFF)
+    w_terms = np.repeat(w, 2)
+
+    # K is built and transformed a block of rows at a time, in buffers
+    # reused across blocks and eigenvectors: field-sized temporaries would
+    # be allocated, faulted in and freed on every call
+    fields = np.zeros((n_fields, q.size, p.size))
+    cs = slice(cols[0], cols[-1] + 1)
+    block = min(rows.size, max(1, _BLOCK_CELLS // n_y))
+    # K, dK/dq and the d/dp kernel 2iyK
+    kernels = np.empty((n_fields, block, n_y), dtype=complex)
+    left, right, term = (np.empty((block, n_y), dtype=complex) for _ in range(3))
+    for r0 in range(0, rows.size, block):
+        n = min(block, rows.size - r0)
+        lo = centre[r0 : r0 + n, None] - offset
+        hi = centre[r0 : r0 + n, None] + offset
+        kern = kernels[:, :n]
+        kern[:] = 0.0
+        K, bl, br, bt = kern[0], left[:n], right[:n], term[:n]
+        for k in range(lam.size):
+            np.take(psi[k], lo, out=bl)
+            np.take(psi[k], hi, out=br)
+            np.conjugate(br, out=br)
+            np.multiply(bl, br, out=bt)
+            bt *= lam[k]
+            K += bt
+            if with_grad:
+                # dK/dq = dpsi(q-y) conj psi(q+y) + psi(q-y) conj dpsi(q+y)
+                np.take(dpsi[k], lo, out=bt)
+                bt *= br
+                np.take(dpsi[k], hi, out=br)
+                np.conjugate(br, out=br)
+                br *= bl
+                bt += br
+                bt *= lam[k]
+                kern[1] += bt
+        if with_grad:
+            # d/dp brings down 2iy inside the same transform
+            np.multiply(K, 2j * y, out=kern[2])
+        rs = slice(rows[0] + r0, rows[0] + r0 + n)
+        for f, kernel in zip(fields, kern):
+            np.matmul(kernel.view(float), T, out=f[rs, cs])
+        bound = gamma * (np.abs(K.view(float), out=bt.view(float)) @ w_terms)
+        W = fields[0, rs, cs]
+        W[np.abs(W) <= bound[:, None]] = 0.0
+    return list(fields)
 
 
 def _synthesize(c, grid, with_grad):
-    dim = c.shape[0]
-    Q, P = grid.meshes()
-    r2 = Q**2 + P**2
-    w0 = np.exp(-r2) / np.pi
-    u = (2.0 * r2).ravel()
-    A = (np.sqrt(2.0) * (Q + 1j * P)).ravel()
-    Qf, Pf = Q.ravel(), P.ravel()
-    npts = u.size
+    """Wigner field of the Fock-basis matrix c on the grid's q and p axes.
 
-    signs = (-1.0) ** np.arange(dim)
-    F = np.zeros(npts, dtype=complex)
-    Fq = np.zeros(npts, dtype=complex) if with_grad else None
-    Fp = np.zeros(npts, dtype=complex) if with_grad else None
-
-    # Diagonals may be skipped only by the size of the raw density entries:
-    # dropping a band Delta changes W pointwise by at most (2/pi)||Delta||_tr
-    # <= (2/pi) sum|entries|, so a relative 1e-16 band is harmless, whereas
-    # the prefactored coefficients a_j say nothing (A^k L_n^(k) is unbounded
-    # on the grid and can amplify a tiny coefficient arbitrarily).
-    raw_tol = 1e-16 * max(np.max(np.abs(c)), 1e-300)
-    Apow = np.ones(npts, dtype=complex)
-    Aprev = None
-    for k in range(dim):
-        if k > 0:
-            if with_grad:
-                Aprev = Apow.copy()
-            Apow *= A
-        js = np.arange(dim - k)
-        raw = max(np.max(np.abs(c[js, js + k])), np.max(np.abs(c[js + k, js])))
-        if raw <= raw_tol:
-            continue
-        m = dim - k
-        pref = signs[js] * np.exp(0.5 * (LOG_FACTORIAL[js] - LOG_FACTORIAL[js + k]))
-        a = c[js, js + k] * pref
-        rows = [a]
-        if k > 0:
-            b = c[js + k, js] * pref
-            rows.append(b)
-        if with_grad:
-            rows.append(_suffix(a))
-            if k > 0:
-                rows.append(_suffix(b))
-        R = np.vstack(rows)
-        n_rows = R.shape[0]
-        # one real GEMM per chunk combines every coefficient vector with the
-        # shared Laguerre table (stacked real/imaginary parts)
-        C = np.vstack((R.real, R.imag))
-        chunk = max(4096, min(npts, _TABLE_CELLS // m))
-        table = np.empty((m, min(chunk, npts)))
-        work = np.empty(min(chunk, npts))
-        for s in range(0, npts, chunk):
-            e = min(npts, s + chunk)
-            L = table[:, : e - s]
-            _laguerre_table(k, u[s:e], m, L, work[: e - s])
-            G = C @ L
-            sums = G[:n_rows] + 1j * G[n_rows:]
-            if k == 0:
-                Su = sums[0]
-                F[s:e] += Su
-                if with_grad:
-                    Tu = sums[1]
-                    Fq[s:e] += -4.0 * Qf[s:e] * Tu
-                    Fp[s:e] += -4.0 * Pf[s:e] * Tu
-            else:
-                Su, Sd = sums[0], sums[1]
-                Ak = Apow[s:e]
-                Akc = np.conj(Ak)
-                F[s:e] += Ak * Su + Akc * Sd
-                if with_grad:
-                    Tu, Td = sums[2], sums[3]
-                    radial = Ak * Tu + Akc * Td
-                    side = Aprev[s:e] * Su
-                    side_c = np.conj(Aprev[s:e]) * Sd
-                    rt2k = np.sqrt(2.0) * k
-                    Fq[s:e] += rt2k * (side + side_c) - 4.0 * Qf[s:e] * radial
-                    Fp[s:e] += 1j * rt2k * (side - side_c) - 4.0 * Pf[s:e] * radial
-    shape = grid.shape
-    W = w0 * F.reshape(shape)
-    out = [W]
-    if with_grad:
-        out.append(w0 * (Fq.reshape(shape) - 2.0 * Q * F.reshape(shape)))
-        out.append(w0 * (Fp.reshape(shape) - 2.0 * P * F.reshape(shape)))
-    return out
+    Returns [W] or [W, dW/dq, dW/dp].  The Hermitian part of c is
+    synthesized from its eigenvectors; an anti-Hermitian part that
+    survives the rank cut is synthesized the same way and returned as the
+    imaginary part, for the caller's residue check.
+    """
+    _require_finite(c, "density matrix")
+    q = np.asarray(grid.q, dtype=float)
+    p = np.asarray(grid.p, dtype=float)
+    parts = [np.linalg.eigh(0.5 * (c + c.conj().T))]
+    anti = -0.5j * (c - c.conj().T)
+    if np.any(anti):
+        parts.append(np.linalg.eigh(anti))
+    tol = c.shape[0] * RANK_TOL * sum(np.sum(np.abs(lam)) for lam, _ in parts)
+    fields = _weyl(*_truncate(*parts[0], tol), q, p, with_grad)
+    if len(parts) > 1:
+        lam, vec = _truncate(*parts[1], tol)
+        if lam.size:
+            imag = _weyl(lam, vec, q, p, with_grad)
+            fields = [re + 1j * im for re, im in zip(fields, imag)]
+    for f in fields:
+        _require_finite(f, "synthesized Wigner field")
+    return fields
 
 
 def _real_part(field, label):
+    if not np.iscomplexobj(field):
+        return field
     residue = np.max(np.abs(field.imag))
-    if residue > IMAG_RESIDUE_HARD:
+    if not residue <= IMAG_RESIDUE_HARD:
         raise ConsistencyError(
             f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
             "the input is effectively non-Hermitian"
@@ -261,9 +351,6 @@ class _PointSet:
         self.p = p
         self.shape = (q.size, p.size)
 
-    def meshes(self):
-        return np.meshgrid(self.q, self.p, indexing="ij")
-
 
 def _check_gradient(rho, field, stride, h):
     g = field.grid
@@ -288,11 +375,35 @@ def _check_gradient(rho, field, stride, h):
         np.abs(base_q[mask] - fd["q"][mask]), np.abs(base_p[mask] - fd["p"][mask])
     )
     worst = np.max(dev / scale)
-    if worst > 1e-5:
+    if not worst <= 1e-5:
         raise ConsistencyError(
             f"analytic gradient deviates from finite differences by {worst:.3e} "
             "(relative) on the checked sub-lattice"
         )
+
+
+def _require_mass(mass):
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise NormalizationError(
+            f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
+        )
+
+
+def _moments_of(values, grid, physical):
+    """Moments from axis-weight matvecs; the caller has checked the mass."""
+    wq = axis_weights(grid.n_q, grid.dq)
+    wp = axis_weights(grid.n_p, grid.dp)
+    marg_q = values @ wp
+    marg_p = wq @ values
+    dq = float((wq * grid.q) @ marg_q)
+    dp = float(marg_p @ (wp * grid.p))
+    cq = grid.q - dq
+    cp = grid.p - dp
+    vqq = float((wq * cq * cq) @ marg_q)
+    vpp = float(marg_p @ (wp * cp * cp))
+    vqp = float((wq * cq) @ values @ (wp * cp))
+    m = GaussianMoments([dq, dp], [[vqq, vqp], [vqp, vpp]])
+    return m.validate(physical=physical)
 
 
 def moments(field, physical=True):
@@ -302,21 +413,8 @@ def moments(field, physical=True):
     are legitimate densities but not state Wigner functions (for example
     rescaled ones).
     """
-    w = grid_weights(field.grid)
-    mass = float(np.sum(w * field.values))
-    if abs(mass - 1.0) > 1e-4:
-        raise NormalizationError(f"field mass {mass:.6f} deviates from 1 beyond 1e-4")
-    Q, P = field.grid.meshes()
-    ww = w * field.values
-    dq = float(np.sum(ww * Q))
-    dp = float(np.sum(ww * P))
-    cq = Q - dq
-    cp = P - dp
-    vqq = float(np.sum(ww * cq * cq))
-    vpp = float(np.sum(ww * cp * cp))
-    vqp = float(np.sum(ww * cq * cp))
-    m = GaussianMoments([dq, dp], [[vqq, vqp], [vqp, vpp]])
-    return m.validate(physical=physical)
+    _require_mass(float(np.sum(grid_weights(field.grid) * field.values)))
+    return _moments_of(field.values, field.grid, physical)
 
 
 def gaussian_wigner(m, grid):
@@ -332,13 +430,15 @@ def gaussian_wigner(m, grid):
     return WignerField(grid, np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det)))
 
 
+def _negative_part(values, w):
+    return 0.5 * float(np.sum(w * (np.abs(values) - values)))
+
+
 def negative_volume(field):
     """|V_-| = (1/2) integral of (|W| - W), the mass of the negative part."""
     w = grid_weights(field.grid)
-    mass = float(np.sum(w * field.values))
-    if abs(mass - 1.0) > 1e-4:
-        raise NormalizationError(f"field mass {mass:.6f} deviates from 1 beyond 1e-4")
-    return 0.5 * float(np.sum(w * (np.abs(field.values) - field.values)))
+    _require_mass(float(np.sum(w * field.values)))
+    return _negative_part(field.values, w)
 
 
 # ----------------------------------------------------------------- export

@@ -103,6 +103,18 @@ def test_measure_value_invariants():
         MeasureValue(0.5, -np.pi * 0.2, 2.0, 2.5, -0.2).validate()
 
 
+def test_measure_value_rejects_nan():
+    nan = float("nan")
+    for args in [
+        (0.5, nan, 2.0, 2.5, 0.2),
+        (0.5, nan, 2.0, 2.5, nan),
+        (nan, np.pi * 0.2, 2.0, 2.5, 0.2),
+        (0.5, np.pi * 0.2, nan, 2.5, 0.2),
+    ]:
+        with pytest.raises(ConsistencyError):
+            MeasureValue(*args).validate()
+
+
 def test_measure_value_json_round_trip_fields():
     grid = PhaseSpaceGrid(-6, 6, -6, 6, 129, 129)
     v = MeasureValue(0.1, 0.2, 2.0, 2.1, 0.2 / np.pi, grid=grid)

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
-from ngm.errors import ConsistencyError, NormalizationError
+from ngm.errors import ConsistencyError, NormalizationError, NumericalError
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
@@ -26,6 +26,8 @@ from ngm.numerics import PhaseSpaceGrid, integrate
 from ngm.wigner import (
     GaussianMoments,
     WignerField,
+    _check_gradient,
+    _real_part,
     _synthesize,
     gaussian_wigner,
     moments,
@@ -127,6 +129,27 @@ def test_non_hermitian_input_raises():
     bad = np.array([[0.6, 0.3], [0.0, 0.4]], dtype=complex)
     with pytest.raises(ConsistencyError):
         wigner_from_fock(FockDensityMatrix(bad), GRID)
+
+
+def test_synthesis_rejects_non_finite_input():
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NumericalError):
+        _synthesize(bad, GRID, with_grad=False)
+
+
+def test_guards_reject_nan():
+    nan_field = WignerField(GRID, np.full(GRID.shape, np.nan))
+    with pytest.raises(NormalizationError):
+        moments(nan_field)
+    with pytest.raises(NormalizationError):
+        negative_volume(nan_field)
+    with pytest.raises(ConsistencyError):
+        _real_part(np.full(GRID.shape, complex(0.0, np.nan)), "field")
+    rho = fock_density(1)
+    f = wigner_gradient(rho, GRID, check=False)
+    f.grad_q = np.full(GRID.shape, np.nan)
+    with pytest.raises(ConsistencyError):
+        _check_gradient(rho, f, 8, 1e-5)
 
 
 def test_wigner_bound_and_mass():
