@@ -14,7 +14,6 @@ delta = 10^(-dB/20) recovers the peak width.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .fock import (
     random_qudit,
 )
 from .measure import ngm
-from .numerics import PhaseSpaceGrid, worker_count
+from .numerics import PhaseSpaceGrid, _ordered_map
 
 __all__ = [
     "ExperimentPreset",
@@ -284,16 +283,10 @@ def run_preset(preset, points=513, workers=None):
     decreasing-tau order within each tuple) regardless of how the
     thread pool schedules them.
     """
-    count = worker_count(workers)
-
-    def one(params):
-        return _measure_rows(preset, params, points)
-
-    if count == 1:
-        chunks = [one(p) for p in preset.parameters]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            chunks = list(pool.map(one, preset.parameters))
+    chunks = _ordered_map(
+        lambda params: _measure_rows(preset, params, points),
+        preset.parameters, workers,
+    )
     return [row for chunk in chunks for row in chunk]
 
 

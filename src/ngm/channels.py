@@ -20,6 +20,7 @@ from .fock import FockDensityMatrix, as_density, trim_density
 from .numerics import (
     BOUNDARY_TOL,
     LOG_FACTORIAL,
+    _edge_max,
     convolve_gaussian,
     integrate,
 )
@@ -201,24 +202,23 @@ def rescale(field, s):
         raise ValueError("rescaling factors must be positive")
     g = field.grid
     if sq < 1.0 or sp < 1.0:
-        edge = max(
-            np.max(np.abs(field.values[0, :])),
-            np.max(np.abs(field.values[-1, :])),
-            np.max(np.abs(field.values[:, 0])),
-            np.max(np.abs(field.values[:, -1])),
-        )
-        if edge > BOUNDARY_TOL:
+        edge = _edge_max(field.values)
+        if not edge <= BOUNDARY_TOL:
             raise GridError(
                 f"rescaled support leaves the grid: boundary magnitude {edge:.3e} "
                 f"exceeds {BOUNDARY_TOL:.0e}"
             )
-    interp = RegularGridInterpolator(
-        (g.q, g.p), field.values, method="linear", bounds_error=False, fill_value=0.0
-    )
     Q, P = g.meshes()
-    pts = np.stack(((Q / sq).ravel(), (P / sp).ravel()), axis=-1)
-    values = interp(pts).reshape(g.shape) / (sq * sp)
-    return WignerField(g, values)
+    return WignerField(g, _bilinear(field.values, g, Q / sq, P / sp) / (sq * sp))
+
+
+def _bilinear(values, grid, q, p):
+    """Bilinear samples of ``values`` on ``grid`` at the points (q, p);
+    0 outside the grid."""
+    interp = RegularGridInterpolator(
+        (grid.q, grid.p), values, method="linear", bounds_error=False, fill_value=0.0
+    )
+    return interp(np.stack((q.ravel(), p.ravel()), axis=-1)).reshape(q.shape)
 
 
 def thermal_loss_phase_space(field, spec, grid=None):
@@ -236,16 +236,7 @@ def thermal_loss_phase_space(field, spec, grid=None):
     mass = out.integral()
     out = WignerField(scaled.grid, values / mass)
     if grid is not None and grid != scaled.grid:
-        interp = RegularGridInterpolator(
-            (scaled.grid.q, scaled.grid.p),
-            out.values,
-            method="linear",
-            bounds_error=False,
-            fill_value=0.0,
-        )
-        Q, P = grid.meshes()
-        pts = np.stack((Q.ravel(), P.ravel()), axis=-1)
-        resampled = interp(pts).reshape(grid.shape)
+        resampled = _bilinear(out.values, scaled.grid, *grid.meshes())
         resampled /= integrate(resampled, grid)
         out = WignerField(grid, resampled)
     return out

@@ -30,11 +30,10 @@ from .channels import (
 )
 from .errors import NumericalError
 from .fisher import (
+    _smoothing_reports,
     cramer_rao_check,
-    debruijn_check,
     fisher_from_field,
     fock_fisher_sweep,
-    measure_derivative_check,
     write_fisher_csv,
 )
 from .fock import as_density, cat, load_state
@@ -285,22 +284,19 @@ def _fisher_report(config):
             f"band extrapolation relative gap {fisher.rel_gap:.3e} "
             "exceeds the convergence limit"
         )
-    identity = np.eye(2)
-    if config.debruijn:
-        report, extra = _collect(
-            lambda: debruijn_check(rho, identity, grid=grid,
-                                   points=config.points)
+    if config.debruijn or config.derivative:
+        # the library checks on this field and its Fisher matrix, smoothed
+        # once for both
+        reports, extra = _collect(
+            lambda: _smoothing_reports(field, fisher, np.eye(2))
         )
-        report.pop("fisher")
-        doc["debruijn"] = report
-        warns.extend(extra)
-    if config.derivative:
-        report, extra = _collect(
-            lambda: measure_derivative_check(rho, identity, grid=grid,
-                                             points=config.points)
-        )
-        report.pop("fisher")
-        doc["measure_derivative"] = report
+        for key, report, wanted in zip(
+            ("debruijn", "measure_derivative"), reports,
+            (config.debruijn, config.derivative),
+        ):
+            if wanted:
+                report.pop("fisher")
+                doc[key] = report
         warns.extend(extra)
     doc["warnings"] = warns
     print(f"trace_J = {doc['trace_J']!r}")

@@ -30,14 +30,15 @@ whose sign controls whether the relative-entropy measure decreases under
 an infinitesimal Gaussian convolution of covariance G, the Cramer-Rao
 gap V - J^-1, and two finite-difference cross-checks (differential
 entropy and measure derivative under epsilon-smoothing) that validate J
-against an independent numerical route.
+against an independent numerical route.  Both checks share one gradient
+field, its Fisher matrix and one smoothing pass: the field is
+transformed forward once and each epsilon costs one inverse transform.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import NumericalError
 from .fock import FockVector, as_density
 from .measure import gaussian_associate_entropy, wigner_entropy_real
-from .numerics import convolve_gaussian, integrate, worker_count
+from .numerics import _convolve_gaussians, _ordered_map, integrate
 from .wigner import WignerField, moments, wigner_gradient
 
 __all__ = [
@@ -247,38 +248,82 @@ def _validate_epsilons(epsilons):
     return eps
 
 
-def _richardson_ladder(epsilons, values, base):
-    """Extrapolate the epsilon -> 0 slope of ``values`` about ``base``.
+def _slope_report(epsilons, keys, base, values, reference, fisher):
+    """The epsilon -> 0 slope of ``values`` about ``base`` against
+    ``reference``; ``keys`` name the base, the values and the slope.
 
     Forward-difference slopes carry an error series in integer powers of
-    epsilon; each ladder level cancels the leading power using the
+    epsilon; each Richardson level cancels the leading power using the
     measured ratio of successive epsilons (the default halves it).
     """
-    eps = _validate_epsilons(epsilons)
-    slopes = [(v - base) / e for v, e in zip(values, eps)]
-    level = list(slopes)
-    power = 1
-    scale = eps
+    raw_slopes = [(v - base) / e for v, e in zip(values, epsilons)]
+    level, scale, power = raw_slopes, epsilons, 1
     while len(level) > 1:
-        nxt = []
-        for i in range(len(level) - 1):
-            r = (scale[i] / scale[i + 1]) ** power
-            nxt.append((r * level[i + 1] - level[i]) / (r - 1.0))
-        level = nxt
+        ratios = [(a / b) ** power for a, b in zip(scale, scale[1:])]
+        level = [(r * hi - lo) / (r - 1.0)
+                 for r, lo, hi in zip(ratios, level, level[1:])]
         scale = scale[1:]
         power += 1
-    return float(level[0]), slopes
+    slope = float(level[0])
+    abs_error = abs(slope - reference)
+    return {
+        "epsilons": list(epsilons),
+        keys[0]: base,
+        keys[1]: values,
+        "raw_slopes": raw_slopes,
+        keys[2]: slope,
+        "reference": reference,
+        "abs_error": abs_error,
+        "rel_error": abs_error / abs(reference) if abs(reference) > 1e-12 else None,
+        "fisher": fisher,
+    }
 
 
-def _smoothed(field, G, eps):
+def _smoothing_reports(field, fisher, G, epsilons=None):
+    """The de Bruijn and measure-derivative reports of one smoothing pass.
+
+    ``fisher`` is the Fisher matrix of the gradient field ``field``, which
+    is smoothed once per epsilon; each smoothed field's entropy serves
+    both reports.
+    """
+    epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
+    G = np.asarray(G, dtype=float)
     # the smoothing kernels are epsilon-narrow, so wraparound leakage is
     # bounded by the field's own edge magnitude; moment-adapted grids
     # leave edges around 1e-8 for strongly anti-squeezed states, which
     # is harmless here
-    values = convolve_gaussian(
-        field.values, field.grid, eps * G, boundary_tol=1e-6
+    smoothed = [
+        WignerField(field.grid, values)
+        for values in _convolve_gaussians(
+            field.values, field.grid, [eps * G for eps in epsilons],
+            boundary_tol=1e-6,
+        )
+    ]
+    entropy = wigner_entropy_real(field)
+    entropies = [wigner_entropy_real(f) for f in smoothed]
+    debruijn = _slope_report(
+        epsilons, ("base_entropy", "entropies", "slope"), entropy, entropies,
+        0.5 * float(np.trace(G @ fisher.J)), fisher,
     )
-    return WignerField(field.grid, values)
+    # the moments are re-measured on each smoothed field, so the
+    # Gaussian term moves too
+    m = moments(field)
+    values = [
+        gaussian_associate_entropy(moments(f)) - h
+        for f, h in zip(smoothed, entropies)
+    ]
+    report = _slope_report(
+        epsilons, ("base_re_mu", "values", "derivative"),
+        gaussian_associate_entropy(m) - entropy, values,
+        0.5 * monotonicity_condition(m.V, fisher.J, G), fisher,
+    )
+    derivative, reference = report["derivative"], report["reference"]
+    deadband = 1e-3
+    report["sign_agrees"] = bool(
+        (abs(derivative) < deadband and abs(reference) < deadband)
+        or derivative * reference > 0.0
+    )
+    return debruijn, report
 
 
 def debruijn_check(rho, G, epsilons=None, grid=None, points=513,
@@ -290,31 +335,9 @@ def debruijn_check(rho, G, epsilons=None, grid=None, points=513,
     measured from finite differences with Richardson extrapolation and
     the right side from the principal-value Fisher matrix.
     """
-    epsilons = (
-        SMOOTHING_EPSILONS if epsilons is None else _validate_epsilons(epsilons)
-    )
-    G = np.asarray(G, dtype=float)
     field = wigner_gradient(rho, grid=grid, points=points)
     fisher = fisher_from_field(field, band=band)
-    base = wigner_entropy_real(field)
-    entropies = [
-        wigner_entropy_real(_smoothed(field, G, eps)) for eps in epsilons
-    ]
-    slope, raw_slopes = _richardson_ladder(epsilons, entropies, base)
-    reference = 0.5 * float(np.trace(G @ fisher.J))
-    abs_error = abs(slope - reference)
-    rel_error = abs_error / abs(reference) if abs(reference) > 1e-12 else None
-    return {
-        "epsilons": list(epsilons),
-        "base_entropy": base,
-        "entropies": entropies,
-        "raw_slopes": raw_slopes,
-        "slope": slope,
-        "reference": reference,
-        "abs_error": abs_error,
-        "rel_error": rel_error,
-        "fisher": fisher,
-    }
+    return _smoothing_reports(field, fisher, G, epsilons)[0]
 
 
 def measure_derivative_check(rho, G, epsilons=None, grid=None, points=513,
@@ -326,39 +349,9 @@ def measure_derivative_check(rho, G, epsilons=None, grid=None, points=513,
     too) and its epsilon -> 0 derivative is compared against the drift
     coefficient from :func:`monotonicity_condition`.
     """
-    epsilons = (
-        SMOOTHING_EPSILONS if epsilons is None else _validate_epsilons(epsilons)
-    )
-    G = np.asarray(G, dtype=float)
     field = wigner_gradient(rho, grid=grid, points=points)
     fisher = fisher_from_field(field, band=band)
-    m = moments(field)
-
-    def re_mu(f):
-        return gaussian_associate_entropy(moments(f)) - wigner_entropy_real(f)
-
-    base = re_mu(field)
-    values = [re_mu(_smoothed(field, G, eps)) for eps in epsilons]
-    derivative, raw_slopes = _richardson_ladder(epsilons, values, base)
-    reference = 0.5 * monotonicity_condition(m.V, fisher.J, G)
-    abs_error = abs(derivative - reference)
-    rel_error = abs_error / abs(reference) if abs(reference) > 1e-12 else None
-    deadband = 1e-3
-    agrees = (
-        abs(derivative) < deadband and abs(reference) < deadband
-    ) or derivative * reference > 0.0
-    return {
-        "epsilons": list(epsilons),
-        "base_re_mu": base,
-        "values": values,
-        "raw_slopes": raw_slopes,
-        "derivative": derivative,
-        "reference": reference,
-        "abs_error": abs_error,
-        "rel_error": rel_error,
-        "sign_agrees": bool(agrees),
-        "fisher": fisher,
-    }
+    return _smoothing_reports(field, fisher, G, epsilons)[1]
 
 
 def fock_fisher_sweep(n_max=10, points=513, band=BAND_DEFAULT, workers=None):
@@ -387,12 +380,7 @@ def fock_fisher_sweep(n_max=10, points=513, band=BAND_DEFAULT, workers=None):
             "band": band,
         }
 
-    count = worker_count(workers)
-    ns = range(n_max + 1)
-    if count == 1:
-        return [one(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(one, ns))
+    return _ordered_map(one, range(n_max + 1), workers)
 
 
 def write_fisher_csv(rows, path):

@@ -61,7 +61,7 @@ class FockVector:
 
     def validate(self, tol=1e-10):
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > tol:
+        if not abs(norm - 1.0) <= tol:
             raise NormalizationError(f"state norm {norm} deviates from 1 beyond {tol}")
         return self
 
@@ -98,13 +98,13 @@ class FockDensityMatrix:
     def validate(self, herm_tol=1e-12, trace_tol=1e-10, psd_tol=1e-9):
         m = self.entries
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > herm_tol:
+        if not herm <= herm_tol:
             raise NormalizationError(f"Hermiticity residue {herm:.2e} > {herm_tol:.0e}")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > trace_tol:
+        if not abs(tr - 1.0) <= trace_tol:
             raise NormalizationError(f"trace {tr} deviates from 1 beyond {trace_tol:.0e}")
         lo = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
-        if lo < -psd_tol:
+        if not lo >= -psd_tol:
             raise NormalizationError(f"minimum eigenvalue {lo:.2e} < -{psd_tol:.0e}")
         return self
 

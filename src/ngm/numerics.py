@@ -5,12 +5,16 @@ Conventions used throughout the package: hbar = 1, quadrature ordering
 tensor-product grids with ``values[i, j] = W(q_i, p_j)``.
 
 Integration is composite Simpson on each axis (grids are kept at odd point
-counts for this reason); convolution is linear, via FFT with zero padding.
+counts for this reason); convolution is linear, via FFT with zero padding
+to fast (5-smooth) lengths, and a field smoothed by several Gaussians is
+transformed forward once.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import CapacityError, GridError, TruncationRiskError
 
@@ -46,6 +50,15 @@ def worker_count(workers=None):
     if env.strip():
         return max(1, int(env))
     return 1
+
+
+def _ordered_map(fn, items, workers=None):
+    """[fn(x) for x in items], on a thread pool of worker_count(workers)."""
+    count = worker_count(workers)
+    if count == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(fn, items))
 
 
 def log_factorial(n):
@@ -214,7 +227,7 @@ def _edge_max(values):
 
 def _check_boundary(values, grid, tol, label):
     mag = _edge_max(values)
-    if mag > tol:
+    if not mag <= tol:
         raise TruncationRiskError(
             f"{label} does not decay at the grid boundary "
             f"(edge magnitude {mag:.3e} > {tol:.0e}); enlarge the grid",
@@ -263,24 +276,45 @@ def convolve_gaussian(values, grid, cov, boundary_tol=BOUNDARY_TOL):
     narrower than the mesh stay accurate (the sampled-kernel route fails
     there).  `cov` is a 2x2 symmetric PSD matrix; cov = 0 returns a copy.
     """
+    return _convolve_gaussians(values, grid, [cov], boundary_tol)[0]
+
+
+def _convolve_gaussians(values, grid, covs, boundary_tol=BOUNDARY_TOL):
+    """`convolve_gaussian` of one field for each covariance in `covs`.
+
+    One boundary check and one forward transform serve every kernel (a
+    zero one among others is smoothed to rounding, not copied).  Axes pad
+    to the next 5-smooth length >= 2n - 1; a narrower pad would wrap the
+    tails of the Nyquist-cut kernel, which are not Gaussian.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError("field shape does not match grid")
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
+    covs = [np.asarray(cov, dtype=float) for cov in covs]
+    if any(cov.shape != (2, 2) for cov in covs):
         raise ValueError("cov must be 2x2")
-    if np.allclose(cov, 0.0):
-        return values.copy()
+    if all(np.allclose(cov, 0.0) for cov in covs):
+        return [values.copy() for _ in covs]
     _check_boundary(values, grid, boundary_tol, "field")
     nq, np_ = grid.shape
-    shape = (2 * nq - 1, 2 * np_ - 1)
+    shape = (next_fast_len(2 * nq - 1), next_fast_len(2 * np_ - 1, real=True))
     wq = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=grid.dq)
     wp = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
-    quad = (
-        cov[0, 0] * wq[:, None] ** 2
-        + 2.0 * cov[0, 1] * wq[:, None] * wp[None, :]
-        + cov[1, 1] * wp[None, :] ** 2
-    )
-    spec = np.fft.rfft2(values, s=shape) * np.exp(-0.5 * quad)
-    out = np.fft.irfft2(spec, s=shape)
-    return out[:nq, :np_]
+    spec = np.fft.rfft2(values, s=shape)
+    # kernels multiply into one reused buffer (the spectrum, if only one)
+    buf = spec if len(covs) == 1 else np.empty_like(spec)
+    out = []
+    for cov in covs:
+        if cov[0, 1] == 0.0:
+            np.multiply(spec, np.exp(-0.5 * cov[0, 0] * wq * wq)[:, None], out=buf)
+            buf *= np.exp(-0.5 * cov[1, 1] * wp * wp)
+        else:
+            # one exponent: split factors of an indefinite cross term overflow
+            quad = np.add.outer(cov[0, 0] * wq * wq, cov[1, 1] * wp * wp)
+            quad += 2.0 * cov[0, 1] * np.multiply.outer(wq, wp)
+            np.multiply(spec, np.exp(-0.5 * quad), out=buf)
+        np.fft.ifft(buf, axis=0, out=buf)
+        # only the kept rows go through the p transform; the crop is
+        # copied so that no padded array outlives the call
+        out.append(np.fft.irfft(buf[:nq], n=shape[1], axis=1)[:, :np_].copy())
+    return out

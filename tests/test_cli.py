@@ -14,9 +14,9 @@ import sys
 
 import pytest
 
-from ngm import catalog, cli
+from ngm import catalog, cli, fisher, wigner
 from ngm.catalog import build_state, preset_random_qudits
-from ngm.cli import main
+from ngm.cli import _jsonable, main
 from ngm.fock import FockVector, as_density, cat, save_state
 from ngm.measure import ngm
 from ngm.wigner import default_grid
@@ -282,3 +282,55 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("re_mu = ")
+
+
+def test_measure_nan_fock_file_is_numerical_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 2, "re": [NaN, 1.0], "im": [0.0, 0.0]}')
+    assert main(["measure", "--fock-file", str(path)]) == 3
+    assert "NormalizationError" in capsys.readouterr().out
+
+
+def test_fisher_rounding_level_cat_exits_ok(tmp_path, capsys):
+    # the gradient check once rejected this amplitude's correct gradient
+    out = tmp_path / "fisher.json"
+    assert main(["fisher", "--cat", "1.3164898774786777", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_fisher_checks_equal_library_wrappers(tmp_path, capsys):
+    out = tmp_path / "fisher.json"
+    assert main(["fisher", "--cat", "1.5", "--debruijn", "--derivative",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    rho = as_density(cat(1.5))
+    grid = default_grid(rho)
+    for key, check in (("debruijn", fisher.debruijn_check),
+                       ("measure_derivative", fisher.measure_derivative_check)):
+        report = check(rho, [[1.0, 0.0], [0.0, 1.0]], grid=grid)
+        report.pop("fisher")
+        assert doc[key] == json.loads(json.dumps(_jsonable(report)))
+
+
+def test_fisher_checks_share_one_field(tmp_path, monkeypatch, capsys):
+    counts = {"gradient_synth": 0, "fisher_from_field": 0}
+    synthesize = wigner._synthesize
+    from_field = fisher.fisher_from_field
+
+    def count_synth(c, grid, with_grad):
+        counts["gradient_synth"] += with_grad
+        return synthesize(c, grid, with_grad)
+
+    def count_fisher(*args, **kwargs):
+        counts["fisher_from_field"] += 1
+        return from_field(*args, **kwargs)
+
+    monkeypatch.setattr(wigner, "_synthesize", count_synth)
+    monkeypatch.setattr(fisher, "fisher_from_field", count_fisher)
+    monkeypatch.setattr(cli, "fisher_from_field", count_fisher)
+    out = tmp_path / "fisher.json"
+    assert main(["fisher", "--cat", "1.5", "--debruijn", "--derivative",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert counts == {"gradient_synth": 1, "fisher_from_field": 1}

@@ -331,3 +331,14 @@ def slab_by_diagonals(alpha, rows, cols):
 def test_displacement_slab_matches_diagonal_loop(alpha, shape):
     # same recurrence, same operations: the slabs agree bit for bit
     assert np.array_equal(_displacement_slab(alpha, *shape), slab_by_diagonals(alpha, *shape))
+
+
+def test_validators_reject_nan():
+    with pytest.raises(NormalizationError):
+        FockVector(np.array([np.nan, 1.0])).validate()
+    entries = np.diag([0.5, 0.5]).astype(complex)
+    entries[0, 1] = entries[1, 0] = np.nan
+    with pytest.raises(NormalizationError):
+        FockDensityMatrix(entries).validate()
+    with pytest.raises(NormalizationError):
+        FockDensityMatrix(np.diag([np.nan, 1.0])).validate()

@@ -13,6 +13,7 @@ from mpmath import mp, binomial, factorial, mpf
 from ngm.errors import CapacityError, GridError, TruncationRiskError
 from ngm.numerics import (
     PhaseSpaceGrid,
+    _convolve_gaussians,
     axis_weights,
     convolve,
     convolve_gaussian,
@@ -269,3 +270,60 @@ def test_convolve_gaussian_mass_preserved():
     f = gauss2d(g, [0.5, 0.5], np.diag([0.7, 0.5]))
     got = convolve_gaussian(f, g, np.diag([0.3, 0.3]))
     assert integrate(got, g) == pytest.approx(1.0, abs=1e-9)
+
+
+def padded_convolve_gaussian(values, grid, cov):
+    """The spectral Gaussian convolution at 2n - 1 points per axis, with
+    the kernel built as one 2-D array: the route before fast padded
+    lengths and factored kernels, kept as the oracle."""
+    nq, np_ = grid.shape
+    shape = (2 * nq - 1, 2 * np_ - 1)
+    wq = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=grid.dq)
+    wp = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
+    quad = (
+        cov[0, 0] * wq[:, None] ** 2
+        + 2.0 * cov[0, 1] * wq[:, None] * wp[None, :]
+        + cov[1, 1] * wp[None, :] ** 2
+    )
+    spec = np.fft.rfft2(values, s=shape) * np.exp(-0.5 * quad)
+    return np.fft.irfft2(spec, s=shape)[:nq, :np_]
+
+
+SMOOTHING_COVS = [
+    np.diag([1e-3, 2.5e-4]),
+    np.diag([0.3, 0.05]),
+    np.array([[0.2, 0.07], [0.07, 0.3]]),
+    np.array([[1e-3, -4e-4], [-4e-4, 5e-4]]),
+]
+
+
+def oscillating_field(grid):
+    # an off-centre, tilted, sign-changing field: no symmetry hides an
+    # axis or padding mistake
+    Q, P = grid.meshes()
+    return np.exp(-((Q - 0.5) ** 2) / 0.8 - (P + 0.3) ** 2 / 1.1 - 0.3 * Q * P) * np.cos(2 * Q)
+
+
+@pytest.mark.parametrize("cov", SMOOTHING_COVS + [np.zeros((2, 2))])
+def test_convolve_gaussian_matches_padded_oracle(cov):
+    # unequal point counts, so the two axes pad to different lengths
+    g = PhaseSpaceGrid(-8, 8, -7, 7, 257, 193)
+    f = oscillating_field(g)
+    got = convolve_gaussian(f, g, cov)
+    assert np.max(np.abs(got - padded_convolve_gaussian(f, g, cov))) < 1e-14
+
+
+def test_convolve_gaussians_equal_single_calls_bitwise():
+    g = PhaseSpaceGrid(-8, 8, -7, 7, 257, 193)
+    f = oscillating_field(g)
+    got = _convolve_gaussians(f, g, SMOOTHING_COVS)
+    assert len(got) == len(SMOOTHING_COVS)
+    for out, cov in zip(got, SMOOTHING_COVS):
+        assert out.shape == g.shape and out.flags.owndata
+        assert np.array_equal(out, convolve_gaussian(f, g, cov))
+
+
+def test_convolve_gaussians_check_boundary():
+    g = PhaseSpaceGrid(-6, 6, -6, 6, 129, 129)
+    with pytest.raises(TruncationRiskError):
+        _convolve_gaussians(np.ones(g.shape), g, [1e-3 * np.eye(2), np.eye(2)])

@@ -323,3 +323,25 @@ def test_binary_rejects_bad_magic(tmp_path):
     path.write_bytes(b"JUNK" + b"\0" * 64)
     with pytest.raises(ValueError):
         read_field_binary(path)
+
+
+# a cat amplitude at which both gradients nearly vanish at a checked point: the
+# central difference there is all rounding (5.6e-11 absolute), which the
+# 1e-6 scale floor alone turned into a 5.6e-5 "relative" error
+ROUNDING_CAT = 1.3164898774786777
+
+
+def test_gradient_check_accepts_rounding_level_differences():
+    field = wigner_gradient(cat(ROUNDING_CAT).to_density())
+    assert field.has_gradient
+
+
+@pytest.mark.parametrize("rel", [1e-4, -1e-4])
+@pytest.mark.parametrize("axis", ["grad_q", "grad_p"])
+@pytest.mark.parametrize("state", ["cat", "one-photon"])
+def test_gradient_check_rejects_perturbed_gradient(state, axis, rel):
+    rho = cat(1.5).to_density() if state == "cat" else fock_density(1)
+    field = wigner_gradient(rho, check=False)
+    setattr(field, axis, getattr(field, axis) * (1.0 + rel))
+    with pytest.raises(ConsistencyError):
+        _check_gradient(rho, field, 8, 1e-5)
