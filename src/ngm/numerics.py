@@ -16,17 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import CapacityError, GridError, TruncationRiskError
+from .errors import CapacityError, TruncationRiskError
 
 __all__ = [
     "PhaseSpaceGrid",
     "laguerre_assoc",
     "laguerre_assoc_derivative",
     "laguerre_sequence",
-    "log_factorial",
     "axis_weights",
     "integrate",
-    "convolve",
     "convolve_gaussian",
     "worker_count",
 ]
@@ -59,14 +57,6 @@ def _ordered_map(fn, items, workers=None):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, items))
-
-
-def log_factorial(n):
-    """ln(n!) from the precomputed table (n may be an integer array)."""
-    n = np.asarray(n)
-    if np.any(n < 0) or np.any(n >= LOG_FACTORIAL.size):
-        raise ValueError(f"factorial table covers 0..{LOG_FACTORIAL.size - 1}")
-    return LOG_FACTORIAL[n]
 
 
 class PhaseSpaceGrid:
@@ -233,39 +223,6 @@ def _check_boundary(values, grid, tol, label):
             f"(edge magnitude {mag:.3e} > {tol:.0e}); enlarge the grid",
             magnitude=mag,
         )
-
-
-def _origin_index(lo, step, n, label):
-    # linear convolution on a sampled grid only lines up when the origin
-    # is itself a sample
-    idx = -lo / step
-    if abs(idx - round(idx)) > 1e-6 or not (0 <= round(idx) < n):
-        raise GridError(f"{label} axis must contain 0 as a grid point")
-    return int(round(idx))
-
-
-def convolve(a, b, grid, boundary_tol=BOUNDARY_TOL):
-    """Linear convolution (a * b)(r) = integral a(r - r') b(r') dr'.
-
-    Both fields must live on `grid` and decay below `boundary_tol` at its
-    edges; the product is formed with zero padding to full length and
-    cropped back, scaled by the area element.
-    """
-    # imported here: scipy.signal doubles the package's import time and
-    # only this sampled-kernel route needs it
-    from scipy.signal import fftconvolve
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != grid.shape or b.shape != grid.shape:
-        raise ValueError("convolve expects both fields sampled on the given grid")
-    _check_boundary(a, grid, boundary_tol, "first field")
-    _check_boundary(b, grid, boundary_tol, "second field")
-    iq = _origin_index(grid.q_min, grid.dq, grid.n_q, "q")
-    ip = _origin_index(grid.p_min, grid.dp, grid.n_p, "p")
-    full = fftconvolve(a, b, mode="full")
-    out = full[iq : iq + grid.n_q, ip : ip + grid.n_p]
-    return out * (grid.dq * grid.dp)
 
 
 def convolve_gaussian(values, grid, cov, boundary_tol=BOUNDARY_TOL):

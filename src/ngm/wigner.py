@@ -1,24 +1,25 @@
 """Wigner synthesis from Fock-basis states.
 
-The field is the Weyl transform of the density matrix,
+The field of a Fock-basis matrix rho is separable in Hermite-Gauss
+modes,
 
-    W(q, p) = (1/pi) integral <q-y|rho|q+y> e^{2ipy} dy,
+    W(q, p) = pi^-1/2 sum_{j,k < 2 dim - 1} D_jk phi_j(sqrt2 q) phi_k(sqrt2 p),
 
-with rho = sum_k lam_k |v_k><v_k| from its eigendecomposition (a pure
-state is rank 1) and each wavefunction psi_k(x) = sum_n v_nk phi_n(x)
-evaluated from the normalised Hermite-function recurrence, which cannot
-overflow.  The y integral is a trapezoid sum, exact to
-rounding once the step resolves the state's reach sqrt(2 dim + 1) + 12
-in p, and becomes a real GEMM against cosine and sine tables, taken a
-block of q rows at a time so that the kernel stays in cache.  The
-analytic gradient rides along: dW/dp brings a factor 2iy into the same
-transform, and dW/dq uses psi' from the Hermite ladder
+with phi_n the normalised Hermite functions.  The coefficients D come
+from rho through the 50:50 beam splitter that takes the Weyl kernel
+<q-y|rho|q+y> from the coordinates (q - y, q + y) to (q, y), built one
+photon at a time in O(dim^3) (see ``_coefficients``); then W is
+A_q D A_p^T, two GEMMs against Hermite tables A[i, j] = phi_j(sqrt2 x_i).
+The rank is 2 dim - 1 for any rho, pure or mixed, and nothing is
+sampled but the grid itself.  The analytic gradient uses the ladder
 phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order above
-the state's cutoff.
+D.  The finite-difference check evaluates D at q +- h on a sub-lattice,
+with no field-sized synthesis.
 
-An anti-Hermitian part of the input is synthesized separately as the
-imaginary field; its residue is checked and dropped, never silently
-discarded above tolerance.
+The map is linear, so an anti-Hermitian part of the input gives an
+imaginary field.  It is synthesized and its residue checked, never
+silently discarded, unless a bound from the entries proves it below
+the residue tolerance.
 """
 
 import struct
@@ -99,27 +100,18 @@ class WignerField:
         return self.grad_q is not None and self.grad_p is not None
 
 
-#: margin added to the turning radius sqrt(2 dim + 1): past it every
-#: Hermite function of the state, and so W itself, is below double
-#: precision
-SUPPORT_MARGIN = 12.0
-
-#: eigenvalues of rho whose running total stays at or below this share of
-#: its trace norm, per dimension, are dropped.  dim * eps is the rounding
-#: level of forming rho and of eigh, so a pure state keeps rank 1 at any
-#: cutoff (a flat 1e-15 kept 2 to 8 rounding eigenvalues of pure states
-#: at n_c = 60 to 160, each costing a wavefunction and a gather).
-#: Dropping them moves W pointwise by at most dim * RANK_TOL / pi
-RANK_TOL = np.finfo(float).eps
-
-#: largest denominator b of the y step h = (a / b) * dq / 2
-_MAX_DENOMINATOR = 8
-
-#: complex cells in one block of K: 256 KiB per buffer
-_BLOCK_CELLS = 1 << 14
-
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+#: phi_0(x) = pi^-1/4 e^{-x^2/2} is a normal double for |x| up to here
+_PLAIN_REACH = 37.0
+
+#: margin added to the turning radius sqrt(2k + 1) of phi_k: past it
+#: phi_k is below 1e-36 (1.5e-37 at k = 0, less at higher orders)
+SUPPORT_MARGIN = 12.0
+
+#: q rows per block of the rounding bound: 64 x 513 doubles is 256 KiB
+_BOUND_ROWS = 64
 
 
 def _require_finite(values, label):
@@ -127,176 +119,233 @@ def _require_finite(values, label):
         raise NumericalError(f"{label} has non-finite entries")
 
 
-def _hermite_functions(x, table):
-    """Fill the rows of table with phi_0(x), phi_1(x), ..., the normalised
-    Hermite functions."""
-    n = table.shape[0]
+def _hermite_functions(x, n):
+    """Table of phi_0(x) .. phi_{n-1}(x), the normalised Hermite functions.
+
+    The three-term recurrence cannot overflow, but its seed phi_0
+    underflows past |x| = _PLAIN_REACH while phi_k stays O(1) out to its
+    turning point sqrt(2k + 1).  There, up to SUPPORT_MARGIN past the last
+    turning point, the recurrence runs on mantissas with a binary exponent
+    per point, renormalised exactly at every order; farther out the table
+    is 0.
+    """
+    table = np.empty((n, x.size))
+    a = np.sqrt(2.0 / np.arange(1.0, n))
+    b = np.sqrt(np.arange(n - 1.0) / np.arange(1.0, n))
     table[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
     if n > 1:
-        table[1] = np.sqrt(2.0) * x * table[0]
+        np.multiply(x, a[0] * table[0], out=table[1])
+    tmp = np.empty_like(x)
     for k in range(2, n):
-        table[k] = np.sqrt(2.0 / k) * x * table[k - 1] - np.sqrt((k - 1) / k) * table[k - 2]
+        np.multiply(x, table[k - 1], out=table[k])
+        table[k] *= a[k - 1]
+        np.multiply(table[k - 2], b[k - 1], out=tmp)
+        table[k] -= tmp
+    far = np.flatnonzero(np.abs(x) > _PLAIN_REACH)
+    if far.size == 0:
+        return table
+    table[:, far] = 0.0
+    far = far[np.abs(x[far]) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN]
+    if far.size == 0:
+        return table
+    xf = x[far]
+    log2 = -0.5 * xf * xf / np.log(2.0) - 0.25 * np.log2(np.pi)
+    exp = np.floor(log2)
+    cur, prev = np.exp2(log2 - exp), np.zeros_like(xf)
+    exp = exp.astype(int)
+    scaled = np.empty((n, far.size))
+    np.ldexp(cur, exp, out=scaled[0])
+    for k in range(1, n):
+        cur, prev = a[k - 1] * xf * cur - b[k - 1] * prev, cur
+        cur, shift = np.frexp(cur)
+        prev = np.ldexp(prev, -shift)
+        exp += shift
+        np.ldexp(cur, exp, out=scaled[k])
+    table[:, far] = scaled
+    return table
 
 
-def _truncate(lam, vec, tol):
-    """Drop the smallest |lam| while their running total stays <= tol."""
-    order = np.argsort(np.abs(lam))
-    keep = np.sort(order[np.cumsum(np.abs(lam[order])) > tol])
-    return lam[keep], vec[:, keep]
+def _beam_splitter_rows(dim):
+    """Rows (m, n), m <= n < dim, of the 50:50 beam-splitter blocks B^N.
 
+    The beam splitter maps the two-mode state |m, n> into span{|j, N - j>}
+    for N = m + n, through an orthogonal block B^N.  Yields (N, rows) for
+    N = 0 .. 2 dim - 2, rows[i] being row (lo + i, N - lo - i) of B^N with
+    lo = max(0, N - dim + 1), over j = 0 .. N // 2, in buffers reused by
+    the next level.  The other
+    half follows by swapping the output modes, row(m, n)[N - j] =
+    (-1)^m row(m, n)[j], and the rows with m > n by swapping the input
+    modes, row(n, m)[j] = (-1)^(N - j) row(m, n)[j].
 
-def _y_step(half, h_max):
-    """(a, b) with h = half * a / b the largest step <= h_max, b small."""
-    best = (1, int(np.ceil(half / h_max)))
-    for b in range(1, _MAX_DENOMINATOR + 1):
-        a = int(b * h_max / half)
-        if a >= 1 and a * best[1] > best[0] * b:
-            best = (a, b)
-    return best
-
-
-def _weyl(lam, vec, q, p, with_grad, bound=None):
-    """W = (1/pi) int <q-y|rho|q+y> e^{2ipy} dy for rho = sum lam_k |v_k><v_k|.
-
-    Hermitian symmetry, K(q,-y) = conj K(q,y), folds the integral onto
-    y >= 0.  The trapezoid sum in y aliases W(q, p + m pi/h) onto W(q, p);
-    W vanishes past the reach R, so h <= pi/(max|p| + R) makes it exact to
-    rounding, and y stops at R.  h is a rational multiple a/b of the half
-    q step, so every q +- y sits on one lattice of step dq/(2b): each
-    eigenvector's wavefunction is evaluated there once and K gathered.
-    If given, ``bound`` (one entry per q) receives the rounding bound of
-    each row of W; values inside it are set to 0.
+    A row comes from level N - 1 one photon at a time,
+    row(m, n) = [sqrt(m) A+ row(m-1, n) + sqrt(n) B+ row(m, n-1)] / N, where
+    A+ = (S+ - T+)/sqrt2 and B+ = (S+ + T+)/sqrt2 are the input modes'
+    creation operators and S+, T+ those of the output modes, which add a
+    photon to j and to N - j respectively.  This symmetric form keeps B^N
+    orthogonal to rounding; the one-sided one (A+ only) loses it by
+    N ~ 80.
     """
-    n_fields = 3 if with_grad else 1
-    dim = vec.shape[0]
-    reach = np.sqrt(2.0 * dim + 1.0) + SUPPORT_MARGIN
-    rows = np.flatnonzero(np.abs(q) < reach)
-    cols = np.flatnonzero(np.abs(p) < reach)
-    if lam.size == 0 or rows.size == 0 or cols.size == 0:
-        return list(np.zeros((n_fields, q.size, p.size)))
-    pc = p[cols]
-    h_max = np.pi / (np.max(np.abs(pc)) + reach)
-    half = 0.5 * (q[1] - q[0]) if q.size > 1 else h_max
-    a, b = _y_step(half, h_max)
-    step = half / b
-    h = a * step
-    n_y = int(np.ceil(reach / h)) + 1
-    y = h * np.arange(n_y)
+    size = 2 * dim - 1
+    root = np.sqrt(np.arange(size + 1.0))
+    sign = np.ones(size)
+    sign[1::2] = -1.0
+    # levels N - 1 and N, with m counted from lo_prev and lo
+    rows = (np.empty((dim, dim)), np.empty((dim, dim)))
+    lift, drop = np.empty((dim, dim)), np.empty((dim, dim))
+    prev = rows[0]
+    prev[0, 0] = 1.0
+    lo_prev = 0
+    yield 0, prev[:1, :1]
+    for N in range(1, size):
+        lo, hi = max(0, N - dim + 1), N // 2
+        r, cols = hi - lo + 1, hi + 1
+        if N % 2 == 0:
+            # column N/2 of level N - 1 mirrors its column N/2 - 1
+            r_prev = hi - lo_prev
+            np.multiply(prev[:r_prev, hi - 1], sign[lo_prev:hi], out=prev[:r_prev, hi])
+        scale = 1.0 / (N * np.sqrt(2.0))
+        # sqrt(n) row(m, n - 1), stored for m < n; row(m, m - 1) by reflection
+        u = lift[:r, :cols]
+        top = min(r, (N + 1) // 2 - lo)
+        src = prev[lo - lo_prev : lo - lo_prev + top, :cols]
+        np.multiply(scale * root[N - lo : N - lo - top : -1, None], src, out=u[:top])
+        if top < r:
+            np.multiply(prev[hi - 1 - lo_prev, :cols], sign[N - cols : N][::-1], out=u[top])
+            u[top] *= scale * root[N - hi]
+        # sqrt(m) row(m - 1, n)
+        v = drop[:r, :cols]
+        first = 1 if lo == 0 else 0
+        src = prev[lo + first - 1 - lo_prev : hi - lo_prev, :cols]
+        np.multiply(scale * root[lo + first : hi + 1, None], src, out=v[first:])
+        v[:first] = 0.0
+        # T+ (u - v) + S+ (u + v), the 1/(N sqrt2) already in u and v
+        new = rows[N % 2][:r, :cols]
+        np.subtract(u, v, out=new)
+        new *= root[N - cols + 1 : N + 1][::-1]
+        u += v
+        u[:, : cols - 1] *= root[1:cols]
+        new[:, 1:] += u[:, : cols - 1]
+        yield N, new
+        prev, lo_prev = rows[N % 2], lo
 
-    # lattice index of q_i - y_j and q_i + y_j, shifted so both are >= 0
-    centre = 2 * b * np.arange(rows.size) + a * (n_y - 1)
-    offset = a * np.arange(n_y)
-    # coordinates count from the row nearest q = 0, so q-axes mirrored
-    # about 0 (the finite-difference check's +-h shifts of a symmetric
-    # grid) get mirrored lattices and equal rounding at their centre
-    z = int(np.argmin(np.abs(q[rows])))
-    x = q[rows[z]] + step * (np.arange(centre[-1] + offset[-1] + 1) - centre[z])
-    # x is monotone, so the points with |x| < reach form one slice
-    live = np.flatnonzero(np.abs(x) < reach)
-    live = slice(live[0], live[-1] + 1)
-    # one order more than rho carries feeds the derivative ladder
-    coef = np.vstack((vec, np.zeros((1, lam.size)))) if with_grad else vec
-    table = np.zeros((coef.shape[0], x.size))
-    _hermite_functions(x[live], table[:, live])
-    psi = coef.real.T @ table + 1j * (coef.imag.T @ table)
-    if with_grad:
-        # phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}
-        ladder = np.sqrt(np.arange(1, dim + 1) / 2.0)[:, None]
-        dcoef = np.zeros_like(coef)
-        dcoef[:-1] += ladder * coef[1:]
-        dcoef[1:] -= ladder * coef[:-1]
-        dpsi = dcoef.real.T @ table + 1j * (dcoef.imag.T @ table)
 
-    # W = sum_j w_j (Re K cos 2py - Im K sin 2py): a real GEMM against T,
-    # whose cos and -sin rows interleave to match the float view of K
-    w = np.full(n_y, 2.0 * h / np.pi)
-    w[0] = h / np.pi
-    n_terms = 2 * n_y
-    T = np.empty((n_y, 2, pc.size))
-    np.multiply.outer(2.0 * y, pc, out=T[:, 1])
-    np.cos(T[:, 1], out=T[:, 0])
-    np.sin(T[:, 1], out=T[:, 1])
-    T[:, 0] *= w[:, None]
-    T[:, 1] *= -w[:, None]
-    T = T.reshape(n_terms, pc.size)
-    # values inside the GEMM's own rounding bound carry no sign: zeroed
+def _coefficients(c, anti):
+    """Hermite-Gauss coefficients D of the Fock-basis matrix c.
+
+    W(q, p) = pi^-1/2 sum_jk D_jk phi_j(sqrt2 q) phi_k(sqrt2 p), with D
+    real for the Hermitian part of c; with ``anti`` the anti-Hermitian
+    part's D (its imaginary field) is returned too, as D[1].
+
+    At s = sqrt2 q and t = sqrt2 y the kernel <q-y|c|q+y> is
+    sum c_mn phi_m((s-t)/sqrt2) phi_n((s+t)/sqrt2): the two-mode state
+    |m, n> seen through a 50:50 beam splitter, sum_j B^N[(m, n), j]
+    phi_j(s) phi_{N-j}(t).  The y -> p transform maps phi_k(t) to
+    sqrt(pi) i^k phi_k(sqrt2 p), so D_jk = i^k C_jk with
+    C_jk = sum_{m+n=j+k} c_mn B^N[(m, n), j].  By the reflection
+    B^N[(n, m), j] = (-1)^k B^N[(m, n), j], the pair (m, n), (n, m) enters
+    through c_mn + c_nm at even k and c_mn - c_nm at odd k, and by
+    B^N[(m, n), N - j] = (-1)^m B^N[(m, n), j] the same weights times (-1)^m
+    give the columns past N/2: a level is one real product of those
+    weight sets with the rows m <= n over j <= N/2.
+    """
+    dim = c.shape[0]
+    size = 2 * dim - 1
+    even = c + c.T
+    even[np.diag_indices(dim)] *= 0.5
+    odd = c - c.T
+    parts = (even.real, odd.imag) + ((even.imag, odd.real) if anti else ())
+    # pair weights in level order: N = m + n, then m
+    m, n = np.triu_indices(dim)
+    order = np.lexsort((m, m + n))
+    pairs = (m * dim + n)[order]
+    weights = np.stack([part.ravel()[pairs] for part in parts])
+    start = np.concatenate(([0], np.cumsum(np.bincount(m + n, minlength=size))))
+    D = np.zeros((len(parts) // 2, size, size))
+    # antidiagonal N of D, entries D[j, N - j], is a strided slice of D.flat
+    flat = D.reshape(len(D), -1)
+    step = max(size - 1, 1)
+    # the same weights with (-1)^m give columns N - j of B^N from column j
+    sets = len(parts)
+    weights = np.vstack((weights, weights * (-1.0) ** m[order]))
+    for N, rows in _beam_splitter_rows(dim):
+        vals = weights[:, start[N] : start[N + 1]] @ rows
+        cols = rows.shape[1]
+        line = flat[:, N : N * size + 1 : step]
+        mirror = line[:, ::-1]
+        # C from the even weights where k = N - j is even, else the odd ones
+        line[:, N % 2 : cols : 2] = vals[0:sets:2, N % 2 :: 2]
+        line[:, 1 - N % 2 : cols : 2] = vals[1:sets:2, 1 - N % 2 :: 2]
+        mirror[:, 0:cols:2] = vals[sets::2, 0::2]
+        mirror[:, 1:cols:2] = vals[sets + 1 :: 2, 1::2]
+    # D_jk = i^k C_jk: Re and Im of i^k cycle through the odd and even
+    # weight sets, whose products with B^N are real
+    quarter = np.arange(size) % 4
+    D[0] *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
+    if anti:
+        D[1] *= np.where(quarter >= 2, -1.0, 1.0)
+    return D
+
+
+def _fields(D, q, p, with_grad, bound=None):
+    """[W] or [W, dW/dq, dW/dp] of the coefficients D on the q and p axes.
+
+    W = A_q D A_p^T / sqrt(pi) with A[i, j] = phi_j(sqrt2 x_i); gradients
+    use dphi_n/dx = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order
+    above D.  Values of W inside gamma (|A_q| |D| |A_p|^T) / sqrt(pi), the
+    two products' own rounding bound, carry no sign and are set to 0; if
+    given, ``bound`` (the shape of W) receives that bound.
+    """
+    size = D.shape[0]
+    orders = size + 1 if with_grad else size
+    table = _hermite_functions(np.sqrt(2.0) * np.concatenate((q, p)), orders)
+    Aq, Ap = table[:size, : q.size], table[:size, q.size :]
+    D = D / np.sqrt(np.pi)
+    inner = D @ Ap
+    W = Aq.T @ inner
+    n_terms = 2 * size
     gamma = n_terms * _UNIT_ROUNDOFF / (1.0 - n_terms * _UNIT_ROUNDOFF)
-    w_terms = np.repeat(w, 2)
-
-    # K is built and transformed a block of rows at a time, in buffers
-    # reused across blocks and eigenvectors: field-sized temporaries would
-    # be allocated, faulted in and freed on every call
-    fields = np.zeros((n_fields, q.size, p.size))
-    cs = slice(cols[0], cols[-1] + 1)
-    block = min(rows.size, max(1, _BLOCK_CELLS // n_y))
-    # K, dK/dq and the d/dp kernel 2iyK
-    kernels = np.empty((n_fields, block, n_y), dtype=complex)
-    left, right, term = (np.empty((block, n_y), dtype=complex) for _ in range(3))
-    for r0 in range(0, rows.size, block):
-        n = min(block, rows.size - r0)
-        lo = centre[r0 : r0 + n, None] - offset
-        hi = centre[r0 : r0 + n, None] + offset
-        kern = kernels[:, :n]
-        kern[:] = 0.0
-        K, bl, br, bt = kern[0], left[:n], right[:n], term[:n]
-        for k in range(lam.size):
-            np.take(psi[k], lo, out=bl)
-            np.take(psi[k], hi, out=br)
-            np.conjugate(br, out=br)
-            np.multiply(bl, br, out=bt)
-            bt *= lam[k]
-            K += bt
-            if with_grad:
-                # dK/dq = dpsi(q-y) conj psi(q+y) + psi(q-y) conj dpsi(q+y)
-                np.take(dpsi[k], lo, out=bt)
-                bt *= br
-                np.take(dpsi[k], hi, out=br)
-                np.conjugate(br, out=br)
-                br *= bl
-                bt += br
-                bt *= lam[k]
-                kern[1] += bt
-        if with_grad:
-            # d/dp brings down 2iy inside the same transform
-            np.multiply(K, 2j * y, out=kern[2])
-        rs = slice(rows[0] + r0, rows[0] + r0 + n)
-        for f, kernel in zip(fields, kern):
-            np.matmul(kernel.view(float), T, out=f[rs, cs])
-        row_bound = gamma * (np.abs(K.view(float), out=bt.view(float)) @ w_terms)
-        W = fields[0, rs, cs]
-        W[np.abs(W) <= row_bound[:, None]] = 0.0
+    spread = np.abs(D) @ np.abs(Ap)
+    spread *= gamma
+    abs_q = np.abs(Aq)
+    # a block of q rows at a time: field-sized temporaries would be
+    # allocated, faulted in and freed on every call
+    for start in range(0, q.size, _BOUND_ROWS):
+        rows = slice(start, start + _BOUND_ROWS)
+        row_bound = abs_q[:, rows].T @ spread
+        block = W[rows]
+        block[np.abs(block) <= row_bound] = 0.0
         if bound is not None:
-            bound[rs] = row_bound
-    return list(fields)
-
-
-def _spectra(c):
-    """Rank-cut eigenpairs of c's Hermitian and nonzero anti-Hermitian parts."""
-    _require_finite(c, "density matrix")
-    parts = [np.linalg.eigh(0.5 * (c + c.conj().T))]
-    anti = -0.5j * (c - c.conj().T)
-    if np.any(anti):
-        parts.append(np.linalg.eigh(anti))
-    tol = c.shape[0] * RANK_TOL * sum(np.sum(np.abs(lam)) for lam, _ in parts)
-    return [_truncate(*part, tol) for part in parts]
+            bound[rows] = row_bound
+    fields = [W]
+    if with_grad:
+        # d/dq phi_n(sqrt2 q) = sqrt(n) phi_{n-1} - sqrt(n+1) phi_{n+1}
+        root = np.sqrt(np.arange(orders, dtype=float))[:, None]
+        deriv = root[:size] * np.vstack((np.zeros_like(table[:1]), table[: size - 1]))
+        deriv -= root[1:] * table[1:]
+        fields.append(deriv[:, : q.size].T @ inner)
+        fields.append(Aq.T @ (D @ deriv[:, q.size :]))
+    return fields
 
 
 def _synthesize(c, grid, with_grad):
     """Wigner field of the Fock-basis matrix c on the grid's q and p axes.
 
-    Returns [W] or [W, dW/dq, dW/dp].  The Hermitian part of c is
-    synthesized from its eigenvectors; an anti-Hermitian part that
-    survives the rank cut is synthesized the same way and returned as the
-    imaginary part, for the caller's residue check.
+    Returns [W] or [W, dW/dq, dW/dp].  The map is linear, so an
+    anti-Hermitian part of c gives the imaginary part of each field; it
+    is synthesized, for the caller's residue check, unless its trace
+    norm, which bounds pi |W| pointwise, already proves the residue below
+    IMAG_RESIDUE_HARD.
     """
+    _require_finite(c, "density matrix")
     q = np.asarray(grid.q, dtype=float)
     p = np.asarray(grid.p, dtype=float)
-    herm, *anti = _spectra(c)
-    fields = _weyl(*herm, q, p, with_grad)
-    for lam, vec in anti:
-        if lam.size:
-            imag = _weyl(lam, vec, q, p, with_grad)
-            fields = [re + 1j * im for re, im in zip(fields, imag)]
+    # |W_a| <= ||a||_1 / pi <= sum |a_mn| / pi for a = (c - c^+) / 2i
+    anti = np.sum(np.abs(c - c.conj().T)) / (2.0 * np.pi) > IMAG_RESIDUE_HARD
+    D = _coefficients(c, anti)
+    fields = _fields(D[0], q, p, with_grad)
+    if anti:
+        imag = _fields(D[1], q, p, with_grad)
+        fields = [re + 1j * im for re, im in zip(fields, imag)]
     for f in fields:
         _require_finite(f, "synthesized Wigner field")
     return fields
@@ -332,10 +381,10 @@ def wigner_from_fock(rho, grid=None, points=513):
 def wigner_gradient(rho, grid=None, points=513, check=True, check_stride=8, h=1e-5):
     """Wigner field with analytic (dW/dq, dW/dp), finite-difference checked.
 
-    The check re-synthesizes W on a coarse sub-lattice shifted by ±h and
-    compares central differences with the analytic gradient; disagreement
-    beyond 1e-5 relative, plus the synthesis rounding bound over 2h, where
-    |W| > 1e-6 raises.  `check=False` skips it
+    The check evaluates W's Hermite-Gauss expansion on a coarse sub-lattice
+    shifted by ±h and compares central differences with the analytic
+    gradient; disagreement beyond 1e-5 relative, plus the synthesis
+    rounding bound over 2h, where |W| > 1e-6 raises.  `check=False` skips it
     (the formula is unchanged; useful inside tight sweeps).
     """
     rho = as_density(rho)
@@ -359,16 +408,16 @@ def _check_gradient(rho, field, stride, h):
     mask = np.abs(field.values[::stride, ::stride]) > 1e-6
     if not np.any(mask):
         return
-    herm = _spectra(rho.entries)[0]
+    D = _coefficients(rho.entries, False)[0]
     fd, dev = [], []
     for grad, dq, dp in ((field.grad_q, h, 0.0), (field.grad_p, 0.0, h)):
-        bound = np.zeros((2, qs.size))
-        (hi,) = _weyl(*herm, qs + dq, ps + dp, False, bound[0])
-        (lo,) = _weyl(*herm, qs - dq, ps - dp, False, bound[1])
+        bounds = np.empty((2, qs.size, ps.size))
+        (hi,) = _fields(D, qs + dq, ps + dp, False, bounds[0])
+        (lo,) = _fields(D, qs - dq, ps - dp, False, bounds[1])
         fd.append((hi - lo) / (2.0 * h))
-        # both samples are within their rows' rounding bounds, so the
-        # central difference is within their sum over 2h
-        slack = (bound[0] + bound[1])[:, None] / (2.0 * h)
+        # both samples are within their rounding bounds, so the central
+        # difference is within their sum over 2h
+        slack = (bounds[0] + bounds[1]) / (2.0 * h)
         dev.append(np.abs(grad[::stride, ::stride] - fd[-1]) - slack)
     scale = np.maximum(np.maximum(np.abs(fd[0]), np.abs(fd[1])), 1e-6)
     worst = np.max((np.maximum(dev[0], dev[1]) / scale)[mask])

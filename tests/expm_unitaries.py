@@ -1,0 +1,45 @@
+"""Displacement and squeezing of Fock-basis states by matrix exponentials.
+
+The test oracle for Gaussian unitaries: dense `expm` of the generators in a
+padded Fock space, independent of the closed-form displacement elements
+that `ngm.fock` builds its states from.
+"""
+
+import numpy as np
+from scipy.linalg import expm
+
+from ngm.errors import CutoffError
+from ngm.fock import FockDensityMatrix, annihilation_matrix, as_density
+
+
+def gaussian_unitary(generator_dim, alpha=None, xi=None):
+    """D(α)S(ξ) on the first generator_dim Fock levels."""
+    a = annihilation_matrix(generator_dim)
+    ad = a.conj().T
+    u = np.eye(generator_dim, dtype=complex)
+    if xi:
+        u = expm((xi / 2.0) * (a @ a - ad @ ad)) @ u
+    if alpha:
+        u = expm(alpha * ad - np.conj(alpha) * a) @ u
+    return u
+
+
+def _apply_unitary(state, u, trace_tol=1e-6):
+    rho = as_density(state)
+    out = u @ rho.embed(u.shape[0]).entries @ u.conj().T
+    tr = np.trace(out).real
+    if tr < 1.0 - trace_tol:
+        raise CutoffError(f"unitary application lost trace ({tr:.8f}); raise headroom")
+    return FockDensityMatrix(out / tr)
+
+
+def displace_state(state, alpha, headroom=24):
+    """D(α) ρ D(α)† in a padded Fock space, renormalized."""
+    rho = as_density(state)
+    return _apply_unitary(rho, gaussian_unitary(rho.dim + int(headroom), alpha=alpha))
+
+
+def squeeze_state(state, xi, headroom=24):
+    """S(ξ) ρ S(ξ)† in a padded Fock space, renormalized."""
+    rho = as_density(state)
+    return _apply_unitary(rho, gaussian_unitary(rho.dim + int(headroom), xi=xi))

@@ -22,6 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from expm_unitaries import displace_state, squeeze_state
 
 from ngm.catalog import build_state, named_preset, preset_gkp_family, run_preset
 from ngm.channels import (
@@ -42,11 +43,9 @@ from ngm.fock import (
     as_density,
     cat,
     coherent,
-    displace_state,
     displaced_squeezed,
     random_qudit,
     save_state,
-    squeeze_state,
 )
 from ngm.measure import (
     entropy_upper_bound_check,

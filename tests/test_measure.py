@@ -7,6 +7,7 @@ the Gaussian entropy ln(2 pi e sqrt(det V)), the Fock-1 negative volume
 
 import numpy as np
 import pytest
+from expm_unitaries import displace_state, squeeze_state
 
 from ngm.errors import ConsistencyError, NumericalError
 from ngm.fock import (
@@ -15,9 +16,7 @@ from ngm.fock import (
     cat,
     coherent,
     displaced_squeezed,
-    displace_state,
     random_qudit,
-    squeeze_state,
     state_moments,
 )
 from ngm.measure import (

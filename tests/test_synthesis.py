@@ -9,8 +9,8 @@ density-matrix diagonals, the |n><n+k| pair contributing
 with the conjugate-power twin for the lower triangle.  One three-term
 Laguerre recurrence per diagonal serves values and gradients alike (the
 gradient needs superscript k+1 sums, L_n^(k+1) = sum_{i<=n} L_i^(k)).
-It shares no step with the engine's Weyl transform of Hermite
-wavefunctions, but its unnormalised L_n^(k) overflow to nan from n ~ 140
+It shares no step with the engine's beam-splitter coefficients and
+Hermite tables, but its unnormalised L_n^(k) overflow to nan from n ~ 140
 on default grids, so the high-n checks use closed forms instead.
 """
 
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from ngm import wigner
 from ngm.channels import ThermalLossSpec, thermal_loss_fock
@@ -174,32 +175,47 @@ def test_engine_matches_laguerre_oracle_on_gkp_1025():
     assert_fields_close(_synthesize(rho.entries, grid, with_grad=True), want)
 
 
-@pytest.mark.parametrize("cells", [64, 1 << 14])
-def test_engine_matches_laguerre_oracle_past_the_reach(monkeypatch, cells):
-    # the grid reaches past sqrt(2 dim + 1) + 12, so the engine leaves rows
-    # and columns at zero; 64 cells per block puts one q row in each block
-    monkeypatch.setattr(wigner, "_BLOCK_CELLS", cells)
+def test_engine_matches_laguerre_oracle_past_the_reach():
+    # the grid reaches past every Hermite function's turning point, where
+    # the tables fall to rounding and below
     rho = as_density(cat(1.5, "odd", 20))
     grid = PhaseSpaceGrid(-25, 25, -25, 25, 201, 201)
     want = laguerre_synthesize(rho.entries, grid, with_grad=True)
     assert_fields_close(_synthesize(rho.entries, grid, with_grad=True), want)
 
 
+def test_beam_splitter_block_is_orthogonal():
+    # B^200 in full (d = 201): rows m <= n over j <= N/2 from the recurrence,
+    # columns j > N/2 by row(m, n)[N - j] = (-1)^m row(m, n)[j] and rows
+    # m > n by row(n, m)[j] = (-1)^(N - j) row(m, n)[j]
+    N = 200
+    for level, half in wigner._beam_splitter_rows(N + 1):
+        if level == N:
+            break
+    assert half.shape == (N // 2 + 1, N // 2 + 1)
+    m = np.arange(N // 2 + 1)[:, None]
+    rows = np.hstack((half, ((-1.0) ** m * half)[:, -2::-1]))
+    sign = (-1.0) ** (N - np.arange(N + 1))
+    B = np.vstack((rows, (rows[: N // 2] * sign)[::-1]))
+    assert np.max(np.abs(B @ B.T - np.eye(N + 1))) <= 1e-13
+
+
 @pytest.mark.parametrize("n_c", [60, 160])
-def test_pure_state_is_synthesized_at_rank_one(monkeypatch, n_c):
-    # eigh leaves rounding-level eigenvalues on a pure state; each one kept
-    # would cost a wavefunction and a gather per field
-    ranks = []
-    weyl = wigner._weyl
+def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
+    # a pure state's outer product is exactly Hermitian: no imaginary field
+    # is synthesized, so the O(dim^3) coefficient build runs once
+    calls = []
+    coefficients = wigner._coefficients
 
-    def spy(lam, *args):
-        ranks.append(lam.size)
-        return weyl(lam, *args)
+    def spy(c, anti):
+        calls.append(anti)
+        return coefficients(c, anti)
 
-    monkeypatch.setattr(wigner, "_weyl", spy)
+    monkeypatch.setattr(wigner, "_coefficients", spy)
     rho = as_density(displaced_squeezed(2.0 * np.exp(0.7j), (n_c - 60) / 100, n_c))
-    _synthesize(rho.entries, default_grid(rho, points=65), with_grad=False)
-    assert ranks == [1]
+    fields = _synthesize(rho.entries, default_grid(rho, points=65), with_grad=False)
+    assert calls == [False]
+    assert not np.iscomplexobj(fields[0])
 
 
 def number_state(n):
@@ -214,6 +230,23 @@ def test_number_state_origin_closed_form(n):
     grid = PhaseSpaceGrid(-1, 1, -1, 1, 5, 5, min_points=2)
     (W,) = _synthesize(number_state(n).to_density().entries, grid, with_grad=False)
     assert abs(W[2, 2] - (-1) ** n / np.pi) < 1e-13
+
+
+def test_number_state_400_outer_ring_matches_closed_form():
+    # at sqrt2 q > 37 the seed phi_0 of the Hermite tables underflows while
+    # phi_798 is O(1): |400>'s outer ring needs the per-point exponent.  The
+    # oracle W_n(q, 0) = (-1)^n e^{-q^2} L_n(2 q^2) / pi in arbitrary
+    # precision cannot underflow (n is even)
+    n = 400
+    grid = PhaseSpaceGrid(25.3, 31.3, -1, 1, 41, 3, min_points=2)
+    (W,) = _synthesize(number_state(n).to_density().entries, grid, with_grad=False)
+    with mp.workdps(40):
+        want = [
+            float(mp.exp(-mpf(q) ** 2) * mp.laguerre(n, 0, 2 * mpf(q) ** 2) / mp.pi)
+            for q in grid.q
+        ]
+    assert np.max(np.abs(want)) > 1e-2
+    assert np.max(np.abs(W[:, 1] - np.array(want))) < 1e-13
 
 
 def test_number_state_140_mass():

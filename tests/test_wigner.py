@@ -131,6 +131,26 @@ def test_non_hermitian_input_raises():
         wigner_from_fock(FockDensityMatrix(bad), GRID)
 
 
+def test_rounding_level_anti_hermitian_part_is_dropped():
+    # a Kraus sum leaves ~1e-17 of anti-Hermitian part; the trace-norm bound
+    # proves its field negligible, so W is the Hermitian part's, unchanged
+    rho = random_qudit(4, [0, 1, 2, 3], seed=5).entries
+    herm = 0.5 * (rho + rho.conj().T)
+    x = np.random.default_rng(5).standard_normal(rho.shape)
+    anti = 1e-17j * (x + x.T)
+    got = wigner_from_fock(FockDensityMatrix(herm + anti), GRID).values
+    want = wigner_from_fock(FockDensityMatrix(herm), GRID).values
+    assert np.max(np.abs(got - want)) < 1e-16
+
+
+def test_non_hermitian_input_raises_at_1e_6():
+    rho = random_qudit(4, [0, 1, 2, 3], seed=5).entries
+    bad = rho.copy()
+    bad[0, 1] += 1e-6
+    with pytest.raises(ConsistencyError):
+        wigner_from_fock(FockDensityMatrix(bad), GRID)
+
+
 def test_synthesis_rejects_non_finite_input():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NumericalError):
