@@ -1,10 +1,10 @@
 """Named experiment presets: parameter grids bound to state constructors.
 
 A preset is pure data — a state recipe name, one parameter mapping per
-run, and an optional thermal-loss sweep — so it serializes to JSON and
-reruns identically.  :func:`run_preset` instantiates every state,
-evaluates the measure (after each loss point when a sweep is attached)
-and returns one flat row per parameter tuple in deterministic order.
+run, and an optional thermal-loss sweep — so it reruns identically.
+:func:`run_preset` instantiates every state, evaluates the measure
+(after each loss point when a sweep is attached) and returns one flat
+row per parameter tuple in deterministic order.
 
 The GKP family is parameterized in squeezing decibels with the
 convention dB = -20 log10(delta), so larger dB means tighter peaks;
@@ -13,7 +13,6 @@ delta = 10^(-dB/20) recovers the peak width.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +41,6 @@ __all__ = [
     "preset_gkp_family",
     "preset_random_qudits",
     "run_preset",
-    "preset_to_json",
-    "preset_from_json",
-    "save_preset",
-    "load_preset",
 ]
 
 #: occupancy of the default thermal environment for qudit loss sweeps
@@ -288,35 +283,3 @@ def run_preset(preset, points=513, workers=None):
         preset.parameters, workers,
     )
     return [row for chunk in chunks for row in chunk]
-
-
-def preset_to_json(preset):
-    """JSON document for an ExperimentPreset (plain types only)."""
-    return {
-        "name": preset.name,
-        "recipe": preset.recipe,
-        "parameters": [dict(p) for p in preset.parameters],
-        "loss_taus": list(preset.loss_taus),
-        "loss_nbar": preset.loss_nbar,
-    }
-
-
-def preset_from_json(doc):
-    """Inverse of :func:`preset_to_json`."""
-    return ExperimentPreset(
-        name=str(doc["name"]),
-        recipe=str(doc["recipe"]),
-        parameters=tuple(doc.get("parameters", ())),
-        loss_taus=tuple(doc.get("loss_taus", ())),
-        loss_nbar=float(doc.get("loss_nbar", 0.0)),
-    )
-
-
-def save_preset(preset, path):
-    with open(path, "w") as handle:
-        json.dump(preset_to_json(preset), handle, indent=2)
-
-
-def load_preset(path):
-    with open(path) as handle:
-        return preset_from_json(json.load(handle))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fock import FockVector, as_density
-from .measure import gaussian_associate_entropy, wigner_entropy_real
+from .measure import _physical_quadrature, gaussian_associate_entropy
 from .numerics import _convolve_gaussians, _ordered_map, integrate
 from .wigner import WignerField, moments, wigner_gradient
 
@@ -108,6 +108,8 @@ class FisherMatrix:
     converged: bool
 
     def validate(self, positive=False):
+        if not np.all(np.isfinite(self.J)):
+            raise NumericalError("Fisher matrix has non-finite entries")
         if np.max(np.abs(self.J - self.J.T)) > 1e-10:
             raise NumericalError("Fisher matrix lost symmetry")
         if positive and np.linalg.eigvalsh(self.J)[0] < -1e-8:
@@ -127,17 +129,6 @@ def _entry_pairs(field):
             (1, 1, field.grad_p, field.grad_p))
 
 
-def _ratio_integral(field, mask):
-    """Integrate (d_i W)(d_j W)/W over the unmasked region, entrywise."""
-    W = field.values
-    safe = np.where(mask, 1.0, W)
-    entries = np.empty((2, 2))
-    for i, j, gi, gj in _entry_pairs(field):
-        ratio = np.where(mask, 0.0, gi * gj / safe)
-        entries[i, j] = entries[j, i] = integrate(ratio, field.grid)
-    return entries
-
-
 def _smoothstep(t):
     t = np.clip(t, 0.0, 1.0)
     return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
@@ -151,7 +142,7 @@ def _tube_weight(field, width, band):
 
 
 def _weighted_integral(field, weight):
-    """Integrate (d_i W)(d_j W)/W * weight, entrywise."""
+    """Integrate (d_i W)(d_j W)/W * weight, entrywise (weight may be a mask)."""
     W = field.values
     safe = np.where(W == 0.0, 1.0, W)
     kernel = weight / safe
@@ -169,11 +160,10 @@ def fisher_from_field(field, band=BAND_DEFAULT):
     if band <= 0.0:
         raise ValueError("band must be positive")
     W = field.values
-    abs_mass = integrate(np.abs(W), field.grid)
     if W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR):
         # sign-definite field: no zero crossings, integrate in full
         # (the tail guard only protects against 0/0 underflow)
-        J = _ratio_integral(field, np.abs(W) < TAIL_FLOOR)
+        J = _weighted_integral(field, np.abs(W) >= TAIL_FLOOR)
         return FisherMatrix(J, J.copy(), J.copy(), band, 0.0, 0.0, True)
     step = max(field.grid.dq, field.grid.dp)
     weight_full = _tube_weight(field, 2.0 * RESOLUTION_CELLS * step, band)
@@ -184,6 +174,7 @@ def fisher_from_field(field, band=BAND_DEFAULT):
     gap = np.linalg.norm(J_full - J_half)
     rel_gap = gap / max(np.linalg.norm(J), TAIL_FLOOR)
     excluded = integrate((1.0 - weight_full) * np.abs(W), field.grid)
+    abs_mass = integrate(np.abs(W), field.grid)
     return FisherMatrix(
         J,
         J_full,
@@ -228,6 +219,8 @@ def cramer_rao_check(V, J):
     """
     V = np.asarray(V, dtype=float)
     J = np.asarray(J, dtype=float)
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(J))):
+        raise NumericalError("non-finite entries in the Cramer-Rao check")
     if abs(np.linalg.det(J)) < 1e-300:
         raise NumericalError("singular Fisher matrix in Cramer-Rao check")
     gap = V - np.linalg.inv(J)
@@ -283,8 +276,8 @@ def _smoothing_reports(field, fisher, G, epsilons=None):
     """The de Bruijn and measure-derivative reports of one smoothing pass.
 
     ``fisher`` is the Fisher matrix of the gradient field ``field``, which
-    is smoothed once per epsilon; each smoothed field's entropy serves
-    both reports.
+    is smoothed once per epsilon; one quadrature pass per field (moments
+    and entropy) serves both reports.
     """
     epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
     G = np.asarray(G, dtype=float)
@@ -299,19 +292,16 @@ def _smoothing_reports(field, fisher, G, epsilons=None):
             boundary_tol=1e-6,
         )
     ]
-    entropy = wigner_entropy_real(field)
-    entropies = [wigner_entropy_real(f) for f in smoothed]
+    m, entropy, _ = _physical_quadrature(field)
+    passes = [_physical_quadrature(f) for f in smoothed]
+    entropies = [h for _, h, _ in passes]
     debruijn = _slope_report(
         epsilons, ("base_entropy", "entropies", "slope"), entropy, entropies,
         0.5 * float(np.trace(G @ fisher.J)), fisher,
     )
     # the moments are re-measured on each smoothed field, so the
     # Gaussian term moves too
-    m = moments(field)
-    values = [
-        gaussian_associate_entropy(moments(f)) - h
-        for f, h in zip(smoothed, entropies)
-    ]
+    values = [gaussian_associate_entropy(mf) - h for mf, h, _ in passes]
     report = _slope_report(
         epsilons, ("base_re_mu", "values", "derivative"),
         gaussian_associate_entropy(m) - entropy, values,

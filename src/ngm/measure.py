@@ -23,12 +23,10 @@ from .errors import CapacityError, ConsistencyError, NumericalError
 from .fock import as_density
 from .numerics import grid_weights
 from .wigner import (
+    ENTROPY_FLOOR,
     GaussianMoments,
-    _moments_of,
-    _negative_part,
-    _require_mass,
-    moments,
-    negative_volume,
+    _covariance_det,
+    _quadrature,
     wigner_from_fock,
 )
 
@@ -43,9 +41,6 @@ __all__ = [
     "product_measure_check",
     "entropy_upper_bound_check",
 ]
-
-#: below this magnitude the integrand W ln|W| is taken at its limit, zero
-ENTROPY_FLOOR = 1e-30
 
 #: joint product-grid cells beyond this exceed the desk-scale memory budget
 MAX_PRODUCT_CELLS = 200_000_000
@@ -107,34 +102,28 @@ class MeasureValue:
 
 
 def wigner_entropy_real(field):
-    """-int W ln|W|, with the integrand at its (zero) limit below the floor."""
-    return _entropy(field.values, grid_weights(field.grid))
+    """-int W ln|W|, with the integrand at its (zero) limit below the floor.
+
+    The field's mass is checked, as for every other integral of it.
+    """
+    return _quadrature(field)[1]
 
 
-def _entropy(vals, w):
-    # one buffer carries log|W|, then the integrand, then its weighted terms
-    mag = np.abs(vals)
-    integrand = np.maximum(mag, ENTROPY_FLOOR)
-    np.log(integrand, out=integrand)
-    integrand *= vals
-    integrand[mag < ENTROPY_FLOOR] = 0.0
-    integrand *= w
-    return -float(np.sum(integrand))
+def _physical_quadrature(field):
+    """``_quadrature`` with the moments checked against the uncertainty bound."""
+    m, entropy, neg = _quadrature(field)
+    return m.validate(physical=True), entropy, neg
 
 
 def gaussian_associate_entropy(m):
     """ln((2 pi e)^N sqrt(det V)), the entropy of the Gaussian associate."""
-    det = np.linalg.det(m.V)
-    if det <= 0.0:
-        raise np.linalg.LinAlgError("covariance matrix is singular")
+    det = _covariance_det(m.V)
     return m.n_modes * np.log(2.0 * np.pi * np.e) + 0.5 * np.log(det)
 
 
 def _gaussian_cross(m, m_tilde):
     """-int W ln W~_G for any W with moments m (closed form, no quadrature)."""
-    det = np.linalg.det(m_tilde.V)
-    if det <= 0.0:
-        raise np.linalg.LinAlgError("covariance matrix is singular")
+    det = _covariance_det(m_tilde.V)
     inv = np.linalg.inv(m_tilde.V)
     delta = m.d - m_tilde.d
     return (
@@ -145,19 +134,10 @@ def _gaussian_cross(m, m_tilde):
     )
 
 
-def measure_from_field(field, m=None):
-    """Assemble the measure from a normalized field (moments optional).
-
-    One pass: the weights are built and the mass checked once, for the
-    moments, the entropy and the negative volume together.
-    """
-    w = grid_weights(field.grid)
-    _require_mass(float(np.sum(w * field.values)))
-    if m is None:
-        m = _moments_of(field.values, field.grid, physical=True)
-    re_h = _entropy(field.values, w)
+def measure_from_field(field):
+    """Assemble the measure from a normalized field, in one quadrature pass."""
+    m, re_h, neg = _physical_quadrature(field)
     h_g = gaussian_associate_entropy(m)
-    neg = _negative_part(field.values, w)
     re_mu = h_g - re_h
     if re_mu < -1e-3:
         warnings.warn(
@@ -176,17 +156,15 @@ def ngm(state, grid=None, points=513):
     return measure_from_field(field)
 
 
-def wre_vs_gaussian(field, m_tilde, field_moments=None):
+def wre_vs_gaussian(field, m_tilde):
     """Relative entropy of the field against an arbitrary Gaussian.
 
     Returns the (re, im) pair.  The real part uses the closed-form cross
     term, so only the field's own entropy is integrated; the imaginary
     part does not depend on the Gaussian argument at all.
     """
-    m = moments(field) if field_moments is None else field_moments
-    re = -wigner_entropy_real(field) + _gaussian_cross(m, m_tilde)
-    im = np.pi * negative_volume(field)
-    return (float(re), float(im))
+    m, re_h, neg = _physical_quadrature(field)
+    return (float(-re_h + _gaussian_cross(m, m_tilde)), float(np.pi * neg))
 
 
 def minimizer_scan(field, count=100, seed=0):
@@ -199,8 +177,7 @@ def minimizer_scan(field, count=100, seed=0):
     sample minimum.  Draws leaving the positive-definite cone are
     resampled.
     """
-    m = moments(field)
-    re_h = wigner_entropy_real(field)
+    m, re_h, _ = _physical_quadrature(field)
     associate = gaussian_associate_entropy(m) - re_h
     upper = cholesky(m.V)
     eye = np.eye(m.d.size)
@@ -249,8 +226,9 @@ def product_measure_check(rho_a, rho_b, points=97):
         raise CapacityError(
             f"joint grid has {cells} cells, beyond the {MAX_PRODUCT_CELLS} budget"
         )
-    ma, mb = moments(fa), moments(fb)
-    va, vb = measure_from_field(fa, ma), measure_from_field(fb, mb)
+    (ma, ha, neg_a), (mb, hb, neg_b) = (_physical_quadrature(f) for f in (fa, fb))
+    re_a = gaussian_associate_entropy(ma) - ha
+    re_b = gaussian_associate_entropy(mb) - hb
 
     wa, wb = grid_weights(fa.grid), grid_weights(fb.grid)
     WA, WB = fa.values, fb.values
@@ -277,11 +255,11 @@ def product_measure_check(rho_a, rho_b, points=97):
 
     pos_a = float(WA.min()) >= -1e-9
     pos_b = float(WB.min()) >= -1e-9
-    im_expected = vb.im_mu if pos_a else (va.im_mu if pos_b else None)
+    im_expected = np.pi * neg_b if pos_a else (np.pi * neg_a if pos_b else None)
     return {
         "re_mu_joint": float(re_joint),
-        "re_mu_sum": va.re_mu + vb.re_mu,
-        "re_gap": float(re_joint - (va.re_mu + vb.re_mu)),
+        "re_mu_sum": float(re_a + re_b),
+        "re_gap": float(re_joint - (re_a + re_b)),
         "im_mu_joint": float(im_joint),
         "im_mu_expected": im_expected,
         "im_gap": None if im_expected is None else float(im_joint - im_expected),
@@ -303,9 +281,8 @@ def entropy_upper_bound_check(field, re_form=False):
             f"field takes negative values (min {w_min:.3e}); the direct bound "
             "needs a non-negative density - use re_form=True"
         )
-    m = moments(field)
+    m, entropy, _ = _physical_quadrature(field)
     bound = gaussian_associate_entropy(m)
-    entropy = wigner_entropy_real(field)
     return {
         "entropy": float(entropy),
         "bound": float(bound),

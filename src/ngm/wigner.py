@@ -20,15 +20,17 @@ The map is linear, so an anti-Hermitian part of the input gives an
 imaginary field.  It is synthesized and its residue checked, never
 silently discarded, unless a bound from the entries proves it below
 the residue tolerance.
-"""
 
-import struct
+Every integral of a sampled field -- the mass check, the moments,
+-int W ln|W| and the negative volume -- comes from one quadrature pass
+(``_quadrature``).
+"""
 
 import numpy as np
 
 from .errors import ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density, state_moments
-from .numerics import PhaseSpaceGrid, axis_weights, grid_weights, integrate
+from .numerics import PhaseSpaceGrid, axis_weights, integrate
 
 __all__ = [
     "WignerField",
@@ -39,9 +41,6 @@ __all__ = [
     "moments",
     "gaussian_wigner",
     "negative_volume",
-    "write_field_csv",
-    "write_field_binary",
-    "read_field_binary",
 ]
 
 #: imaginary residue above this is a consistency failure (non-Hermitian input)
@@ -50,7 +49,8 @@ IMAG_RESIDUE_HARD = 1e-9
 #: a field whose quadrature mass misses 1 by more than this is rejected
 MASS_TOL = 1e-4
 
-_MAGIC = b"NGMW"
+#: below this magnitude the integrand W ln|W| is taken at its limit, zero
+ENTROPY_FLOOR = 1e-30
 
 
 class GaussianMoments:
@@ -68,6 +68,8 @@ class GaussianMoments:
         return self.d.size // 2
 
     def validate(self, physical=False, tol=1e-6):
+        if not (np.all(np.isfinite(self.d)) and np.all(np.isfinite(self.V))):
+            raise ValueError("moments have non-finite entries")
         if np.max(np.abs(self.V - self.V.T)) > 1e-10:
             raise ValueError("covariance matrix not symmetric")
         ev = np.linalg.eigvalsh(self.V)
@@ -428,28 +430,44 @@ def _check_gradient(rho, field, stride, h):
         )
 
 
-def _require_mass(mass):
+def _quadrature(field):
+    """(moments, -int W ln|W|, int max(-W, 0)) of a field, in one pass.
+
+    The weights are an outer product wq wp^T (composite Simpson), so the
+    mass and the marginals are matvecs and each integral is wq @ f @ wp;
+    one field-sized buffer carries the entropy integrand, then the
+    negative part.  A mass off 1 by more than MASS_TOL (or NaN) raises;
+    the moments are not validated, the callers do that.
+    """
+    W, grid = field.values, field.grid
+    wq = axis_weights(grid.n_q, grid.dq)
+    wp = axis_weights(grid.n_p, grid.dp)
+    marg_q = W @ wp
+    mass = float(wq @ marg_q)
     if not abs(mass - 1.0) <= MASS_TOL:
         raise NormalizationError(
             f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
         )
-
-
-def _moments_of(values, grid, physical):
-    """Moments from axis-weight matvecs; the caller has checked the mass."""
-    wq = axis_weights(grid.n_q, grid.dq)
-    wp = axis_weights(grid.n_p, grid.dp)
-    marg_q = values @ wp
-    marg_p = wq @ values
+    marg_p = wq @ W
     dq = float((wq * grid.q) @ marg_q)
     dp = float(marg_p @ (wp * grid.p))
     cq = grid.q - dq
     cp = grid.p - dp
     vqq = float((wq * cq * cq) @ marg_q)
     vpp = float(marg_p @ (wp * cp * cp))
-    vqp = float((wq * cq) @ values @ (wp * cp))
+    vqp = float((wq * cq) @ W @ (wp * cp))
     m = GaussianMoments([dq, dp], [[vqq, vqp], [vqp, vpp]])
-    return m.validate(physical=physical)
+    buf = np.abs(W)
+    tiny = buf < ENTROPY_FLOOR
+    np.maximum(buf, ENTROPY_FLOOR, out=buf)
+    np.log(buf, out=buf)
+    buf *= W
+    buf[tiny] = 0.0
+    entropy = -float(wq @ buf @ wp)
+    np.minimum(W, 0.0, out=buf)
+    # 0.0 - x, not -x: an all-zero negative part must come out +0.0
+    neg = 0.0 - float(wq @ buf @ wp)
+    return m, entropy, neg
 
 
 def moments(field, physical=True):
@@ -459,15 +477,12 @@ def moments(field, physical=True):
     are legitimate densities but not state Wigner functions (for example
     rescaled ones).
     """
-    _require_mass(float(np.sum(grid_weights(field.grid) * field.values)))
-    return _moments_of(field.values, field.grid, physical)
+    return _quadrature(field)[0].validate(physical=physical)
 
 
 def gaussian_wigner(m, grid):
     """Gaussian Wigner field with the given moments (the Gaussian associate)."""
-    det = np.linalg.det(m.V)
-    if det <= 0.0:
-        raise np.linalg.LinAlgError("covariance matrix is singular")
+    det = _covariance_det(m.V)
     inv = np.linalg.inv(m.V)
     Q, P = grid.meshes()
     x = Q - m.d[0]
@@ -476,64 +491,14 @@ def gaussian_wigner(m, grid):
     return WignerField(grid, np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det)))
 
 
-def _negative_part(values, w):
-    return 0.5 * float(np.sum(w * (np.abs(values) - values)))
+def _covariance_det(V):
+    """det V, which must be positive (a NaN determinant is not)."""
+    det = np.linalg.det(V)
+    if not det > 0.0:
+        raise np.linalg.LinAlgError("covariance matrix is singular")
+    return det
 
 
 def negative_volume(field):
     """|V_-| = (1/2) integral of (|W| - W), the mass of the negative part."""
-    w = grid_weights(field.grid)
-    _require_mass(float(np.sum(w * field.values)))
-    return _negative_part(field.values, w)
-
-
-# ----------------------------------------------------------------- export
-
-
-def write_field_csv(field, path):
-    """Rows (q, p, W[, dW/dq, dW/dp]) in row-major grid order."""
-    g = field.grid
-    cols = [field.values]
-    header = "q,p,W"
-    if field.has_gradient:
-        cols += [field.grad_q, field.grad_p]
-        header += ",dW_dq,dW_dp"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, qv in enumerate(g.q):
-            for j, pv in enumerate(g.p):
-                row = [f"{qv:.12g}", f"{pv:.12g}"] + [f"{c[i, j]:.17g}" for c in cols]
-                fh.write(",".join(row) + "\n")
-
-
-def write_field_binary(field, path):
-    """Compact dump: magic, counts, extents, row-major doubles."""
-    g = field.grid
-    has_grad = 1 if field.has_gradient else 0
-    head = struct.pack(
-        "<4sII4dB", _MAGIC, g.n_q, g.n_p, g.q_min, g.q_max, g.p_min, g.p_max, has_grad
-    )
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(field.values.astype("<f8").tobytes())
-        if has_grad:
-            fh.write(field.grad_q.astype("<f8").tobytes())
-            fh.write(field.grad_p.astype("<f8").tobytes())
-
-
-def read_field_binary(path):
-    head_size = struct.calcsize("<4sII4dB")
-    with open(path, "rb") as fh:
-        magic, n_q, n_p, q0, q1, p0, p1, has_grad = struct.unpack(
-            "<4sII4dB", fh.read(head_size)
-        )
-        if magic != _MAGIC:
-            raise ValueError("not a Wigner field dump (bad magic)")
-        grid = PhaseSpaceGrid(q0, q1, p0, p1, n_q, n_p, min_points=2)
-        count = n_q * n_p
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(n_q, n_p)
-        gq = gp = None
-        if has_grad:
-            gq = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(n_q, n_p)
-            gp = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(n_q, n_p)
-    return WignerField(grid, data.copy(), None if gq is None else gq.copy(), gp)
+    return _quadrature(field)[2]

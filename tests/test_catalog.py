@@ -20,17 +20,13 @@ from scipy.integrate import simpson
 from ngm.catalog import (
     ExperimentPreset,
     build_state,
-    load_preset,
     named_preset,
     preset_cat_family,
-    preset_from_json,
     preset_gkp_family,
     preset_names,
     preset_qubit_hemisphere,
     preset_random_qudits,
-    preset_to_json,
     run_preset,
-    save_preset,
 )
 from ngm.fock import FockVector
 from ngm.measure import ngm
@@ -177,16 +173,6 @@ def test_run_preset_threaded_matches_serial():
     serial = run_preset(preset)
     threaded = run_preset(preset, workers=3)
     assert serial == threaded
-
-
-def test_preset_json_roundtrip(tmp_path):
-    preset = preset_random_qudits(d_list=(2, 3), count=2, seed=11,
-                                  loss_taus=(1.0, 0.5))
-    path = tmp_path / "preset.json"
-    save_preset(preset, path)
-    assert load_preset(path) == preset
-    doc = preset_to_json(preset)
-    assert preset_from_json(doc) == preset
 
 
 def test_vacuum_preset_measures_zero():

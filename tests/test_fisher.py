@@ -161,6 +161,13 @@ def test_cramer_rao_singular_fisher_raises():
         cramer_rao_check(np.eye(2), np.zeros((2, 2)))
 
 
+def test_cramer_rao_rejects_nan():
+    with pytest.raises(NumericalError):
+        cramer_rao_check(0.5 * np.eye(2), np.array([[np.nan, 0.0], [0.0, 2.0]]))
+    with pytest.raises(NumericalError):
+        cramer_rao_check(np.full((2, 2), np.nan), 2.0 * np.eye(2))
+
+
 def test_monotonicity_condition_gaussian_zero():
     state = displaced_squeezed(0.5 - 0.2j, 0.3, n_c=60)
     field = wigner_gradient(as_density(state))
@@ -293,6 +300,20 @@ def test_write_fisher_csv_roundtrip(tmp_path):
 def test_fisher_matrix_dataclass_validate_symmetry():
     fm = FisherMatrix(
         J=np.array([[1.0, 0.5], [0.2, 1.0]]),
+        J_band=np.eye(2),
+        J_half_band=np.eye(2),
+        band=1e-4,
+        excluded_fraction=0.0,
+        rel_gap=0.0,
+        converged=True,
+    )
+    with pytest.raises(NumericalError):
+        fm.validate()
+
+
+def test_fisher_matrix_validate_rejects_nan():
+    fm = FisherMatrix(
+        J=np.full((2, 2), np.nan),
         J_band=np.eye(2),
         J_half_band=np.eye(2),
         band=1e-4,

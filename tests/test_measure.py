@@ -5,32 +5,50 @@ the Gaussian entropy ln(2 pi e sqrt(det V)), the Fock-1 negative volume
 2 e^{-1/2} - 1, and the displacement offset of the Gaussian cross term.
 """
 
+import math
+
 import numpy as np
 import pytest
 from expm_unitaries import displace_state, squeeze_state
 
-from ngm.errors import ConsistencyError, NumericalError
+import ngm.measure as measure_module
+import ngm.wigner as wigner_module
+from ngm.channels import ThermalLossSpec, thermal_loss_fock
+from ngm.errors import ConsistencyError, NormalizationError, NumericalError
+from ngm.fisher import SMOOTHING_EPSILONS, _smoothing_reports, fisher_from_field
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
     cat,
     coherent,
     displaced_squeezed,
+    gkp_logical,
     random_qudit,
     state_moments,
 )
 from ngm.measure import (
+    ENTROPY_FLOOR,
     MeasureValue,
+    _gaussian_cross,
     entropy_upper_bound_check,
     gaussian_associate_entropy,
+    measure_from_field,
     minimizer_scan,
     ngm,
     product_measure_check,
     wigner_entropy_real,
     wre_vs_gaussian,
 )
-from ngm.numerics import PhaseSpaceGrid
-from ngm.wigner import GaussianMoments, moments, wigner_from_fock
+from ngm.numerics import PhaseSpaceGrid, axis_weights
+from ngm.wigner import (
+    GaussianMoments,
+    WignerField,
+    _quadrature,
+    moments,
+    negative_volume,
+    wigner_from_fock,
+    wigner_gradient,
+)
 
 VACUUM_ENTROPY = 1.0 + np.log(np.pi)
 FOCK1_NEG_VOLUME = 2.0 * np.exp(-0.5) - 1.0
@@ -85,6 +103,117 @@ def test_gaussian_associate_entropy_trivials():
 def test_gaussian_associate_entropy_singular_rejected():
     with pytest.raises(np.linalg.LinAlgError):
         gaussian_associate_entropy(GaussianMoments([0, 0], np.diag([1.0, 0.0])))
+
+
+def test_gaussian_entropies_reject_nan_covariance():
+    nan = GaussianMoments([0.0, 0.0], np.full((2, 2), np.nan))
+    vacuum = GaussianMoments([0.0, 0.0], 0.5 * np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        gaussian_associate_entropy(nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        _gaussian_cross(vacuum, nan)
+
+
+# ---------------------------------------------------------- quadrature pass
+
+
+def two_d_weight_quadrature(field):
+    """Moments, entropy and negative volume by explicit 2-D weights.
+
+    These are the formulas the one-pass quadrature replaced: a field-sized
+    weight array, the entropy integrand with its floor mask, and the
+    negative part as half of |W| - W.
+    """
+    g = field.grid
+    w = np.outer(axis_weights(g.n_q, g.dq), axis_weights(g.n_p, g.dp))
+    W = field.values
+    Q, P = g.meshes()
+    dq, dp = np.sum(w * Q * W), np.sum(w * P * W)
+    vqq = np.sum(w * (Q - dq) ** 2 * W)
+    vpp = np.sum(w * (P - dp) ** 2 * W)
+    vqp = np.sum(w * (Q - dq) * (P - dp) * W)
+    mag = np.abs(W)
+    integrand = W * np.log(np.maximum(mag, ENTROPY_FLOOR))
+    integrand[mag < ENTROPY_FLOOR] = 0.0
+    return (
+        np.array([dq, dp]),
+        np.array([[vqq, vqp], [vqp, vpp]]),
+        -float(np.sum(w * integrand)),
+        0.5 * float(np.sum(w * (mag - W))),
+    )
+
+
+def lossy_qudit():
+    return thermal_loss_fock(random_qudit(5, seed=3), ThermalLossSpec(0.7, 0.01))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wigner_from_fock(fock_density(0)),
+        lambda: wigner_from_fock(fock_density(1)),
+        lambda: wigner_from_fock(cat(1.5, "even")),
+        lambda: wigner_from_fock(lossy_qudit()),
+        lambda: wigner_from_fock(
+            gkp_logical(0, 10 ** (-10 / 20), n_c=60), points=1025
+        ),
+    ],
+    ids=["vacuum", "one-photon", "cat", "lossy-qudit", "gkp-1025"],
+)
+def test_quadrature_matches_two_d_weights(make):
+    field = make()
+    m, entropy, neg = _quadrature(field)
+    d, V, want_entropy, want_neg = two_d_weight_quadrature(field)
+    # moments are O(1) for a unit-mass field, so 1 stands in for zero ones
+    assert np.all(np.abs(m.d - d) <= 1e-14 * np.maximum(np.abs(d), 1.0))
+    assert np.all(np.abs(m.V - V) <= 1e-14 * np.maximum(np.abs(V), 1.0))
+    assert entropy == pytest.approx(want_entropy, rel=1e-14, abs=0.0)
+    if want_neg == 0.0:
+        assert neg == 0.0
+    else:
+        assert neg == pytest.approx(want_neg, rel=1e-14, abs=0.0)
+
+
+def test_zero_negative_volume_is_positive_zero():
+    vacuum = ngm(fock_density(0))
+    half = ngm(thermal_loss_fock(fock_density(1), ThermalLossSpec(0.5, 0.0)))
+    for value in (vacuum.neg_volume, vacuum.im_mu, half.neg_volume, half.im_mu):
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+
+def spy_on_quadrature(monkeypatch):
+    calls = []
+
+    def spy(field):
+        calls.append(field)
+        return _quadrature(field)
+
+    for module in (wigner_module, measure_module):
+        monkeypatch.setattr(module, "_quadrature", spy)
+    return calls
+
+
+def test_ngm_runs_one_quadrature_pass(monkeypatch):
+    calls = spy_on_quadrature(monkeypatch)
+    ngm(cat(1.5, "even")).validate()
+    assert len(calls) == 1
+
+
+def test_smoothing_reports_run_one_quadrature_pass_per_field(monkeypatch):
+    field = wigner_gradient(fock_density(1))
+    fisher = fisher_from_field(field)
+    calls = spy_on_quadrature(monkeypatch)
+    _smoothing_reports(field, fisher, np.eye(2))
+    assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
+
+
+def test_entropy_checks_the_mass():
+    field = wigner_from_fock(fock_density(1))
+    scaled = WignerField(field.grid, 1.001 * field.values)
+    for integral in (wigner_entropy_real, negative_volume, measure_from_field):
+        with pytest.raises(NormalizationError):
+            integral(scaled)
 
 
 # ------------------------------------------------------------- MeasureValue

@@ -32,11 +32,8 @@ from ngm.wigner import (
     gaussian_wigner,
     moments,
     negative_volume,
-    read_field_binary,
     wigner_from_fock,
     wigner_gradient,
-    write_field_binary,
-    write_field_csv,
 )
 
 
@@ -264,6 +261,13 @@ def test_moments_uncertainty_guard():
     GaussianMoments([0, 0], 0.1 * np.eye(2)).validate()  # free Gaussian is fine
 
 
+def test_moments_validate_rejects_nan():
+    with pytest.raises(ValueError):
+        GaussianMoments([np.nan, 0.0], 0.5 * np.eye(2)).validate(physical=True)
+    with pytest.raises(ValueError):
+        GaussianMoments([0.0, 0.0], np.full((2, 2), np.nan)).validate()
+
+
 # ------------------------------------------------------- gaussian associate
 
 
@@ -308,41 +312,6 @@ def test_negative_volume_positive_mixture():
     f = wigner_from_fock(rho, GRID)
     assert np.min(f.values) > -1e-12  # (q^2+p^2) e^{-q^2-p^2}/pi is non-negative
     assert negative_volume(f) < 1e-8
-
-
-# ------------------------------------------------------------------- export
-
-
-def test_csv_export(tmp_path):
-    grid = PhaseSpaceGrid(-2, 2, -2, 2, 9, 9, min_points=2)
-    f = wigner_from_fock(fock_density(0), grid)
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "q,p,W"
-    assert len(lines) == 1 + 9 * 9
-    q, p, w = (float(x) for x in lines[1].split(","))
-    assert (q, p) == (-2.0, -2.0)
-    assert w == pytest.approx(f.values[0, 0])
-
-
-def test_binary_round_trip(tmp_path):
-    grid = PhaseSpaceGrid(-3, 3, -4, 4, 33, 65, min_points=2)
-    f = wigner_gradient(fock_density(1), grid, check=False)
-    path = tmp_path / "field.bin"
-    write_field_binary(f, path)
-    back = read_field_binary(path)
-    assert back.grid == f.grid
-    assert np.array_equal(back.values, f.values)
-    assert np.array_equal(back.grad_q, f.grad_q)
-    assert np.array_equal(back.grad_p, f.grad_p)
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"JUNK" + b"\0" * 64)
-    with pytest.raises(ValueError):
-        read_field_binary(path)
 
 
 # a cat amplitude at which both gradients nearly vanish at a checked point: the
