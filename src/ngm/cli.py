@@ -37,8 +37,8 @@ from .fisher import (
     write_fisher_csv,
 )
 from .fock import as_density, cat, load_state
-from .measure import measure_from_field, ngm
-from .wigner import default_grid, moments, wigner_from_fock, wigner_gradient
+from .measure import _physical_quadrature, measure_from_field, ngm
+from .wigner import default_grid, wigner_from_fock, wigner_gradient
 
 __all__ = [
     "ENGINE_AGREEMENT_TOL",
@@ -265,7 +265,8 @@ def _fisher_report(config):
         return field, fisher_from_field(field)
 
     (field, fisher), warns = _collect(compute)
-    V = moments(field).V
+    base = _physical_quadrature(field)  # V and the smoothing checks
+    V = base[0].V
     doc = {
         "command": "fisher",
         "source": label,
@@ -288,7 +289,7 @@ def _fisher_report(config):
         # the library checks on this field and its Fisher matrix, smoothed
         # once for both
         reports, extra = _collect(
-            lambda: _smoothing_reports(field, fisher, np.eye(2))
+            lambda: _smoothing_reports(field, fisher, np.eye(2), base=base)
         )
         for key, report, wanted in zip(
             ("debruijn", "measure_derivative"), reports,

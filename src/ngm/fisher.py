@@ -272,12 +272,13 @@ def _slope_report(epsilons, keys, base, values, reference, fisher):
     }
 
 
-def _smoothing_reports(field, fisher, G, epsilons=None):
+def _smoothing_reports(field, fisher, G, epsilons=None, base=None):
     """The de Bruijn and measure-derivative reports of one smoothing pass.
 
     ``fisher`` is the Fisher matrix of the gradient field ``field``, which
     is smoothed once per epsilon; one quadrature pass per field (moments
-    and entropy) serves both reports.
+    and entropy) serves both reports.  ``base``, the field's own
+    ``_physical_quadrature`` if the caller has it, saves that pass.
     """
     epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
     G = np.asarray(G, dtype=float)
@@ -292,7 +293,7 @@ def _smoothing_reports(field, fisher, G, epsilons=None):
             boundary_tol=1e-6,
         )
     ]
-    m, entropy, _ = _physical_quadrature(field)
+    m, entropy, _ = base or _physical_quadrature(field)
     passes = [_physical_quadrature(f) for f in smoothed]
     entropies = [h for _, h, _ in passes]
     debruijn = _slope_report(

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 from scipy.linalg import cholesky
 
-from .errors import CapacityError, ConsistencyError, NumericalError
+from .errors import CapacityError, ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density
 from .numerics import grid_weights
 from .wigner import (
@@ -153,7 +153,18 @@ def ngm(state, grid=None, points=513):
     """Measure of a Fock-basis state; grid auto-sized from its moments."""
     rho = as_density(state)
     field = wigner_from_fock(rho, grid=grid, points=points)
-    return measure_from_field(field)
+    try:
+        return measure_from_field(field)
+    except NormalizationError as exc:
+        # dq must be <= 3/4 of the top level's fringe spacing pi / (2 sqrt(2n + 1))
+        g, n = field.grid, rho.dim - 1
+        spacing = np.pi / (2.0 * np.sqrt(2.0 * n + 1.0))
+        need = np.ceil(max(g.q_max - g.q_min, g.p_max - g.p_min) / (0.75 * spacing))
+        raise NormalizationError(
+            f"{exc}; grid step dq = {max(g.dq, g.dp):.4g} against the finest fringe "
+            f"spacing {spacing:.4g} at n = {n}: {int(need + 1) | 1} points per axis "
+            "put dq at <= 3/4 of it"
+        ) from None
 
 
 def wre_vs_gaussian(field, m_tilde):

@@ -112,8 +112,18 @@ _PLAIN_REACH = 37.0
 #: phi_k is below 1e-36 (1.5e-37 at k = 0, less at higher orders)
 SUPPORT_MARGIN = 12.0
 
-#: q rows per block of the rounding bound: 64 x 513 doubles is 256 KiB
-_BOUND_ROWS = 64
+#: cells per block of a sweep over a field's q rows: 64 rows of a 513-point
+#: grid, 256 KiB, so a block and its buffers stay in cache
+_BLOCK_CELLS = 64 * 513
+
+
+def _row_blocks(shape, floats):
+    """Per block of q rows: its slice, views of reused float buffers, a bool one."""
+    step = max(1, _BLOCK_CELLS // shape[1])
+    bufs = (*np.empty((floats, step, shape[1])), np.empty((step, shape[1]), bool))
+    for i in range(0, shape[0], step):
+        n = min(step, shape[0] - i)
+        yield (slice(i, i + n), *(b[:n] for b in bufs))
 
 
 def _require_finite(values, label):
@@ -309,13 +319,11 @@ def _fields(D, q, p, with_grad, bound=None):
     spread = np.abs(D) @ np.abs(Ap)
     spread *= gamma
     abs_q = np.abs(Aq)
-    # a block of q rows at a time: field-sized temporaries would be
-    # allocated, faulted in and freed on every call
-    for start in range(0, q.size, _BOUND_ROWS):
-        rows = slice(start, start + _BOUND_ROWS)
-        row_bound = abs_q[:, rows].T @ spread
-        block = W[rows]
-        block[np.abs(block) <= row_bound] = 0.0
+    # field-sized temporaries would be faulted in and freed on every call
+    for rows, row_bound, mag, mask in _row_blocks(W.shape, 2):
+        np.matmul(abs_q[:, rows].T, spread, out=row_bound)
+        np.less_equal(np.abs(W[rows], out=mag), row_bound, out=mask)
+        np.copyto(W[rows], 0.0, where=mask)
         if bound is not None:
             bound[rows] = row_bound
     fields = [W]
@@ -434,40 +442,42 @@ def _quadrature(field):
     """(moments, -int W ln|W|, int max(-W, 0)) of a field, in one pass.
 
     The weights are an outer product wq wp^T (composite Simpson), so the
-    mass and the marginals are matvecs and each integral is wq @ f @ wp;
-    one field-sized buffer carries the entropy integrand, then the
-    negative part.  A mass off 1 by more than MASS_TOL (or NaN) raises;
-    the moments are not validated, the callers do that.
+    mass and the marginals are matvecs and each integral is wq @ f @ wp:
+    one sweep of q-row blocks through reused buffers takes the marginals
+    and the row integrals of the entropy integrand and the negative part
+    (the cross moment reads the field again).  A mass off 1 by more than
+    MASS_TOL (or NaN) raises; the callers validate the moments.
     """
     W, grid = field.values, field.grid
     wq = axis_weights(grid.n_q, grid.dq)
     wp = axis_weights(grid.n_p, grid.dp)
-    marg_q = W @ wp
+    marg_q, ent_rows, neg_rows = np.empty((3, grid.n_q))
+    marg_p = np.zeros(grid.n_p)
+    for rows, b, tiny in _row_blocks(W.shape, 1):
+        block = W[rows]
+        np.matmul(block, wp, out=marg_q[rows])
+        marg_p += wq[rows] @ block
+        # ln 1 = 0 puts the integrand at its limit below the floor
+        np.less(np.abs(block, out=b), ENTROPY_FLOOR, out=tiny)
+        np.copyto(b, 1.0, where=tiny)
+        np.log(b, out=b)
+        b *= block
+        np.matmul(b, wp, out=ent_rows[rows])
+        np.matmul(np.minimum(block, 0.0, out=b), wp, out=neg_rows[rows])
     mass = float(wq @ marg_q)
     if not abs(mass - 1.0) <= MASS_TOL:
         raise NormalizationError(
             f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
         )
-    marg_p = wq @ W
     dq = float((wq * grid.q) @ marg_q)
     dp = float(marg_p @ (wp * grid.p))
-    cq = grid.q - dq
-    cp = grid.p - dp
+    cq, cp = grid.q - dq, grid.p - dp
     vqq = float((wq * cq * cq) @ marg_q)
     vpp = float(marg_p @ (wp * cp * cp))
     vqp = float((wq * cq) @ W @ (wp * cp))
     m = GaussianMoments([dq, dp], [[vqq, vqp], [vqp, vpp]])
-    buf = np.abs(W)
-    tiny = buf < ENTROPY_FLOOR
-    np.maximum(buf, ENTROPY_FLOOR, out=buf)
-    np.log(buf, out=buf)
-    buf *= W
-    buf[tiny] = 0.0
-    entropy = -float(wq @ buf @ wp)
-    np.minimum(W, 0.0, out=buf)
     # 0.0 - x, not -x: an all-zero negative part must come out +0.0
-    neg = 0.0 - float(wq @ buf @ wp)
-    return m, entropy, neg
+    return m, -float(wq @ ent_rows), 0.0 - float(wq @ neg_rows)
 
 
 def moments(field, physical=True):
@@ -493,7 +503,8 @@ def gaussian_wigner(m, grid):
 
 def _covariance_det(V):
     """det V, which must be positive (a NaN determinant is not)."""
-    det = np.linalg.det(V)
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(V)
     if not det > 0.0:
         raise np.linalg.LinAlgError("covariance matrix is singular")
     return det

@@ -12,9 +12,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ngm import catalog, cli, fisher, wigner
+from ngm import catalog, cli, fisher, measure, wigner
 from ngm.catalog import build_state, preset_random_qudits
 from ngm.cli import _jsonable, main
 from ngm.fock import FockVector, as_density, cat, save_state
@@ -334,3 +335,29 @@ def test_fisher_checks_share_one_field(tmp_path, monkeypatch, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert counts == {"gradient_synth": 1, "fisher_from_field": 1}
+
+
+@pytest.mark.parametrize("checks", [[], ["--debruijn", "--derivative"]],
+                         ids=["plain", "smoothing-checks"])
+def test_fisher_integrates_each_field_once(tmp_path, monkeypatch, capsys, checks):
+    # the base field once (V and both checks), then each smoothed field
+    calls = []
+    quadrature = wigner._quadrature
+
+    def spy(field):
+        calls.append(field)
+        return quadrature(field)
+
+    monkeypatch.setattr(wigner, "_quadrature", spy)
+    monkeypatch.setattr(measure, "_quadrature", spy)
+    out = tmp_path / "fisher.json"
+    assert main(["fisher", "--cat", "1.4", *checks, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(calls) == (1 + len(fisher.SMOOTHING_EPSILONS) if checks else 1)
+    # V from the shared pass is the library's moments, to the bit
+    field = calls[0]
+    V = wigner.moments(field).V
+    doc = json.loads(out.read_text())
+    assert doc["trace_Vinv"] == float(np.trace(np.linalg.inv(V)))
+    want = fisher.cramer_rao_check(V, fisher.fisher_from_field(field).J)
+    assert doc["cramer_rao"] == json.loads(json.dumps(_jsonable(want)))

@@ -6,6 +6,7 @@ the Gaussian entropy ln(2 pi e sqrt(det V)), the Fock-1 negative volume
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,77 @@ def test_quadrature_matches_two_d_weights(make):
         assert neg == 0.0
     else:
         assert neg == pytest.approx(want_neg, rel=1e-14, abs=0.0)
+
+
+def whole_field_quadrature(field):
+    """The quadrature pass before row blocks, as an oracle.
+
+    Marginals as whole-field matvecs, and the entropy integrand, then the
+    negative part, in one field-sized buffer reduced as wq @ f @ wp.
+    """
+    W, g = field.values, field.grid
+    wq, wp = axis_weights(g.n_q, g.dq), axis_weights(g.n_p, g.dp)
+    marg_q, marg_p = W @ wp, wq @ W
+    dq, dp = float((wq * g.q) @ marg_q), float(marg_p @ (wp * g.p))
+    cq, cp = g.q - dq, g.p - dp
+    vqq = float((wq * cq * cq) @ marg_q)
+    vpp = float(marg_p @ (wp * cp * cp))
+    vqp = float((wq * cq) @ W @ (wp * cp))
+    buf = np.abs(W)
+    tiny = buf < ENTROPY_FLOOR
+    np.maximum(buf, ENTROPY_FLOOR, out=buf)
+    np.log(buf, out=buf)
+    buf *= W
+    buf[tiny] = 0.0
+    entropy = -float(wq @ buf @ wp)
+    np.minimum(W, 0.0, out=buf)
+    neg = 0.0 - float(wq @ buf @ wp)
+    return np.array([dq, dp]), np.array([[vqq, vqp], [vqp, vpp]]), entropy, neg
+
+
+@pytest.fixture(scope="module")
+def gkp_1025():
+    return wigner_from_fock(gkp_logical(0, 10 ** (-10 / 20), n_c=60), points=1025)
+
+
+def lossy_qudit_on(n_q, n_p):
+    return wigner_from_fock(
+        lossy_qudit(), grid=PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, n_q, n_p)
+    )
+
+
+@pytest.mark.parametrize(
+    "shape", [None, "gkp", (129, 257), (1025, 65)],
+    ids=["lossy-513", "gkp-1025", "129x257", "1025x65"],
+)
+def test_row_blocks_match_whole_field_pass(shape, gkp_1025):
+    # 1025 and 129 rows are not multiples of the block rows, so the last
+    # block is a partial one
+    if shape is None:
+        field = wigner_from_fock(lossy_qudit())
+    elif shape == "gkp":
+        field = gkp_1025
+    else:
+        field = lossy_qudit_on(*shape)
+    m, entropy, neg = _quadrature(field)
+    d, V, want_entropy, want_neg = whole_field_quadrature(field)
+    assert np.all(np.abs(m.d - d) <= 1e-14 * np.maximum(np.abs(d), 1.0))
+    assert np.all(np.abs(m.V - V) <= 1e-14 * np.maximum(np.abs(V), 1.0))
+    assert entropy == pytest.approx(want_entropy, rel=1e-14, abs=0.0)
+    if want_neg == 0.0:
+        assert math.copysign(1.0, neg) == 1.0 and neg == 0.0
+    else:
+        assert neg == pytest.approx(want_neg, rel=1e-14, abs=0.0)
+
+
+def test_quadrature_has_no_field_sized_temporaries(gkp_1025):
+    tracemalloc.start()
+    try:
+        _quadrature(gkp_1025)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gkp_1025.values.nbytes / 8
 
 
 def test_zero_negative_volume_is_positive_zero():

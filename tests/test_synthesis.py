@@ -218,6 +218,51 @@ def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
     assert not np.iscomplexobj(fields[0])
 
 
+def fields_by_whole_blocks(D, q, p):
+    """W and its rounding bound by the loop before reused buffers.
+
+    Fresh temporaries for every block of 64 q rows: the bound, |W| and
+    the mask, with the small cells zeroed by boolean indexing.
+    """
+    size = D.shape[0]
+    table = wigner._hermite_functions(np.sqrt(2.0) * np.concatenate((q, p)), size)
+    Aq, Ap = table[:, : q.size], table[:, q.size :]
+    D = D / np.sqrt(np.pi)
+    W = Aq.T @ (D @ Ap)
+    n_terms = 2 * size
+    u = np.finfo(float).eps / 2.0
+    spread = np.abs(D) @ np.abs(Ap)
+    spread *= n_terms * u / (1.0 - n_terms * u)
+    bound = np.empty_like(W)
+    for start in range(0, q.size, 64):
+        rows = slice(start, start + 64)
+        row_bound = np.abs(Aq)[:, rows].T @ spread
+        block = W[rows]
+        block[np.abs(block) <= row_bound] = 0.0
+        bound[rows] = row_bound
+    return W, bound
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: thermal_loss_fock(random_qudit(5, seed=3), ThermalLossSpec(0.7, 0.01)),
+        lambda: displaced_squeezed(2.0 * np.exp(0.7j), 1.0, 160),
+    ],
+    ids=["lossy-qudit", "ds160"],
+)
+def test_rounding_bound_buffers_match_whole_blocks(make):
+    # the same cells are zeroed, to the bit and the sign
+    rho = as_density(make())
+    grid = default_grid(rho)
+    D = wigner._coefficients(rho.entries, False)[0]
+    bound = np.empty(grid.shape)
+    (W,) = wigner._fields(D, grid.q, grid.p, False, bound)
+    want_W, want_bound = fields_by_whole_blocks(D, grid.q, grid.p)
+    assert np.array_equal(W.view(np.int64), want_W.view(np.int64))
+    assert np.array_equal(bound.view(np.int64), want_bound.view(np.int64))
+
+
 def number_state(n):
     amp = np.zeros(n + 1)
     amp[n] = 1.0
@@ -256,6 +301,19 @@ def test_number_state_140_mass():
     # the quadrature loses mass, which must raise rather than pass as nan
     with pytest.raises(NormalizationError):
         ngm(state)
+
+
+def test_number_state_140_mass_error_names_the_points_needed():
+    # n = 140's finest fringes are pi / (2 sqrt 281) = 0.0937 apart; the
+    # 513-point step is 0.2547, and 1857 points bring it to 0.0703, 3/4
+    # of the spacing
+    state = number_state(140)
+    with pytest.raises(NormalizationError) as info:
+        ngm(state)
+    message = str(info.value)
+    for fact in ("dq = 0.2547", "spacing 0.09371", "n = 140", "1857 points"):
+        assert fact in message
+    assert ngm(state, points=1857).validate().neg_volume > 0.0
 
 
 @settings(max_examples=20, deadline=None)
