@@ -13,7 +13,6 @@ cross-check rather than a tautology.
 import warnings
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GridError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
@@ -50,8 +49,8 @@ class ThermalLossSpec:
         n_bar = float(n_bar)
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"transmissivity tau = {tau} must lie in (0, 1]")
-        if n_bar < 0.0:
-            raise ValueError(f"occupancy n_bar = {n_bar} must be non-negative")
+        if not 0.0 <= n_bar < np.inf:
+            raise ValueError(f"occupancy n_bar = {n_bar} must be finite and non-negative")
         self.tau = tau
         self.n_bar = n_bar
         self.gain = 1.0 + (1.0 - tau) * n_bar
@@ -215,6 +214,9 @@ def rescale(field, s):
 def _bilinear(values, grid, q, p):
     """Bilinear samples of ``values`` on ``grid`` at the points (q, p);
     0 outside the grid."""
+    # imported on use, so that importing ngm loads no scipy
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(
         (grid.q, grid.p), values, method="linear", bounds_error=False, fill_value=0.0
     )

@@ -121,8 +121,8 @@ class RunConfig:
             raise ConfigError("--cutoff must be at least 1")
         if self.tau is not None and not 0.0 < self.tau <= 1.0:
             raise ConfigError("--tau must lie in (0, 1]")
-        if self.nbar < 0.0:
-            raise ConfigError("--nbar must be non-negative")
+        if not 0.0 <= self.nbar < np.inf:
+            raise ConfigError("--nbar must be finite and non-negative")
         if self.fock_sweep is not None and self.fock_sweep < 0:
             raise ConfigError("--fock-sweep must be non-negative")
         sources = sum(

@@ -19,7 +19,6 @@ __all__ = [
     "FockVector",
     "FockDensityMatrix",
     "as_density",
-    "annihilation_matrix",
     "coherent",
     "cat",
     "displaced_squeezed",
@@ -127,14 +126,6 @@ def as_density(state):
     if arr.ndim == 1:
         return FockVector(arr).to_density()
     return FockDensityMatrix(arr)
-
-
-def annihilation_matrix(dim):
-    """Matrix of â with ⟨n-1|â|n⟩ = √n."""
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError("annihilation_matrix needs dim >= 2")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
 def _coherent_amplitudes(alpha, n_c):
@@ -381,20 +372,23 @@ def state_moments(state):
     """Quadrature mean and covariance by operator traces.
 
     Independent of any phase-space grid: d_i = Tr(ρ r̂_i), V_ij from the
-    symmetrized second moments.  Returns (mean[2], cov[2,2]).
+    symmetrized second moments.  Returns (mean[2], cov[2,2]).  The traces
+    read three diagonals of ρ: Tr(ρ â^k) = Σ √(n!/(n-k)!) ρ[n, n-k],
+    Tr(ρ â†^k) the same over ρ[n-k, n], and Tr(ρ â†â) = Σ n ρ[n, n],
+    which hold for the truncated state as it is (ââ† = â†â + 1 exactly).
     """
-    base = as_density(state)
-    # two levels of headroom make Tr(rho q^2) exact for the truncated state
-    dim = base.dim + 2
-    rho = base.embed(dim).entries
-    a = annihilation_matrix(dim)
-    q = (a + a.conj().T) / np.sqrt(2.0)
-    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    dq = np.trace(q @ rho).real
-    dp = np.trace(p @ rho).real
-    vqq = np.trace(q @ q @ rho).real - dq**2
-    vpp = np.trace(p @ p @ rho).real - dp**2
-    vqp = 0.5 * np.trace((q @ p + p @ q) @ rho).real - dq * dp
+    rho = as_density(state).entries
+    n = np.arange(rho.shape[0], dtype=float)
+    one = np.sqrt(n[1:])
+    two = np.sqrt(n[2:] * n[1:-1])
+    a, ad = one @ np.diagonal(rho, -1), one @ np.diagonal(rho, 1)
+    a2, ad2 = two @ np.diagonal(rho, -2), two @ np.diagonal(rho, 2)
+    sym = 2.0 * (n @ np.diagonal(rho)).real + 1.0
+    dq = (a + ad).real / np.sqrt(2.0)
+    dp = (a - ad).imag / np.sqrt(2.0)
+    vqq = 0.5 * ((a2 + ad2).real + sym) - dq**2
+    vpp = 0.5 * (sym - (a2 + ad2).real) - dp**2
+    vqp = 0.5 * (a2 - ad2).imag - dq * dp
     return np.array([dq, dp]), np.array([[vqq, vqp], [vqp, vpp]])
 
 

@@ -17,7 +17,6 @@ entropy quadrature.
 import warnings
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import CapacityError, ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density
@@ -190,7 +189,7 @@ def minimizer_scan(field, count=100, seed=0):
     """
     m, re_h, _ = _physical_quadrature(field)
     associate = gaussian_associate_entropy(m) - re_h
-    upper = cholesky(m.V)
+    upper = np.linalg.cholesky(m.V).T
     eye = np.eye(m.d.size)
     rng = np.random.default_rng(seed)
     values = np.empty(count)

@@ -14,7 +14,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import CapacityError, TruncationRiskError
 
@@ -253,6 +252,9 @@ def _convolve_gaussians(values, grid, covs, boundary_tol=BOUNDARY_TOL):
     if all(np.allclose(cov, 0.0) for cov in covs):
         return [values.copy() for _ in covs]
     _check_boundary(values, grid, boundary_tol, "field")
+    # imported on use, so that importing ngm loads no scipy
+    from scipy.fft import next_fast_len
+
     nq, np_ = grid.shape
     shape = (next_fast_len(2 * nq - 1), next_fast_len(2 * np_ - 1, real=True))
     wq = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=grid.dq)

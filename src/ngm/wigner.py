@@ -8,8 +8,10 @@ modes,
 with phi_n the normalised Hermite functions.  The coefficients D come
 from rho through the 50:50 beam splitter that takes the Weyl kernel
 <q-y|rho|q+y> from the coordinates (q - y, q + y) to (q, y), built one
-photon at a time in O(dim^3) (see ``_coefficients``); then W is
-A_q D A_p^T, two GEMMs against Hermite tables A[i, j] = phi_j(sqrt2 x_i).
+photon at a time in O(dim^3) (see ``_coefficients``); the beam-splitter
+blocks depend on dim alone, so a process builds them once, for the largest
+dim up to a memory ceiling (``_block_levels``).  Then W is A_q D A_p^T,
+two GEMMs against Hermite tables A[i, j] = phi_j(sqrt2 x_i).
 The rank is 2 dim - 1 for any rho, pure or mixed, and nothing is
 sampled but the grid itself.  The analytic gradient uses the ladder
 phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order above
@@ -25,6 +27,8 @@ Every integral of a sampled field -- the mass check, the moments,
 -int W ln|W| and the negative volume -- comes from one quadrature pass
 (``_quadrature``).
 """
+
+import threading
 
 import numpy as np
 
@@ -183,8 +187,8 @@ def _beam_splitter_rows(dim):
     The beam splitter maps the two-mode state |m, n> into span{|j, N - j>}
     for N = m + n, through an orthogonal block B^N.  Yields (N, rows) for
     N = 0 .. 2 dim - 2, rows[i] being row (lo + i, N - lo - i) of B^N with
-    lo = max(0, N - dim + 1), over j = 0 .. N // 2, in buffers reused by
-    the next level.  The other
+    lo = max(0, N - dim + 1), over j = 0 .. N // 2, each level in a fresh
+    array that no later level changes.  The other
     half follows by swapping the output modes, row(m, n)[N - j] =
     (-1)^m row(m, n)[j], and the rows with m > n by swapping the input
     modes, row(n, m)[j] = (-1)^(N - j) row(m, n)[j].
@@ -201,18 +205,16 @@ def _beam_splitter_rows(dim):
     root = np.sqrt(np.arange(size + 1.0))
     sign = np.ones(size)
     sign[1::2] = -1.0
-    # levels N - 1 and N, with m counted from lo_prev and lo
-    rows = (np.empty((dim, dim)), np.empty((dim, dim)))
     lift, drop = np.empty((dim, dim)), np.empty((dim, dim))
-    prev = rows[0]
-    prev[0, 0] = 1.0
+    # level N - 1 with m counted from lo_prev; odd levels carry a spare column
+    prev = np.ones((1, 1))
     lo_prev = 0
-    yield 0, prev[:1, :1]
+    yield 0, prev
     for N in range(1, size):
         lo, hi = max(0, N - dim + 1), N // 2
         r, cols = hi - lo + 1, hi + 1
         if N % 2 == 0:
-            # column N/2 of level N - 1 mirrors its column N/2 - 1
+            # column N/2 of level N - 1, its spare one, mirrors its column N/2 - 1
             r_prev = hi - lo_prev
             np.multiply(prev[:r_prev, hi - 1], sign[lo_prev:hi], out=prev[:r_prev, hi])
         scale = 1.0 / (N * np.sqrt(2.0))
@@ -231,14 +233,57 @@ def _beam_splitter_rows(dim):
         np.multiply(scale * root[lo + first : hi + 1, None], src, out=v[first:])
         v[:first] = 0.0
         # T+ (u - v) + S+ (u + v), the 1/(N sqrt2) already in u and v
-        new = rows[N % 2][:r, :cols]
+        level = np.empty((r, cols + N % 2))
+        new = level[:, :cols]
         np.subtract(u, v, out=new)
         new *= root[N - cols + 1 : N + 1][::-1]
         u += v
         u[:, : cols - 1] *= root[1:cols]
         new[:, 1:] += u[:, : cols - 1]
         yield N, new
-        prev, lo_prev = rows[N % 2], lo
+        prev, lo_prev = level, lo
+
+
+#: ceiling on the cells of cached beam-splitter rows: 16 MiB, reached near
+#: dim 202 (dim 161 takes 8 MiB); a larger dim streams through the recurrence
+_BLOCK_CACHE_CELLS = 2**21
+
+#: (dim, levels): the rows _beam_splitter_rows(dim) yields, for the largest
+#: dim seen within the ceiling.  Growth builds a new tuple and swaps this
+#: one reference, so a reader that loads it once sees a whole cache.
+_blocks = (0, ())
+_blocks_growth = threading.Lock()
+
+
+def _block_cells(dim):
+    """Cells of the level arrays _beam_splitter_rows(dim) allocates."""
+    N = np.arange(2 * dim - 1)
+    rows = N // 2 - np.maximum(N - dim + 1, 0) + 1
+    return int(np.sum(rows * (N // 2 + 1 + N % 2)))
+
+
+def _block_levels(dim):
+    """(N, rows) as _beam_splitter_rows(dim) yields them, cached if they fit.
+
+    A row of B^N does not depend on dim, and no row is computed from a
+    row beside it, so a smaller dim's level N is, bit for bit, the cached
+    level's rows from its own lo = max(0, N - dim + 1) on.
+    """
+    global _blocks
+    cached = _blocks
+    if cached[0] < dim:
+        if _block_cells(dim) > _BLOCK_CACHE_CELLS:
+            return _beam_splitter_rows(dim)
+        with _blocks_growth:
+            cached = _blocks
+            if cached[0] < dim:
+                levels = tuple(rows for _, rows in _beam_splitter_rows(dim))
+                cached = _blocks = (dim, levels)
+    top, levels = cached
+    return (
+        (N, levels[N][max(0, N - dim + 1) - max(0, N - top + 1) :])
+        for N in range(2 * dim - 1)
+    )
 
 
 def _coefficients(c, anti):
@@ -279,7 +324,7 @@ def _coefficients(c, anti):
     # the same weights with (-1)^m give columns N - j of B^N from column j
     sets = len(parts)
     weights = np.vstack((weights, weights * (-1.0) ** m[order]))
-    for N, rows in _beam_splitter_rows(dim):
+    for N, rows in _block_levels(dim):
         vals = weights[:, start[N] : start[N + 1]] @ rows
         cols = rows.shape[1]
         line = flat[:, N : N * size + 1 : step]

@@ -1,15 +1,24 @@
-"""Displacement and squeezing of Fock-basis states by matrix exponentials.
+"""Displacement, squeezing and rotation of Fock-basis states by matrix exponentials.
 
 The test oracle for Gaussian unitaries: dense `expm` of the generators in a
 padded Fock space, independent of the closed-form displacement elements
-that `ngm.fock` builds its states from.
+that `ngm.fock` builds its states from, and the dense ladder operator they
+and the operator-trace oracles are built on.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from ngm.errors import CutoffError
-from ngm.fock import FockDensityMatrix, annihilation_matrix, as_density
+from ngm.fock import FockDensityMatrix, as_density
+
+
+def annihilation_matrix(dim):
+    """Matrix of â with ⟨n-1|â|n⟩ = √n."""
+    dim = int(dim)
+    if dim < 2:
+        raise ValueError("annihilation_matrix needs dim >= 2")
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
 def gaussian_unitary(generator_dim, alpha=None, xi=None):
@@ -43,3 +52,10 @@ def squeeze_state(state, xi, headroom=24):
     """S(ξ) ρ S(ξ)† in a padded Fock space, renormalized."""
     rho = as_density(state)
     return _apply_unitary(rho, gaussian_unitary(rho.dim + int(headroom), xi=xi))
+
+
+def rotate_state(state, theta):
+    """R(θ) ρ R(θ)† with R(θ) = exp(-iθ â†â), which keeps the Fock levels."""
+    rho = as_density(state)
+    a = annihilation_matrix(max(rho.dim, 2))
+    return _apply_unitary(rho, expm(-1j * theta * (a.conj().T @ a)))

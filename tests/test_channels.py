@@ -45,7 +45,10 @@ def test_spec_derived_quantities():
     assert ThermalLossSpec(1.0, 5.0).gain == 1.0
 
 
-@pytest.mark.parametrize("tau,n_bar", [(0.0, 0.0), (1.2, 0.0), (0.5, -0.1)])
+@pytest.mark.parametrize(
+    "tau,n_bar",
+    [(0.0, 0.0), (1.2, 0.0), (0.5, -0.1), (np.nan, 0.0), (0.5, np.nan), (0.5, np.inf)],
+)
 def test_spec_domain_errors(tau, n_bar):
     with pytest.raises(ValueError):
         ThermalLossSpec(tau, n_bar)

@@ -9,12 +9,14 @@ error, 3 numerical precondition failure, 4 cross-engine inconsistency.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ngm as ngm_package
 from ngm import catalog, cli, fisher, measure, wigner
 from ngm.catalog import build_state, preset_random_qudits
 from ngm.cli import _jsonable, main
@@ -276,13 +278,47 @@ def test_channel_tau_validation(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("engine", ["fock", "phasespace", "both"])
+@pytest.mark.parametrize("nbar", ["nan", "inf"])
+def test_channel_rejects_non_finite_nbar(capsys, nbar, engine):
+    argv = ["channel", "--cat", "1.5", "--tau", "0.5", "--nbar", nbar, "--engine", engine]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "--nbar" in doc["error"]["message"]
+
+
+def child_env():
+    """This environment with the tested ngm's sources first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches this process, not its children.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ngm_package.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "ngm.cli", "measure", "--preset", "vacuum"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("re_mu = ")
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by other tests
+    code = (
+        "import sys, ngm, ngm.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_measure_nan_fock_file_is_numerical_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ independent of the closed-form displacement-element route.
 
 import numpy as np
 import pytest
-from expm_unitaries import displace_state, gaussian_unitary, squeeze_state
+from expm_unitaries import annihilation_matrix, displace_state, gaussian_unitary, squeeze_state
 
 from ngm.errors import CutoffError, NormalizationError
 from ngm.fock import (
@@ -15,8 +15,8 @@ from ngm.fock import (
     FockVector,
     _displaced_squeezed_projection,
     _displacement_slab,
-    annihilation_matrix,
     apply_qubit_state,
+    as_density,
     cat,
     coherent,
     displaced_squeezed,
@@ -241,6 +241,48 @@ def test_squeeze_state_scales_covariance():
     _, v1 = state_moments(squeeze_state(rho, 0.4))
     s = np.diag([np.exp(-0.4), np.exp(0.4)])
     assert np.allclose(v1, s @ v0 @ s, atol=1e-8)
+
+
+def operator_trace_moments(state):
+    """(mean, cov) by dense operator traces on a dim + 2 embedding.
+
+    Two levels of headroom make Tr(ρ q̂²) exact for the truncated state.
+    """
+    base = as_density(state)
+    dim = base.dim + 2
+    rho = base.embed(dim).entries
+    a = annihilation_matrix(dim)
+    q = (a + a.conj().T) / np.sqrt(2.0)
+    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
+    dq = np.trace(q @ rho).real
+    dp = np.trace(p @ rho).real
+    vqq = np.trace(q @ q @ rho).real - dq**2
+    vpp = np.trace(p @ p @ rho).real - dp**2
+    vqp = 0.5 * np.trace((q @ p + p @ q) @ rho).real - dq * dp
+    return np.array([dq, dp]), np.array([[vqq, vqp], [vqp, vpp]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FockVector([0.6, 0.8j]),
+        lambda: FockVector([1.0]),
+        lambda: cat(1.5, "odd", n_c=40),
+        lambda: displaced_squeezed(2.0 * np.exp(0.7j), 1.0, 160),
+        lambda: displaced_squeezed(1.3 - 0.4j, -0.3, 60),
+        lambda: random_qudit(7, seed=3),
+        lambda: gkp_logical(1, 0.3, n_c=60),
+        # not Hermitian: the diagonals enter as the traces take them
+        lambda: FockDensityMatrix(np.array([[0.5, 0.2 + 0.1j, 0.05], [0.3j, 0.3, -0.1], [0.0, 0.2, 0.2]])),
+    ],
+)
+def test_state_moments_match_operator_traces(make):
+    state = make()
+    mean, cov = state_moments(state)
+    want_mean, want_cov = operator_trace_moments(state)
+    scale = 1.0 + np.max(np.abs(want_cov))
+    assert np.max(np.abs(mean - want_mean)) <= 1e-14 * scale
+    assert np.max(np.abs(cov - want_cov)) <= 1e-14 * scale
 
 
 def test_state_moments_fock_oracle():

@@ -14,6 +14,9 @@ Hermite tables, but its unnormalised L_n^(k) overflow to nan from n ~ 140
 on default grids, so the high-n checks use closed forms instead.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +201,71 @@ def test_beam_splitter_block_is_orthogonal():
     sign = (-1.0) ** (N - np.arange(N + 1))
     B = np.vstack((rows, (rows[: N // 2] * sign)[::-1]))
     assert np.max(np.abs(B @ B.T - np.eye(N + 1))) <= 1e-13
+
+
+def streamed_coefficients(c, anti):
+    """_coefficients of c with every level fresh from the recurrence."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wigner, "_block_levels", wigner._beam_splitter_rows)
+        return wigner._coefficients(c, anti)
+
+
+def random_matrix(rng, dim):
+    # neither Hermitian nor anti-Hermitian, so both coefficient sets are live
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("dims", [(2, 19, 61, 161), (161, 61, 19, 2)], ids=["growing", "shrinking"])
+def test_cached_blocks_give_the_recurrence_coefficients(monkeypatch, dims):
+    monkeypatch.setattr(wigner, "_blocks", (0, ()))
+    rng = np.random.default_rng(5)
+    for dim in dims:
+        c = random_matrix(rng, dim)
+        want = streamed_coefficients(c, True)
+        got = wigner._coefficients(c, True)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert wigner._blocks[0] == 161
+
+
+def test_block_cache_stays_under_its_ceiling(monkeypatch):
+    monkeypatch.setattr(wigner, "_blocks", (0, ()))
+    top = 202
+    assert wigner._block_cells(top) <= wigner._BLOCK_CACHE_CELLS < wigner._block_cells(top + 1)
+    wigner._coefficients(np.eye(top) / top, False)
+    dim, levels = wigner._blocks
+    held = sum((level if level.base is None else level.base).nbytes for level in levels)
+    assert dim == top
+    assert held == 8 * wigner._block_cells(top) <= 16 * 2**20
+    # a dim past the ceiling streams and leaves the cache as it was
+    rng = np.random.default_rng(6)
+    c = random_matrix(rng, top + 1)
+    D = wigner._coefficients(c, False)
+    assert wigner._blocks[0] == top and wigner._blocks[1] is levels
+    assert np.array_equal(D, streamed_coefficients(c, False))
+
+
+def test_threads_synthesizing_mixed_dims_match_serial_runs(monkeypatch):
+    rng = np.random.default_rng(7)
+    mats = [random_matrix(rng, dim) for dim in (41, 3, 161, 19, 2, 61, 141, 7, 101, 33)]
+    grid = PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, 65, 65)
+    serial = []
+    for c in mats:
+        monkeypatch.setattr(wigner, "_blocks", (0, ()))
+        serial.append(_synthesize(c, grid, with_grad=True))
+    monkeypatch.setattr(wigner, "_blocks", (0, ()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_synthesize, c, grid, True) for c in mats]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # growth under the lock only ever enlarges the cache
+    assert wigner._blocks[0] == 161
+    for got, want in zip(threaded, serial):
+        for f, g in zip(got, want):
+            assert np.array_equal(f.view(np.int64), g.view(np.int64))
 
 
 @pytest.mark.parametrize("n_c", [60, 160])

@@ -9,6 +9,7 @@ Scipy's own Laguerre evaluation covers the diagonal branch separately.
 
 import numpy as np
 import pytest
+from expm_unitaries import annihilation_matrix
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
@@ -16,7 +17,6 @@ from ngm.errors import ConsistencyError, NormalizationError, NumericalError
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
-    annihilation_matrix,
     cat,
     coherent,
     random_qudit,
