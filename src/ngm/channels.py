@@ -18,8 +18,8 @@ from .errors import GridError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
 from .numerics import (
     BOUNDARY_TOL,
-    LOG_FACTORIAL,
     _edge_max,
+    _log_factorial,
     convolve_gaussian,
     integrate,
 )
@@ -70,6 +70,7 @@ def pure_loss_kraus(eta, l_max, dim):
         raise ValueError(f"transmissivity eta = {eta} must lie in (0, 1]")
     if not 0 <= l_max <= dim:
         raise ValueError("Kraus order must lie within the space dimension")
+    lf = _log_factorial(dim)
     ops = []
     for l in range(l_max + 1):
         A = np.zeros((dim, dim))
@@ -81,10 +82,10 @@ def pure_loss_kraus(eta, l_max, dim):
             continue
         log_amp = 0.5 * (
             l * np.log(1.0 - eta)
-            - LOG_FACTORIAL[l]
+            - lf[l]
             + (ns - l) * np.log(eta)
-            + LOG_FACTORIAL[ns]
-            - LOG_FACTORIAL[ns - l]
+            + lf[ns]
+            - lf[ns - l]
         )
         A[ns - l, ns] = np.exp(log_amp)
         ops.append(A)
@@ -101,6 +102,7 @@ def amplifier_kraus(gain, k_max, dim):
         raise ValueError(f"amplifier gain = {gain} must be >= 1")
     if not 0 <= k_max <= dim:
         raise ValueError("Kraus order must lie within the space dimension")
+    lf = _log_factorial(dim)
     ops = []
     for k in range(k_max + 1):
         B = np.zeros((dim, dim))
@@ -112,10 +114,10 @@ def amplifier_kraus(gain, k_max, dim):
             continue
         log_amp = 0.5 * (
             k * np.log((gain - 1.0) / gain)
-            - LOG_FACTORIAL[k]
+            - lf[k]
             - np.log(gain)
-            + LOG_FACTORIAL[ns + k]
-            - LOG_FACTORIAL[ns]
+            + lf[ns + k]
+            - lf[ns]
             - ns * np.log(gain)
         )
         B[ns + k, ns] = np.exp(log_amp)
@@ -192,9 +194,9 @@ def rescale(field, s):
     """Phase-space dilation (1/s^2) W(r/s) on the field's own grid.
 
     Accepts a scalar s or a diagonal 2x2 matrix with per-axis factors.
-    Resampling is bilinear; shrinking factors (s < 1) sample beyond the
-    original extent, which is only sound when the field has decayed at
-    the boundary (checked).
+    Resampling is bilinear, one axis at a time; shrinking factors (s < 1)
+    sample beyond the original extent, which is only sound when the field
+    has decayed at the boundary (checked).
     """
     sq, sp = _scale_pair(s)
     if sq <= 0.0 or sp <= 0.0:
@@ -207,20 +209,25 @@ def rescale(field, s):
                 f"rescaled support leaves the grid: boundary magnitude {edge:.3e} "
                 f"exceeds {BOUNDARY_TOL:.0e}"
             )
-    Q, P = g.meshes()
-    return WignerField(g, _bilinear(field.values, g, Q / sq, P / sp) / (sq * sp))
+    return WignerField(g, _bilinear(field.values, g, g.q / sq, g.p / sp) / (sq * sp))
+
+
+def _linear_weights(axis, x):
+    """For each x: the cell index i on ``axis`` and the weights of nodes
+    i and i + 1, both 0 for x off the axis."""
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+    t = (x - axis[i]) / (axis[i + 1] - axis[i])
+    inside = (x >= axis[0]) & (x <= axis[-1])
+    return i, np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0)
 
 
 def _bilinear(values, grid, q, p):
-    """Bilinear samples of ``values`` on ``grid`` at the points (q, p);
-    0 outside the grid."""
-    # imported on use, so that importing ngm loads no scipy
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        (grid.q, grid.p), values, method="linear", bounds_error=False, fill_value=0.0
-    )
-    return interp(np.stack((q.ravel(), p.ravel()), axis=-1)).reshape(q.shape)
+    """Bilinear samples of ``values`` on ``grid`` at the points (q_i, p_j),
+    0 outside the grid: one linear pass along q, then one along p."""
+    i, lo, hi = _linear_weights(grid.q, q)
+    rows = lo[:, None] * values[i] + hi[:, None] * values[i + 1]
+    j, lo, hi = _linear_weights(grid.p, p)
+    return lo * rows[:, j] + hi * rows[:, j + 1]
 
 
 def thermal_loss_phase_space(field, spec, grid=None):
@@ -238,7 +245,7 @@ def thermal_loss_phase_space(field, spec, grid=None):
     mass = out.integral()
     out = WignerField(scaled.grid, values / mass)
     if grid is not None and grid != scaled.grid:
-        resampled = _bilinear(out.values, scaled.grid, *grid.meshes())
+        resampled = _bilinear(out.values, scaled.grid, grid.q, grid.p)
         resampled /= integrate(resampled, grid)
         out = WignerField(grid, resampled)
     return out

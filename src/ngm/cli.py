@@ -34,7 +34,6 @@ from .fisher import (
     cramer_rao_check,
     fisher_from_field,
     fock_fisher_sweep,
-    write_fisher_csv,
 )
 from .fock import as_density, cat, load_state
 from .measure import _physical_quadrature, measure_from_field, ngm
@@ -314,7 +313,7 @@ def cmd_fisher(config):
                                   points=config.points)
     )
     path = config.out or "fock_fisher_sweep.csv"
-    write_fisher_csv(rows, path)
+    _write_rows_csv(path, rows, [("warning", text) for text in warns])
     for text in warns:
         print(f"warning: {text}")
     print(f"wrote {len(rows)} rows to {path}")

@@ -37,7 +37,6 @@ transformed forward once and each epsilon costs one inverse transform.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -60,7 +59,6 @@ __all__ = [
     "debruijn_check",
     "measure_derivative_check",
     "fock_fisher_sweep",
-    "write_fisher_csv",
 ]
 
 #: default half-width of the excision band, in units of the Wigner bound 1/pi
@@ -372,13 +370,3 @@ def fock_fisher_sweep(n_max=10, points=513, band=BAND_DEFAULT, workers=None):
         }
 
     return _ordered_map(one, range(n_max + 1), workers)
-
-
-def write_fisher_csv(rows, path):
-    """Write a Fock Fisher sweep as CSV with a fixed column order."""
-    fields = ["n", "trace_J", "trace_Vinv", "excluded_fraction", "band"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fields})

@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .errors import CutoffError, NormalizationError
+from .numerics import _log_factorial
 
 __all__ = [
     "FockVector",
@@ -104,17 +105,6 @@ class FockDensityMatrix:
             raise NormalizationError(f"minimum eigenvalue {lo:.2e} < -{psd_tol:.0e}")
         return self
 
-    def expectation(self, op):
-        return np.trace(op @ self.entries)
-
-    def embed(self, dim):
-        """Zero-pad to a larger Fock space."""
-        if dim < self.dim:
-            raise ValueError("embed target smaller than current dimension")
-        out = np.zeros((dim, dim), dtype=complex)
-        out[: self.dim, : self.dim] = self.entries
-        return FockDensityMatrix(out)
-
 
 def as_density(state):
     """Coerce FockVector / FockDensityMatrix / raw array to a density matrix."""
@@ -131,7 +121,7 @@ def as_density(state):
 def _coherent_amplitudes(alpha, n_c):
     # log-space magnitudes keep large |alpha| finite
     n = np.arange(n_c + 1)
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n_c + 1)))))
+    lf = _log_factorial(n_c)
     a = abs(alpha)
     if a == 0.0:
         amp = np.zeros(n_c + 1, dtype=complex)
@@ -199,7 +189,7 @@ def _displacement_slab(alpha, rows, cols):
     a2 = abs(alpha) ** 2
     if a2 == 0.0:
         return np.eye(rows, cols, dtype=complex)
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, rows + cols + 1.0)))))
+    lf = _log_factorial(rows + cols)
     loga = np.log(abs(alpha))
     up = -np.conj(alpha) / abs(alpha)  # unit-modulus phase factors only:
     dn = alpha / abs(alpha)            # magnitudes live in the log prefactor

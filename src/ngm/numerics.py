@@ -1,4 +1,4 @@
-"""Phase-space grids, special functions and quadrature.
+"""Phase-space grids, log-factorials, quadrature and Gaussian smoothing.
 
 Conventions used throughout the package: hbar = 1, quadrature ordering
 (q, p) per mode, vacuum variance 1/2.  Wigner fields are sampled on
@@ -6,8 +6,8 @@ tensor-product grids with ``values[i, j] = W(q_i, p_j)``.
 
 Integration is composite Simpson on each axis (grids are kept at odd point
 counts for this reason); convolution is linear, via FFT with zero padding
-to fast (5-smooth) lengths, and a field smoothed by several Gaussians is
-transformed forward once.
+to fast lengths (11-smooth, 5-smooth on the real axis), and a field
+smoothed by several Gaussians is transformed forward once.
 """
 
 import os
@@ -15,25 +15,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import CapacityError, TruncationRiskError
+from .errors import TruncationRiskError
 
 __all__ = [
     "PhaseSpaceGrid",
-    "laguerre_assoc",
-    "laguerre_assoc_derivative",
-    "laguerre_sequence",
     "axis_weights",
     "integrate",
     "convolve_gaussian",
     "worker_count",
 ]
-
-# ln(n!) for n = 0..256, enough for sqrt(n!/m!) prefactors at any
-# supported Fock cutoff.
-LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 257.0)))))
-
-#: hard ceiling on Laguerre degree, matching the largest supported cutoff
-DEFAULT_N_CAP = 64
 
 #: absolute boundary-decay threshold for convolution inputs
 BOUNDARY_TOL = 1e-12
@@ -138,45 +128,10 @@ class PhaseSpaceGrid:
         )
 
 
-def laguerre_sequence(k, x, n_max):
-    """Yield L_0^(k)(x) .. L_{n_max}^(k)(x) by the three-term recurrence.
-
-    The recurrence in the degree n,
-
-        n L_n = (2n - 1 + k - x) L_{n-1} - (n - 1 + k) L_{n-2},
-
-    is forward-stable for these parameters; x may be any float array.
-    """
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    yield prev
-    if n_max == 0:
-        return
-    cur = 1.0 + k - x
-    yield cur
-    for n in range(2, n_max + 1):
-        prev, cur = cur, ((2 * n - 1 + k - x) * cur - (n - 1 + k) * prev) / n
-        yield cur
-
-
-def laguerre_assoc(n, k, x, n_cap=DEFAULT_N_CAP):
-    """Associated Laguerre polynomial L_n^(k)(x), vectorized over x."""
-    n, k = int(n), int(k)
-    if n < 0 or k < 0:
-        raise ValueError("laguerre_assoc needs n >= 0 and k >= 0")
-    if n > n_cap:
-        raise CapacityError(f"Laguerre degree {n} above cap {n_cap}")
-    scalar = np.isscalar(x)
-    for value in laguerre_sequence(k, x, n):
-        pass
-    return float(value) if scalar else value
-
-
-def laguerre_assoc_derivative(n, k, x, n_cap=DEFAULT_N_CAP):
-    """d/dx L_n^(k)(x) = -L_{n-1}^(k+1)(x); zero for n = 0."""
-    if int(n) == 0:
-        return 0.0 if np.isscalar(x) else np.zeros_like(np.asarray(x, dtype=float))
-    return -laguerre_assoc(int(n) - 1, int(k) + 1, x, n_cap=n_cap)
+def _log_factorial(n):
+    """ln(k!) for k = 0..n.  The sum runs in order, so a longer table
+    extends a shorter one bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1.0)))))
 
 
 def axis_weights(n, step):
@@ -235,13 +190,27 @@ def convolve_gaussian(values, grid, cov, boundary_tol=BOUNDARY_TOL):
     return _convolve_gaussians(values, grid, [cov], boundary_tol)[0]
 
 
+def _fast_len(target, real=False):
+    """Smallest length >= target with no prime factor above 11 (above 5
+    for a real axis): a length the FFT transforms fast."""
+    best = 1 << (target - 1).bit_length()  # a power of two qualifies
+    odd = [1]
+    for prime in (3, 5) if real else (3, 5, 7, 11):
+        for m in list(odd):
+            while m * prime < best:
+                m *= prime
+                odd.append(m)
+    # the least m * 2^k >= target for each odd part m
+    return min(m << ((target - 1) // m).bit_length() for m in odd)
+
+
 def _convolve_gaussians(values, grid, covs, boundary_tol=BOUNDARY_TOL):
     """`convolve_gaussian` of one field for each covariance in `covs`.
 
     One boundary check and one forward transform serve every kernel (a
     zero one among others is smoothed to rounding, not copied).  Axes pad
-    to the next 5-smooth length >= 2n - 1; a narrower pad would wrap the
-    tails of the Nyquist-cut kernel, which are not Gaussian.
+    to the next fast length >= 2n - 1 (``_fast_len``); a narrower pad
+    would wrap the tails of the Nyquist-cut kernel, which are not Gaussian.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
@@ -252,11 +221,8 @@ def _convolve_gaussians(values, grid, covs, boundary_tol=BOUNDARY_TOL):
     if all(np.allclose(cov, 0.0) for cov in covs):
         return [values.copy() for _ in covs]
     _check_boundary(values, grid, boundary_tol, "field")
-    # imported on use, so that importing ngm loads no scipy
-    from scipy.fft import next_fast_len
-
     nq, np_ = grid.shape
-    shape = (next_fast_len(2 * nq - 1), next_fast_len(2 * np_ - 1, real=True))
+    shape = (_fast_len(2 * nq - 1), _fast_len(2 * np_ - 1, real=True))
     wq = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=grid.dq)
     wp = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
     spec = np.fft.rfft2(values, s=shape)

@@ -43,7 +43,6 @@ __all__ = [
     "wigner_from_fock",
     "wigner_gradient",
     "moments",
-    "gaussian_wigner",
     "negative_volume",
 ]
 
@@ -533,17 +532,6 @@ def moments(field, physical=True):
     rescaled ones).
     """
     return _quadrature(field)[0].validate(physical=physical)
-
-
-def gaussian_wigner(m, grid):
-    """Gaussian Wigner field with the given moments (the Gaussian associate)."""
-    det = _covariance_det(m.V)
-    inv = np.linalg.inv(m.V)
-    Q, P = grid.meshes()
-    x = Q - m.d[0]
-    y = P - m.d[1]
-    quad = inv[0, 0] * x * x + 2.0 * inv[0, 1] * x * y + inv[1, 1] * y * y
-    return WignerField(grid, np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det)))
 
 
 def _covariance_det(V):

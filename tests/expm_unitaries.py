@@ -2,8 +2,8 @@
 
 The test oracle for Gaussian unitaries: dense `expm` of the generators in a
 padded Fock space, independent of the closed-form displacement elements
-that `ngm.fock` builds its states from, and the dense ladder operator they
-and the operator-trace oracles are built on.
+that `ngm.fock` builds its states from, and the dense ladder operator and
+zero-padding they and the operator-trace oracles are built on.
 """
 
 import numpy as np
@@ -21,6 +21,14 @@ def annihilation_matrix(dim):
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
+def embed(state, dim):
+    """The state's density matrix zero-padded to dim Fock levels."""
+    rho = as_density(state)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[: rho.dim, : rho.dim] = rho.entries
+    return FockDensityMatrix(out)
+
+
 def gaussian_unitary(generator_dim, alpha=None, xi=None):
     """D(α)S(ξ) on the first generator_dim Fock levels."""
     a = annihilation_matrix(generator_dim)
@@ -35,7 +43,7 @@ def gaussian_unitary(generator_dim, alpha=None, xi=None):
 
 def _apply_unitary(state, u, trace_tol=1e-6):
     rho = as_density(state)
-    out = u @ rho.embed(u.shape[0]).entries @ u.conj().T
+    out = u @ embed(rho, u.shape[0]).entries @ u.conj().T
     tr = np.trace(out).real
     if tr < 1.0 - trace_tol:
         raise CutoffError(f"unitary application lost trace ({tr:.8f}); raise headroom")

@@ -8,11 +8,13 @@ s^2, and shifts the entropy by ln s^2.
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from ngm.errors import GridError, TruncationRiskError
 from ngm.fock import FockDensityMatrix, FockVector, cat, coherent, random_qudit
 from ngm.channels import (
     ThermalLossSpec,
+    _bilinear,
     amplifier_kraus,
     pure_loss_kraus,
     rescale,
@@ -141,6 +143,52 @@ def test_truncation_deficit_reported():
         )
 
 
+# ln(n!) for n = 0..256, the fixed table the Kraus builders once indexed
+FIXED_LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 257.0)))))
+
+
+def fixed_table_kraus(eta, gain, order, dim):
+    """Both Kraus families from the fixed table, element for element as
+    the builders computed them while they indexed it (dim <= 256)."""
+    lf = FIXED_LOG_FACTORIAL
+    loss, amp = [], []
+    for l in range(order + 1):
+        A = np.zeros((dim, dim))
+        ns = np.arange(l, dim)
+        A[ns - l, ns] = np.exp(0.5 * (
+            l * np.log(1.0 - eta) - lf[l] + (ns - l) * np.log(eta) + lf[ns] - lf[ns - l]
+        ))
+        loss.append(A)
+        B = np.zeros((dim, dim))
+        ns = np.arange(0, dim - l)
+        B[ns + l, ns] = np.exp(0.5 * (
+            l * np.log((gain - 1.0) / gain) - lf[l] - np.log(gain)
+            + lf[ns + l] - lf[ns] - ns * np.log(gain)
+        ))
+        amp.append(B)
+    return loss, amp
+
+
+@pytest.mark.parametrize("dim", [2, 7, 61, 200])
+def test_kraus_matrices_equal_fixed_table_bitwise(dim):
+    order = min(dim, 30)
+    loss, amp = fixed_table_kraus(0.37, 1.2, order, dim)
+    for got, want in zip(pure_loss_kraus(0.37, order, dim), loss, strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(amplifier_kraus(1.2, order, dim), amp, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.1])
+def test_thermal_loss_past_dim_257(n_bar):
+    # the output space (dim + 30 levels) outgrows the old 257-entry table
+    spec = ThermalLossSpec(0.5, n_bar)
+    high = thermal_loss_fock(cat(1.0, n_c=300).to_density(), spec)
+    low = thermal_loss_fock(cat(1.0, n_c=60).to_density(), spec)
+    assert high.dim == low.dim
+    assert np.max(np.abs(high.entries - low.entries)) <= 1e-12
+
+
 # ----------------------------------------------------------------- rescale
 
 
@@ -191,6 +239,35 @@ def test_rescale_support_overflow():
 
 
 # ------------------------------------------------------ phase-space engine
+
+
+def interpolator_oracle(values, grid, q, p):
+    """scipy's linear RegularGridInterpolator at the points (q_i, p_j)."""
+    interp = RegularGridInterpolator(
+        (grid.q, grid.p), values, method="linear", bounds_error=False, fill_value=0.0
+    )
+    Q, P = np.meshgrid(q, p, indexing="ij")
+    return interp(np.stack((Q.ravel(), P.ravel()), axis=-1)).reshape(Q.shape)
+
+
+@pytest.mark.parametrize(
+    "s", [0.8, 1.0, 1.37], ids=["past-the-edge", "edge-nodes", "interior"]
+)
+def test_bilinear_matches_interpolator(s):
+    g = PhaseSpaceGrid(-8, 8, -7, 7, 257, 193)
+    W = wigner_from_fock(cat(1.5, "odd").to_density(), g).values
+    q, p = g.q / s, g.p / s
+    got = _bilinear(W, g, q, p)
+    want = interpolator_oracle(W, g, q, p)
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(W)))
+    if s < 1.0:
+        # points past the edge read 0, like the interpolator's fill value
+        off = np.abs(q)[:, None] > 8.0
+        off = off | (np.abs(p)[None, :] > 7.0)
+        assert off.any() and np.all(got[off] == 0.0) and np.all(want[off] == 0.0)
+    if s == 1.0:
+        # on the nodes themselves, edges included, the samples are exact
+        assert np.array_equal(got, W)
 
 
 def test_phase_space_identity_at_unit_tau():

@@ -6,12 +6,15 @@ are byte-identical, and the exit-code scheme is 0 success, 2 config
 error, 3 numerical precondition failure, 4 cross-engine inconsistency.
 """
 
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,13 +198,34 @@ def test_fisher_fock_sweep_csv(tmp_path, capsys):
     code = main(["fisher", "--fock-sweep", "2", "--grid-points", "257",
                  "--out", str(out)])
     assert code == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "n,trace_J,trace_Vinv,excluded_fraction,band"
+    lines = out.read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "n,trace_J,trace_Vinv,excluded_fraction,band"
+    # the one CSV writer: metadata lines, here warnings only, come first
+    assert all(line.startswith("# warning=") for line in lines[: len(lines) - len(body)])
     rows = read_rows(out)
     assert [row["n"] for row in rows] == ["0", "1", "2"]
     for row in rows:
         assert float(row["trace_J"]) >= float(row["trace_Vinv"]) - 1e-4
     capsys.readouterr()
+
+
+def test_fisher_fock_sweep_csv_records_warnings(tmp_path, monkeypatch, capsys):
+    sweep = cli.fock_fisher_sweep
+
+    def warning_sweep(**kwargs):
+        warnings.warn("band gap above the limit", RuntimeWarning)
+        return sweep(**kwargs)
+
+    monkeypatch.setattr(cli, "fock_fisher_sweep", warning_sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["fisher", "--fock-sweep", "1", "--grid-points", "257",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["# warning=band gap above the limit",
+                         "n,trace_J,trace_Vinv,excluded_fraction,band"]
+    assert read_metadata(out) == {"warning": "band gap above the limit"}
 
 
 def test_fisher_fock_sweep_rejects_state_source(capsys):
@@ -308,17 +332,48 @@ def test_module_entry_point_runs():
     assert result.stdout.startswith("re_mu = ")
 
 
+NO_SCIPY_CHILD = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import ngm, ngm.cli
+print(json.dumps(loaded()))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ngm.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, loaded()]))
+"""
+
+
 def test_import_loads_no_scipy():
-    # a fresh interpreter: this one has scipy loaded by other tests
-    code = (
-        "import sys, ngm, ngm.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
+    # a fresh interpreter, as this one has scipy loaded by other tests:
+    # importing ngm, then the phase-space engine and the Gaussian smoothing
+    argvs = [
+        ["channel", "--cat", "1.5", "--tau", "0.5", "--engine", "both"],
+        ["fisher", "--cat", "1.4", "--debruijn", "--derivative"],
+    ]
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", NO_SCIPY_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    after_import, after_run = result.stdout.splitlines()
+    assert json.loads(after_import) == []
+    assert json.loads(after_run) == [[0, 0], []]
+
+
+def test_sources_import_no_scipy():
+    src = pathlib.Path(ngm_package.__file__).parent
+    paths = sorted(src.rglob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path
 
 
 def test_measure_nan_fock_file_is_numerical_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ which doubles as the target for the finite-difference smoothing slope
 import numpy as np
 import pytest
 
+from ngm.cli import main
 from ngm.errors import NumericalError
 from ngm.fock import (
     FockDensityMatrix,
@@ -31,7 +32,6 @@ from ngm.fisher import (
     fock_fisher_sweep,
     measure_derivative_check,
     monotonicity_condition,
-    write_fisher_csv,
 )
 from ngm.numerics import PhaseSpaceGrid
 from ngm.wigner import moments, wigner_from_fock, wigner_gradient
@@ -285,16 +285,18 @@ def test_fock_sweep_threaded_matches_serial():
     assert serial == threaded
 
 
-def test_write_fisher_csv_roundtrip(tmp_path):
+def test_write_fisher_csv_roundtrip(tmp_path, capsys):
+    # the sweep CSV is written by the CLI; it holds the library's rows
     rows = fock_fisher_sweep(n_max=2, points=257)
     path = tmp_path / "sweep.csv"
-    write_fisher_csv(rows, path)
+    assert main(["fisher", "--fock-sweep", "2", "--grid-points", "257",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,trace_J,trace_Vinv,excluded_fraction,band"
     assert len(lines) == 4
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == pytest.approx(rows[0]["trace_J"])
+    for line, row in zip(lines[1:], rows, strict=True):
+        assert line.split(",") == [repr(row[key]) for key in row]
 
 
 def test_fisher_matrix_dataclass_validate_symmetry():

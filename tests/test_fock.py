@@ -7,7 +7,13 @@ independent of the closed-form displacement-element route.
 
 import numpy as np
 import pytest
-from expm_unitaries import annihilation_matrix, displace_state, gaussian_unitary, squeeze_state
+from expm_unitaries import (
+    annihilation_matrix,
+    displace_state,
+    embed,
+    gaussian_unitary,
+    squeeze_state,
+)
 
 from ngm.errors import CutoffError, NormalizationError
 from ngm.fock import (
@@ -32,7 +38,6 @@ from ngm.fock import (
     state_to_json,
     trim_density,
 )
-from ngm.numerics import laguerre_sequence
 
 
 def number_mean(vec):
@@ -250,7 +255,7 @@ def operator_trace_moments(state):
     """
     base = as_density(state)
     dim = base.dim + 2
-    rho = base.embed(dim).entries
+    rho = embed(base, dim).entries
     a = annihilation_matrix(dim)
     q = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
@@ -309,7 +314,7 @@ def test_density_validation_catches_defects():
 
 
 def test_trim_density_drops_quiet_levels():
-    rho = coherent(1.0, 12).to_density().embed(48)
+    rho = embed(coherent(1.0, 12), 48)
     out = trim_density(rho)
     assert out.dim < 20
     assert out.entries[0, 0] == pytest.approx(rho.entries[0, 0].real, abs=1e-12)
@@ -333,6 +338,21 @@ def test_serialization_round_trips(tmp_path):
 def test_serialization_rejects_mismatched_dim():
     with pytest.raises(ValueError):
         state_from_json({"dim": 3, "re": [1.0, 0.0], "im": [0.0, 0.0]})
+
+
+def laguerre_sequence(k, x, n_max):
+    """L_0^(k)(x) .. L_{n_max}^(k)(x) by the three-term recurrence in the degree,
+    n L_n = (2n - 1 + k - x) L_{n-1} - (n - 1 + k) L_{n-2}."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    yield prev
+    if n_max == 0:
+        return
+    cur = 1.0 + k - x
+    yield cur
+    for n in range(2, n_max + 1):
+        prev, cur = cur, ((2 * n - 1 + k - x) * cur - (n - 1 + k) * prev) / n
+        yield cur
 
 
 def slab_by_diagonals(alpha, rows, cols):

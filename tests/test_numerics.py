@@ -1,36 +1,28 @@
-"""Grid, Laguerre and quadrature contracts.
+"""Grid, log-factorial, quadrature and convolution contracts.
 
-Oracles here are independent of the production code paths: an exact-series
-evaluation of the Laguerre polynomials in 50-digit arithmetic, central
-finite differences for the derivative, and closed-form Gaussian integrals
-for the quadrature and convolution checks.
+Oracles here are independent of the production code paths: log-factorials
+in 50-digit arithmetic, closed-form Gaussian integrals for the quadrature
+and convolution checks, and scipy's own fast FFT lengths for the padding.
 """
 
 import numpy as np
 import pytest
-from mpmath import mp, binomial, factorial, mpf
+from mpmath import mp, factorial
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from ngm.errors import CapacityError, TruncationRiskError
+from ngm.errors import TruncationRiskError
 from ngm.numerics import (
     PhaseSpaceGrid,
     _convolve_gaussians,
-    LOG_FACTORIAL,
+    _fast_len,
+    _log_factorial,
     axis_weights,
     convolve_gaussian,
     integrate,
-    laguerre_assoc,
-    laguerre_assoc_derivative,
 )
 
 mp.dps = 50
-
-
-def laguerre_series(n, k, x):
-    """Direct summation sum_j (-1)^j C(n+k, n-j) x^j / j! in mp arithmetic."""
-    x = mpf(x)
-    total = sum((-1) ** j * binomial(n + k, n - j) * x**j / factorial(j) for j in range(n + 1))
-    return float(total)
 
 
 def sampled_convolve(a, b, grid):
@@ -52,67 +44,19 @@ def gauss2d(grid, mean, cov):
     return np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
 
 
-# ---------------------------------------------------------------- laguerre
-
-
-def test_laguerre_matches_series_oracle():
-    xs = [0.1, 1.0, 5.0, 20.0]
-    for n in range(21):
-        for k in range(11):
-            for x in xs:
-                want = laguerre_series(n, k, x)
-                got = laguerre_assoc(n, k, x)
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (n, k, x)
-
-
-def test_laguerre_frozen_value():
-    # L_5^(3)(2) = -64/15, from the series oracle
-    assert laguerre_assoc(5, 3, 2.0) == pytest.approx(-4.266666666666667, rel=1e-12)
-
-
-def test_laguerre_low_orders_closed_form():
-    x = np.linspace(0.0, 30.0, 7)
-    assert np.allclose(laguerre_assoc(0, 4, x), 1.0)
-    assert np.allclose(laguerre_assoc(1, 4, x), 1 + 4 - x)
-
-
-def test_laguerre_vectorized_shape():
-    x = np.linspace(0, 10, 23).reshape(23, 1) * np.ones((1, 5))
-    out = laguerre_assoc(7, 2, x)
-    assert out.shape == (23, 5)
-    assert out[3, 0] == pytest.approx(laguerre_assoc(7, 2, x[3, 0]))
-
-
-def test_laguerre_domain_and_cap():
-    with pytest.raises(ValueError):
-        laguerre_assoc(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        laguerre_assoc(2, -1, 1.0)
-    with pytest.raises(CapacityError):
-        laguerre_assoc(65, 0, 1.0)
-    laguerre_assoc(65, 0, 1.0, n_cap=80)  # explicit cap lifts the ceiling
-
-
-def test_laguerre_derivative_vs_central_differences():
-    h = 1e-6
-    for n, k in [(1, 0), (3, 2), (7, 5), (20, 10)]:
-        for x in [0.5, 2.0, 10.0]:
-            fd = (laguerre_assoc(n, k, x + h) - laguerre_assoc(n, k, x - h)) / (2 * h)
-            got = laguerre_assoc_derivative(n, k, x)
-            assert got == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-def test_laguerre_derivative_degree_zero():
-    assert laguerre_assoc_derivative(0, 3, 2.0) == 0.0
-    out = laguerre_assoc_derivative(0, 3, np.ones(4))
-    assert out.shape == (4,) and np.all(out == 0.0)
+# ----------------------------------------------------------- log-factorial
 
 
 def test_log_factorial_table():
-    assert LOG_FACTORIAL[0] == 0.0
-    assert LOG_FACTORIAL[5] == pytest.approx(np.log(120.0), rel=1e-14)
-    assert LOG_FACTORIAL[170] == pytest.approx(float(mp.log(factorial(170))), rel=1e-13)
-    assert LOG_FACTORIAL.size == 257
+    table = _log_factorial(256)
+    assert table[0] == 0.0
+    assert table[5] == pytest.approx(np.log(120.0), rel=1e-14)
+    assert table[170] == pytest.approx(float(mp.log(factorial(170))), rel=1e-13)
+    assert table.size == 257
+    # a longer table extends a shorter one bit for bit
+    longer = _log_factorial(1000)
+    assert np.array_equal(longer[:257], table)
+    assert longer[1000] == pytest.approx(float(mp.log(factorial(1000))), rel=1e-13)
 
 
 # -------------------------------------------------------------------- grid
@@ -328,3 +272,10 @@ def test_convolve_gaussians_check_boundary():
     g = PhaseSpaceGrid(-6, 6, -6, 6, 129, 129)
     with pytest.raises(TruncationRiskError):
         _convolve_gaussians(np.ones(g.shape), g, [1e-3 * np.eye(2), np.eye(2)])
+
+
+def test_fast_len_matches_scipy():
+    # the pad lengths, and so every smoothed field, are scipy's
+    for t in range(1, 20001):
+        assert _fast_len(t) == next_fast_len(t), t
+        assert _fast_len(t, real=True) == next_fast_len(t, real=True), t

