@@ -16,6 +16,12 @@ import numpy as np
 from .errors import CutoffError, NormalizationError
 from .numerics import _log_factorial
 
+# orders between exponent refreshes of the displaced-squeezed recurrence:
+# a refresh costs four numpy calls, and between two of them a mantissa
+# grows by at most (1 + |β|)^16, far inside the double range for any row
+# that is not zeroed outright
+_RESCALE_EVERY = 16
+
 __all__ = [
     "FockVector",
     "FockDensityMatrix",
@@ -47,8 +53,8 @@ class FockVector:
             raise ValueError("empty amplitude vector")
         if normalize:
             norm = np.linalg.norm(amp)
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
+            if not (np.isfinite(norm) and norm > 0.0):
+                raise ValueError(f"cannot normalize: norm {norm}")
             amp = amp / norm
         self.amplitudes = amp
 
@@ -83,8 +89,8 @@ class FockDensityMatrix:
             raise ValueError("density matrix must be square and non-empty")
         if normalize:
             tr = np.trace(mat).real
-            if tr <= 0.0:
-                raise ValueError("cannot normalize: non-positive trace")
+            if not (np.isfinite(tr) and tr > 0.0):
+                raise ValueError(f"cannot normalize: trace {tr}")
             mat = mat / tr
         self.entries = mat
 
@@ -165,85 +171,66 @@ def cat(alpha, parity="even", n_c=40):
     return FockVector(amp, normalize=True)
 
 
-def _squeezed_vacuum_amplitudes(xi, n_max):
-    """S(ξ)|0⟩ with S = exp((ξ/2)(â² − â†²)): closed-form even amplitudes."""
-    amp = np.zeros(n_max + 1)
-    t = np.tanh(xi)
-    amp[0] = 1.0 / np.sqrt(np.cosh(xi))
-    # c_{2m} = c_0 (-t)^m sqrt((2m)!)/(2^m m!), stable via the ratio
-    # c_{2m}/c_{2m-2} = -t sqrt((2m-1)(2m)) / (2m)
-    c = amp[0]
-    for m in range(1, n_max // 2 + 1):
-        c *= -t * np.sqrt((2 * m - 1) * (2 * m)) / (2 * m)
-        amp[2 * m] = c
-    return amp
+def _displaced_squeezed_rows(alpha, xi, n_c):
+    """Rows ⟨n|D(α_j)S(ξ)|0⟩ for n ≤ n_c, one per displacement α_j.
 
-
-def _displacement_slab(alpha, rows, cols):
-    """⟨m|D(α)|n⟩ for m < rows, n < cols, via closed-form Laguerre elements.
-
-    Exact projection of the displacement onto a truncated basis; safe for
-    |α|² far above the row cutoff, where a truncated-space exponential
-    would silently rotate weight back into the kept levels.
+    D(α)S(ξ)|0⟩ = c_0 exp(β â† − (t/2) â†²)|0⟩ with t = tanh ξ, β = α + tα*
+    and c_0 = exp(−|α|²/2 − tα*²/2)/√cosh ξ, so the amplitudes obey the
+    Hermite three-term recurrence √(n+1) c_{n+1} = β c_n − t √n c_{n−1}
+    (Yuen, PRA 13, 2226 (1976)).  It runs over all rows at once, on
+    mantissas with a binary exponent per row, renormalised every
+    _RESCALE_EVERY orders: c_0 underflows at far sites while the kept
+    amplitudes need not.  A row bounded below 2^-1100 up to n_c is 0.
     """
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0:
-        return np.eye(rows, cols, dtype=complex)
-    lf = _log_factorial(rows + cols)
-    loga = np.log(abs(alpha))
-    up = -np.conj(alpha) / abs(alpha)  # unit-modulus phase factors only:
-    dn = alpha / abs(alpha)            # magnitudes live in the log prefactor
-    # diagonal k = n - m needs L_d^(|k|)(|α|²) at degree d = min(m, n), and
-    # so degree d only at orders |k| < max(rows, cols) - d: the recurrence
-    # in d runs over that shrinking prefix of orders, all orders at once
-    top = max(rows, cols)
-    orders = np.arange(top)
-    lag = np.empty((min(rows, cols), top))
-    lag[0] = 1.0
-    if lag.shape[0] > 1:
-        lag[1, : top - 1] = 1.0 + orders[: top - 1] - a2
-    for d in range(2, lag.shape[0]):
-        o = orders[: top - d]
-        lag[d, : top - d] = (
-            (2 * d - 1 + o - a2) * lag[d - 1, : top - d] - (d - 1 + o) * lag[d - 2, : top - d]
-        ) / d
-    phase = np.array([dn ** (-k) if k < 0 else up**k for k in range(1 - rows, cols)])
-    m = np.arange(rows)[:, None]
-    n = np.arange(cols)[None, :]
-    low = np.minimum(m, n)
-    k = n - m
-    pref = np.exp(0.5 * (lf[low] - lf[np.maximum(m, n)]) + np.abs(k) * loga - 0.5 * a2)
-    return phase[k + rows - 1] * pref * lag[low, np.abs(k)]
-
-
-def _displaced_squeezed_projection(alpha, xi, n_c):
-    """Amplitudes ⟨n|D(α)S(ξ)|0⟩ for n ≤ n_c (un-renormalized projection)."""
-    if xi == 0.0:
-        src = np.zeros(1)
-        src[0] = 1.0
-    else:
-        # extend squeezed-vacuum support until the dropped tail is negligible
-        n_src = 64
-        while True:
-            src = _squeezed_vacuum_amplitudes(xi, n_src)
-            if np.sum(src[-8:] ** 2) < 1e-28 or n_src >= 4096:
-                break
-            n_src *= 2
-    slab = _displacement_slab(alpha, n_c + 1, src.size)
-    return slab @ src.astype(complex)
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    t = np.tanh(xi)
+    beta = alpha + t * alpha.conj()
+    # Re log c_0, with log cosh ξ written so that it cannot overflow
+    log_c0 = -0.5 * ((1.0 + t) * alpha.real**2 + (1.0 - t) * alpha.imag**2)
+    log_c0 -= 0.5 * (abs(xi) + np.log1p(np.exp(-2.0 * abs(xi))) - np.log(2.0))
+    log2_c0 = log_c0 / np.log(2.0)
+    live = log2_c0 + n_c * np.log2(1.0 + np.abs(beta)) > -1100.0
+    exp = np.where(live, np.floor(log2_c0), 0.0).astype(int)
+    mant = np.empty((n_c + 1, alpha.size), dtype=complex)
+    mant[0] = np.where(live, np.exp2(log2_c0 - exp), 0.0)
+    mant[0] *= np.exp(1j * t * alpha.real * alpha.imag)
+    steps = beta / np.sqrt(np.arange(1.0, n_c + 1.0))[:, None]
+    back = t * np.sqrt(np.arange(n_c) / np.arange(1.0, n_c + 1.0))
+    np.multiply(steps[:1], mant[:1], out=mant[1:2])
+    # exps[n] is the exponent of order n; the two orders that seed a
+    # block are rescaled into it
+    exps = np.empty((n_c + 1, alpha.size), dtype=int)
+    start = 0
+    for n in range(1, n_c):
+        if n % _RESCALE_EVERY == 0:
+            exps[start : n - 1] = exp
+            mag = np.maximum(np.abs(mant[n - 1]), np.abs(mant[n]))
+            shift = np.clip(np.frexp(mag)[1], -1000, 1000)
+            mant[n - 1 : n + 1] *= np.ldexp(1.0, -shift)
+            exp = exp + shift
+            start = n - 1
+        np.multiply(steps[n], mant[n], out=mant[n + 1])
+        mant[n + 1] -= back[n] * mant[n - 1]
+    exps[start:] = exp
+    parts = mant.view(float)
+    np.ldexp(parts, np.repeat(exps, 2, axis=1), out=parts)
+    return mant.T
 
 
 def displaced_squeezed(alpha, xi, n_c=40):
-    """D(α)S(ξ)|0⟩ projected onto n ≤ n_c by closed-form elements.
+    """D(α)S(ξ)|0⟩ on n ≤ n_c, by the Hermite three-term recurrence.
 
-    Positive ξ squeezes Var q below the vacuum 1/2.  The projection is
-    exact, so the norm it misses is the real truncation loss; more than
-    1e-6 of it raises.
+    Positive ξ squeezes Var q below the vacuum 1/2.  The amplitudes are
+    those of the untruncated state, so the norm they miss is the real
+    truncation loss; more than 1e-6 of it raises.
     """
     n_c = int(n_c)
     if n_c < 1:
         raise ValueError("displaced_squeezed needs n_c >= 1")
-    kept = _displaced_squeezed_projection(alpha, float(xi), n_c)
+    xi = float(xi)
+    if not (np.isfinite(alpha) and np.isfinite(xi)):
+        raise ValueError("displaced_squeezed needs finite alpha and xi")
+    kept = _displaced_squeezed_rows(alpha, xi, n_c)[0]
     norm = np.linalg.norm(kept)
     if not norm >= 1.0 - 1e-6:
         raise CutoffError(
@@ -257,14 +244,16 @@ def gkp_logical(logical, delta, t_max=None, n_c=60):
 
     Weighted sum of squeezed peaks displaced along q: logical 0 over even
     lattice sites 2t√π, logical 1 over odd sites (2t+1)√π, envelope weight
-    exp(-(π/2)Δ²s²) at site s, squeezing ξ = −ln Δ.  When t_max is omitted
+    exp(-(π/2)Δ²s²) at site s, squeezing ξ = −ln Δ.  Every peak's
+    amplitudes come from one recurrence over all sites at once, and the
+    state is their weighted row sum, renormalised.  When t_max is omitted
     it grows until the first dropped envelope weight is below 1e-10.
     """
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     xi = -np.log(delta)
     if t_max is None:
         t_max = 1
@@ -273,16 +262,10 @@ def gkp_logical(logical, delta, t_max=None, n_c=60):
     t_max = int(t_max)
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    sites = (
-        [2 * t for t in range(-t_max, t_max + 1)]
-        if logical == 0
-        else [2 * t + 1 for t in range(-t_max, t_max)]
-    )
-    amp = np.zeros(n_c + 1, dtype=complex)
-    for s in sites:
-        w = np.exp(-(np.pi / 2) * delta**2 * s**2)
-        amp += w * _displaced_squeezed_projection(s * np.sqrt(np.pi), xi, n_c)
-    return FockVector(amp, normalize=True)
+    sites = 2 * np.arange(-t_max, t_max + 1 - logical) + logical
+    w = np.exp(-(np.pi / 2) * delta**2 * sites**2)
+    rows = _displaced_squeezed_rows(sites * np.sqrt(np.pi), xi, int(n_c))
+    return FockVector(w @ rows, normalize=True)
 
 
 def qubit_rotation(theta, phi):

@@ -1,12 +1,14 @@
 """State-construction contracts.
 
 Oracles: closed-form coherent overlaps, squeezed-vacuum variances,
-Gaussian-unitary action on moments, and direct matrix exponentials
-independent of the closed-form displacement-element route.
+Gaussian-unitary action on moments, direct matrix exponentials, and the
+closed-form Laguerre displacement slab applied to the squeezed vacuum,
+all independent of the three-term recurrence the states are built by.
 """
 
 import numpy as np
 import pytest
+from mpmath import mp
 from expm_unitaries import (
     annihilation_matrix,
     displace_state,
@@ -19,8 +21,7 @@ from ngm.errors import CutoffError, NormalizationError
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
-    _displaced_squeezed_projection,
-    _displacement_slab,
+    _displaced_squeezed_rows,
     apply_qubit_state,
     as_density,
     cat,
@@ -38,6 +39,7 @@ from ngm.fock import (
     state_to_json,
     trim_density,
 )
+from ngm.numerics import _log_factorial
 
 
 def number_mean(vec):
@@ -127,19 +129,97 @@ def test_displaced_squeezed_cutoff_guard():
 
 
 def test_projection_route_matches_expm_route():
-    # closed-form displacement elements vs truncated matrix exponentials
-    # build space 400: strong squeezing has slow Fock tails and a smaller
-    # exponential reference is itself under-truncated
-    for alpha, xi in [(1.3, 0.4), (-0.7, -0.5), (2.0, 1.0), (-3.5446, 1.6)]:
-        proj = _displaced_squeezed_projection(alpha, xi, 50)
+    # recurrence amplitudes vs truncated matrix exponentials; build space
+    # 400: strong squeezing has slow Fock tails and a smaller exponential
+    # reference is itself under-truncated
+    for alpha, xi in [(1.3, 0.4), (-0.7, -0.5), (2.0, 1.0), (-3.5446, 1.6), (1.2 - 0.8j, 0.7)]:
+        rows = _displaced_squeezed_rows(alpha, xi, 50)
         psi = gaussian_unitary(400, alpha=alpha, xi=xi)[:, 0]
-        assert np.max(np.abs(proj - psi[:51])) < 1e-11, (alpha, xi)
+        assert rows.shape == (1, 51)
+        assert np.max(np.abs(rows[0] - psi[:51])) < 1e-14, (alpha, xi)
 
 
 def test_projection_far_outside_cutoff_is_negligible():
     # |alpha|^2 >> n_c: the honest projection is ~0, not a unitary artifact
-    proj = _displaced_squeezed_projection(8 * np.sqrt(np.pi), 1.6, 60)
-    assert np.linalg.norm(proj) < 1e-9
+    rows = _displaced_squeezed_rows(8 * np.sqrt(np.pi), 1.6, 60)
+    assert np.linalg.norm(rows) < 1e-9
+
+
+def test_recurrence_matches_slab_oracle():
+    rng = np.random.default_rng(20)
+    for _ in range(24):
+        alpha = complex(*rng.uniform(-3.0, 3.0, 2))
+        xi = rng.uniform(-1.0, 1.6)
+        n_c = int(rng.choice([1, 2, 17, 40, 60, 100]))
+        want = slab_projection(alpha, xi, n_c)
+        got = _displaced_squeezed_rows(alpha, xi, n_c)
+        assert np.max(np.abs(got[0] - want)) < 1e-14, (alpha, xi, n_c)
+    # a 10 dB lattice, all sites in one array: |alpha|^2 reaches 1257 at
+    # s = 20, far past where exp(-|alpha|^2/2) underflows (745)
+    xi = np.log(10.0) / 2
+    sites = np.arange(-20, 21)
+    rows = _displaced_squeezed_rows(sites * np.sqrt(np.pi), xi, 60)
+    assert rows.shape == (41, 61) and np.all(np.isfinite(rows))
+    for s, row in zip(sites, rows):
+        assert np.max(np.abs(row - slab_projection(s * np.sqrt(np.pi), xi, 60))) < 1e-14, s
+    assert np.all(rows[sites == 20] == 0.0)
+
+
+def recurrence_reference(alpha, xi, n_c):
+    """The same recurrence at 60 digits, where c_0 cannot underflow."""
+    with mp.workdps(60):
+        a, xi = mp.mpc(alpha), mp.mpf(xi)
+        t = mp.tanh(xi)
+        beta = a + t * mp.conj(a)
+        c = [mp.exp(-abs(a) ** 2 / 2 - t * mp.conj(a) ** 2 / 2) / mp.sqrt(mp.cosh(xi))]
+        c.append(beta * c[0])
+        for n in range(1, n_c):
+            c.append((beta * c[n] - t * mp.sqrt(n) * c[n - 1]) / mp.sqrt(n + 1))
+        return np.array([complex(x) for x in c])
+
+
+@pytest.mark.parametrize("s", [8, 14])
+def test_recurrence_keeps_far_site_amplitudes(s):
+    # at s = 14 (10 dB) c_0 ~ 1e-243 is below the double range, while the
+    # amplitudes near n_c are ~1e-185: the carried exponent keeps every
+    # one of them to relative accuracy, where the slab keeps only 1e-18
+    # absolute
+    alpha, xi = s * np.sqrt(np.pi), np.log(10.0) / 2
+    got = _displaced_squeezed_rows(alpha, xi, 60)[0]
+    want = recurrence_reference(alpha, xi, 60)
+    assert np.all(want != 0.0) and np.max(np.abs(want)) < 1e-30
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha, xi", [(40.0, 0.0), (30 + 25j, 0.3)])
+def test_recurrence_reaches_peaks_past_an_underflowing_seed(alpha, xi):
+    # c_0 ~ 1e-348 underflows while the amplitudes near n = |alpha|^2 are
+    # ~0.1: only an exponent refreshed along the recurrence spans that
+    got = _displaced_squeezed_rows(alpha, xi, 2000)[0]
+    want = recurrence_reference(alpha, xi, 2000)
+    assert want[0] == 0.0 and np.max(np.abs(want)) > 0.05
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_recurrence_complex_alpha_matches_reference():
+    for alpha, xi in [(0.9 - 1.7j, -0.8), (-2.5 + 0.4j, 1.2)]:
+        got = _displaced_squeezed_rows(alpha, xi, 30)[0]
+        want = recurrence_reference(alpha, xi, 30)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_recurrence_extreme_parameters_stay_finite():
+    # cosh xi overflows at xi = 800, and log2 c_0 leaves the integer
+    # range at |alpha| = 1e10: both give honest zeros, no warning, and
+    # the cutoff guard fires; at alpha = 5e-21 the mantissas go
+    # subnormal within one block
+    for alpha, xi in [(0.0, 800.0), (1e10, 0.0), (1e10j, -0.5)]:
+        rows = _displaced_squeezed_rows(alpha, xi, 40)
+        assert np.all(np.isfinite(rows)) and np.linalg.norm(rows) < 1e-150
+        with pytest.raises(CutoffError):
+            displaced_squeezed(alpha, xi, 40)
+    tiny = _displaced_squeezed_rows(5e-21, 0.0, 40)[0]
+    assert np.max(np.abs(tiny - coherent(5e-21, 40).amplitudes)) < 1e-30
 
 
 # ---------------------------------------------------------------------- gkp
@@ -173,6 +253,31 @@ def test_gkp_auto_lattice_range():
         gkp_logical(2, 0.5)
     with pytest.raises(ValueError):
         gkp_logical(0, -0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_builders_reject_non_finite_parameters(bad):
+    # a NaN delta used to pass `delta <= 0` and give an all-NaN state
+    with pytest.raises(ValueError):
+        gkp_logical(0, bad)
+    with pytest.raises(ValueError):
+        displaced_squeezed(bad, 0.3, 40)
+    with pytest.raises(ValueError):
+        displaced_squeezed(complex(1.0, bad), 0.3, 40)
+    with pytest.raises(ValueError):
+        displaced_squeezed(1.0, bad, 40)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_normalize_rejects_non_finite_norm_and_trace(bad):
+    with pytest.raises(ValueError):
+        FockVector([bad, 1.0], normalize=True)
+    with pytest.raises(ValueError):
+        FockVector([0.0, 0.0], normalize=True)
+    with pytest.raises(ValueError):
+        FockDensityMatrix(np.diag([bad, 1.0]), normalize=True)
+    with pytest.raises(ValueError):
+        FockDensityMatrix(np.diag([-1.0, 0.5]), normalize=True)
 
 
 # ----------------------------------------------------- qubits, random states
@@ -355,6 +460,70 @@ def laguerre_sequence(k, x, n_max):
         yield cur
 
 
+def squeezed_vacuum_amplitudes(xi, n_max):
+    """S(ξ)|0⟩ with S = exp((ξ/2)(â² − â†²)): closed-form even amplitudes."""
+    amp = np.zeros(n_max + 1)
+    t = np.tanh(xi)
+    amp[0] = 1.0 / np.sqrt(np.cosh(xi))
+    # c_{2m} = c_0 (-t)^m sqrt((2m)!)/(2^m m!), stable via the ratio
+    # c_{2m}/c_{2m-2} = -t sqrt((2m-1)(2m)) / (2m)
+    c = amp[0]
+    for m in range(1, n_max // 2 + 1):
+        c *= -t * np.sqrt((2 * m - 1) * (2 * m)) / (2 * m)
+        amp[2 * m] = c
+    return amp
+
+
+def displacement_slab(alpha, rows, cols):
+    """⟨m|D(α)|n⟩ for m < rows, n < cols, via closed-form Laguerre elements.
+
+    Exact projection of the displacement onto a truncated basis; safe for
+    |α|² far above the row cutoff, where a truncated-space exponential
+    would silently rotate weight back into the kept levels.
+    """
+    a2 = abs(alpha) ** 2
+    if a2 == 0.0:
+        return np.eye(rows, cols, dtype=complex)
+    lf = _log_factorial(rows + cols)
+    loga = np.log(abs(alpha))
+    up = -np.conj(alpha) / abs(alpha)  # unit-modulus phase factors only:
+    dn = alpha / abs(alpha)            # magnitudes live in the log prefactor
+    # diagonal k = n - m needs L_d^(|k|)(|α|²) at degree d = min(m, n), and
+    # so degree d only at orders |k| < max(rows, cols) - d: the recurrence
+    # in d runs over that shrinking prefix of orders, all orders at once
+    top = max(rows, cols)
+    orders = np.arange(top)
+    lag = np.empty((min(rows, cols), top))
+    lag[0] = 1.0
+    if lag.shape[0] > 1:
+        lag[1, : top - 1] = 1.0 + orders[: top - 1] - a2
+    for d in range(2, lag.shape[0]):
+        o = orders[: top - d]
+        lag[d, : top - d] = (
+            (2 * d - 1 + o - a2) * lag[d - 1, : top - d] - (d - 1 + o) * lag[d - 2, : top - d]
+        ) / d
+    phase = np.array([dn ** (-k) if k < 0 else up**k for k in range(1 - rows, cols)])
+    m = np.arange(rows)[:, None]
+    n = np.arange(cols)[None, :]
+    low = np.minimum(m, n)
+    k = n - m
+    pref = np.exp(0.5 * (lf[low] - lf[np.maximum(m, n)]) + np.abs(k) * loga - 0.5 * a2)
+    return phase[k + rows - 1] * pref * lag[low, np.abs(k)]
+
+
+def slab_projection(alpha, xi, n_c):
+    """⟨n|D(α)S(ξ)|0⟩, n ≤ n_c, as the slab times the squeezed vacuum.
+
+    The source grows until its dropped tail is below 1e-28.
+    """
+    n_src = 64
+    src = squeezed_vacuum_amplitudes(xi, n_src)
+    while np.sum(src[-8:] ** 2) >= 1e-28:
+        n_src *= 2
+        src = squeezed_vacuum_amplitudes(xi, n_src)
+    return displacement_slab(alpha, n_c + 1, src.size) @ src.astype(complex)
+
+
 def slab_by_diagonals(alpha, rows, cols):
     """<m|D(alpha)|n> one diagonal at a time, one Laguerre sequence each."""
     a2 = abs(alpha) ** 2
@@ -385,7 +554,7 @@ def slab_by_diagonals(alpha, rows, cols):
 @pytest.mark.parametrize("shape", [(61, 1024), (61, 512), (161, 64), (1, 5), (5, 1)])
 def test_displacement_slab_matches_diagonal_loop(alpha, shape):
     # same recurrence, same operations: the slabs agree bit for bit
-    assert np.array_equal(_displacement_slab(alpha, *shape), slab_by_diagonals(alpha, *shape))
+    assert np.array_equal(displacement_slab(alpha, *shape), slab_by_diagonals(alpha, *shape))
 
 
 def test_validators_reject_nan():
