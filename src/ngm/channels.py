@@ -3,7 +3,10 @@
 A thermal-loss channel (transmissivity tau, environment occupancy n_bar)
 decomposes exactly into a pure-loss channel of transmissivity eta = tau/G
 followed by a quantum-limited amplifier of gain G = 1 + (1-tau) n_bar.
-The Fock engine applies the truncated Kraus sums of both pieces; the
+The Fock engine applies the truncated Kraus sums of both pieces.  Each
+Kraus operator of either piece has one nonzero diagonal (a scaled a^l or
+(a^dag)^k), so A rho A^dag is a shifted copy of rho scaled by the outer
+product of that diagonal with itself: O(dim^2) per order.  The
 phase-space engine rescales the Wigner field by sqrt(tau) and convolves
 with the (analytic) rescaled thermal Gaussian.  The two engines share no
 code past the input state, which makes their agreement a meaningful
@@ -21,9 +24,8 @@ from .numerics import (
     _edge_max,
     _log_factorial,
     convolve_gaussian,
-    integrate,
 )
-from .wigner import WignerField
+from .wigner import MASS_TOL, WignerField
 
 __all__ = [
     "ThermalLossSpec",
@@ -61,75 +63,55 @@ class ThermalLossSpec:
 
 
 def pure_loss_kraus(eta, l_max, dim):
-    """Kraus matrices of the pure-loss channel of transmissivity eta.
+    """Kraus operators of the pure-loss channel of transmissivity eta.
 
-    The l-th matrix is sqrt((1-eta)^l / l!) eta^{n/2} a^l; on the subspace
-    with at most l_max photons the family is exactly complete.
+    The l-th operator is sqrt((1-eta)^l / l!) eta^{n/2} a^l; on the subspace
+    with at most l_max photons the family is exactly complete.  It has one
+    nonzero diagonal, l above the main one, so the l-th entry of the
+    returned list is that diagonal: the operator is ``np.diag(v[l], l)``.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"transmissivity eta = {eta} must lie in (0, 1]")
     if not 0 <= l_max <= dim:
         raise ValueError("Kraus order must lie within the space dimension")
-    lf = _log_factorial(dim)
-    ops = []
-    for l in range(l_max + 1):
-        A = np.zeros((dim, dim))
-        ns = np.arange(l, dim)
-        if eta == 1.0:
-            if l == 0:
-                A[ns, ns] = 1.0
-            ops.append(A)
-            continue
-        log_amp = 0.5 * (
-            l * np.log(1.0 - eta)
-            - lf[l]
-            + (ns - l) * np.log(eta)
-            + lf[ns]
-            - lf[ns - l]
-        )
-        A[ns - l, ns] = np.exp(log_amp)
-        ops.append(A)
-    return ops
+    v = np.zeros((l_max + 1, dim))
+    if eta == 1.0:
+        v[0] = 1.0
+    else:
+        # cell (l, i) holds the amplitude of |n - l><n| at n = i + l
+        l, i = np.nonzero(np.add.outer(np.arange(l_max + 1), np.arange(dim)) < dim)
+        ns = i + l
+        lf = _log_factorial(dim)
+        v[l, i] = np.exp(0.5 * (
+            l * np.log(1.0 - eta) - lf[l] + (ns - l) * np.log(eta) + lf[ns] - lf[ns - l]
+        ))
+    return [v[l, : dim - l] for l in range(l_max + 1)]
 
 
 def amplifier_kraus(gain, k_max, dim):
-    """Kraus matrices of the quantum-limited amplifier with the given gain.
+    """Kraus operators of the quantum-limited amplifier with the given gain.
 
-    The k-th matrix is sqrt(((gain-1)/gain)^k / (k! gain)) (a^dag)^k
-    gain^{-n/2}.
+    The k-th operator is sqrt(((gain-1)/gain)^k / (k! gain)) (a^dag)^k
+    gain^{-n/2}.  It has one nonzero diagonal, k below the main one, so
+    the k-th entry of the returned list is that diagonal: the operator is
+    ``np.diag(v[k], -k)``.
     """
     if gain < 1.0:
         raise ValueError(f"amplifier gain = {gain} must be >= 1")
     if not 0 <= k_max <= dim:
         raise ValueError("Kraus order must lie within the space dimension")
-    lf = _log_factorial(dim)
-    ops = []
-    for k in range(k_max + 1):
-        B = np.zeros((dim, dim))
-        ns = np.arange(0, dim - k)
-        if gain == 1.0:
-            if k == 0:
-                B[ns, ns] = 1.0
-            ops.append(B)
-            continue
-        log_amp = 0.5 * (
-            k * np.log((gain - 1.0) / gain)
-            - lf[k]
-            - np.log(gain)
-            + lf[ns + k]
-            - lf[ns]
-            - ns * np.log(gain)
-        )
-        B[ns + k, ns] = np.exp(log_amp)
-        ops.append(B)
-    return ops
-
-
-def _kraus_apply(rho, ops):
-    out = np.zeros_like(ops[0], dtype=complex)
-    for op in ops:
-        out += op @ rho @ op.conj().T
-    return out
+    v = np.zeros((k_max + 1, dim))
+    if gain == 1.0:
+        v[0] = 1.0
+    else:
+        # cell (k, n) holds the amplitude of |n + k><n|
+        k, ns = np.nonzero(np.add.outer(np.arange(k_max + 1), np.arange(dim)) < dim)
+        lf = _log_factorial(dim)
+        v[k, ns] = np.exp(0.5 * (
+            k * np.log((gain - 1.0) / gain) - lf[k] - np.log(gain)
+            + lf[ns + k] - lf[ns] - ns * np.log(gain)
+        ))
+    return [v[k, : dim - k] for k in range(k_max + 1)]
 
 
 def thermal_loss_fock(rho, spec, l_max=None, k_max=None):
@@ -152,12 +134,17 @@ def thermal_loss_fock(rho, spec, l_max=None, k_max=None):
         # the amplifier adds quanta into fresh headroom, so its order is
         # not bounded by the input dimension
         k_max = KRAUS_ORDER_CAP
+    c = rho.entries
     while True:
-        lost = _kraus_apply(rho.entries, pure_loss_kraus(spec.eta, min(l_max, dim), dim))
+        # (v_i rho_ij) v_j is the expression the dense op @ rho @ op.T
+        # evaluates per element, so the sums match it bit for bit
+        lost = np.zeros((dim, dim), dtype=complex)
+        for l, v in enumerate(pure_loss_kraus(spec.eta, min(l_max, dim), dim)):
+            lost[: dim - l, : dim - l] += v[:, None] * c[l:, l:] * v
         out_dim = dim + k_max
-        mid = np.zeros((out_dim, out_dim), dtype=complex)
-        mid[:dim, :dim] = lost
-        out = _kraus_apply(mid, amplifier_kraus(spec.gain, k_max, out_dim))
+        out = np.zeros((out_dim, out_dim), dtype=complex)
+        for k, v in enumerate(amplifier_kraus(spec.gain, k_max, out_dim)):
+            out[k : k + dim, k : k + dim] += v[:dim, None] * lost * v[:dim]
         trace = float(np.trace(out).real)
         if trace >= 1.0 - TRACE_DEFICIT_TOL:
             break
@@ -230,22 +217,30 @@ def _bilinear(values, grid, q, p):
     return lo * rows[:, j] + hi * rows[:, j + 1]
 
 
-def thermal_loss_phase_space(field, spec, grid=None):
+def thermal_loss_phase_space(field, spec):
     """Rescale-and-convolve realization of the thermal-loss channel.
 
     W_out = L_sqrt(tau)[W_in] * L_sqrt(1-tau)[W_thermal]; the rescaled
     thermal Wigner function is the Gaussian with covariance
     (1-tau)(n_bar + 1/2) I, applied analytically in the spectral domain.
-    The output is renormalized on its grid.
+    The output is renormalized on its grid.  A convolved mass off 1 by
+    more than MASS_TOL (or NaN) raises TruncationRiskError: below 1 the
+    kernel spread the field past the grid, above 1 the grid is too coarse
+    to integrate the rescaled field.
     """
     scaled = rescale(field, np.sqrt(spec.tau))
     kernel_cov = (1.0 - spec.tau) * (spec.n_bar + 0.5) * np.eye(2)
     values = convolve_gaussian(scaled.values, scaled.grid, kernel_cov)
-    out = WignerField(scaled.grid, values)
-    mass = out.integral()
-    out = WignerField(scaled.grid, values / mass)
-    if grid is not None and grid != scaled.grid:
-        resampled = _bilinear(out.values, scaled.grid, grid.q, grid.p)
-        resampled /= integrate(resampled, grid)
-        out = WignerField(grid, resampled)
-    return out
+    mass = WignerField(scaled.grid, values).integral()
+    if not abs(mass - 1.0) <= MASS_TOL:
+        if mass > 1.0:
+            cause = "the grid is too coarse for the rescaled field (--grid-points)"
+        else:
+            cause = (f"{1.0 - mass:.3e} is lost off the grid; a wider grid "
+                     "(--extent-sigmas) is needed")
+        raise TruncationRiskError(
+            f"phase-space channel output keeps mass {mass:.6f}, beyond "
+            f"{MASS_TOL:.0e} of 1: {cause}",
+            magnitude=abs(mass - 1.0),
+        )
+    return WignerField(scaled.grid, values / mass)

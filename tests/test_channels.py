@@ -6,13 +6,25 @@ G-1 under amplification; rescaling preserves mass, scales covariance by
 s^2, and shifts the entropy by ln s^2.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from ngm import channels
 from ngm.errors import GridError, TruncationRiskError
-from ngm.fock import FockDensityMatrix, FockVector, cat, coherent, random_qudit
+from ngm.fock import (
+    FockDensityMatrix,
+    FockVector,
+    cat,
+    coherent,
+    random_qudit,
+    trim_density,
+)
 from ngm.channels import (
+    KRAUS_ORDER_CAP,
+    TRACE_DEFICIT_TOL,
     ThermalLossSpec,
     _bilinear,
     amplifier_kraus,
@@ -59,8 +71,18 @@ def test_spec_domain_errors(tau, n_bar):
 # -------------------------------------------------------------- Kraus sets
 
 
+def loss_matrices(eta, l_max, dim):
+    """The pure-loss operators as dense matrices, from their diagonals."""
+    return [np.diag(v, l) for l, v in enumerate(pure_loss_kraus(eta, l_max, dim))]
+
+
+def amplifier_matrices(gain, k_max, dim):
+    """The amplifier operators as dense matrices, from their diagonals."""
+    return [np.diag(v, -k) for k, v in enumerate(amplifier_kraus(gain, k_max, dim))]
+
+
 def test_pure_loss_identity_at_unit_eta():
-    ops = pure_loss_kraus(1.0, 4, 6)
+    ops = loss_matrices(1.0, 4, 6)
     assert np.allclose(ops[0], np.eye(6))
     for op in ops[1:]:
         assert np.allclose(op, 0.0)
@@ -68,7 +90,7 @@ def test_pure_loss_identity_at_unit_eta():
 
 def test_pure_loss_completeness():
     dim, l_max = 24, 12
-    ops = pure_loss_kraus(0.37, l_max, dim)
+    ops = loss_matrices(0.37, l_max, dim)
     total = sum(op.T @ op for op in ops)
     sub = total[: l_max + 1, : l_max + 1]
     assert np.max(np.abs(sub - np.eye(l_max + 1))) < 1e-10
@@ -82,7 +104,7 @@ def test_single_photon_loss_closed_form():
 
 
 def test_amplifier_identity_at_unit_gain():
-    ops = amplifier_kraus(1.0, 3, 5)
+    ops = amplifier_matrices(1.0, 3, 5)
     assert np.allclose(ops[0], np.eye(5))
     for op in ops[1:]:
         assert np.allclose(op, 0.0)
@@ -90,7 +112,7 @@ def test_amplifier_identity_at_unit_gain():
 
 def test_amplifier_completeness_protected_subspace():
     dim, k_max = 40, 30
-    ops = amplifier_kraus(1.2, k_max, dim)
+    ops = amplifier_matrices(1.2, k_max, dim)
     total = sum(op.T @ op for op in ops)
     # completeness fails only where (a^dag)^k would overflow the cutoff
     protected = dim - k_max
@@ -100,7 +122,7 @@ def test_amplifier_completeness_protected_subspace():
 
 def test_amplifier_vacuum_mean_photon():
     dim = 40
-    ops = amplifier_kraus(1.2, 30, dim)
+    ops = amplifier_matrices(1.2, 30, dim)
     vac = np.zeros((dim, dim))
     vac[0, 0] = 1.0
     out = sum(op @ vac @ op.T for op in ops)
@@ -137,10 +159,16 @@ def test_loss_composition():
 
 
 def test_truncation_deficit_reported():
-    with pytest.raises(TruncationRiskError):
-        thermal_loss_fock(
-            coherent(3.0).to_density(), ThermalLossSpec(0.5, 0.0), l_max=1, k_max=1
-        )
+    cases = [(coherent(3.0).to_density(), 0.5), (cat(5.0, n_c=100).to_density(), 0.1)]
+    for rho, tau in cases:
+        spec = ThermalLossSpec(tau, 0.0)
+        with pytest.raises(TruncationRiskError) as got:
+            thermal_loss_fock(rho, spec, l_max=1, k_max=1)
+        # the same message and magnitude as the dense route
+        with pytest.raises(TruncationRiskError) as want:
+            dense_thermal_loss(rho, spec, l_max=1, k_max=1)
+        assert str(got.value) == str(want.value)
+        assert got.value.magnitude == want.value.magnitude
 
 
 # ln(n!) for n = 0..256, the fixed table the Kraus builders once indexed
@@ -173,10 +201,114 @@ def fixed_table_kraus(eta, gain, order, dim):
 def test_kraus_matrices_equal_fixed_table_bitwise(dim):
     order = min(dim, 30)
     loss, amp = fixed_table_kraus(0.37, 1.2, order, dim)
-    for got, want in zip(pure_loss_kraus(0.37, order, dim), loss, strict=True):
+    for got, want in zip(loss_matrices(0.37, order, dim), loss, strict=True):
         assert np.array_equal(got, want)
-    for got, want in zip(amplifier_kraus(1.2, order, dim), amp, strict=True):
+    for got, want in zip(amplifier_matrices(1.2, order, dim), amp, strict=True):
         assert np.array_equal(got, want)
+
+
+def _kraus_apply(rho, ops):
+    out = np.zeros_like(ops[0], dtype=complex)
+    for op in ops:
+        out += op @ rho @ op.conj().T
+    return out
+
+
+def dense_thermal_loss(rho, spec, l_max=None, k_max=None):
+    """thermal_loss_fock with each Kraus order applied as two dense GEMMs,
+    op @ rho @ op^dag, the amplifier acting on rho zero-padded to the
+    output dimension.  Same orders, doubling rule, warning and error."""
+    dim = rho.dim
+    auto = l_max is None and k_max is None
+    if l_max is None:
+        l_max = min(dim - 1, KRAUS_ORDER_CAP)
+    if k_max is None:
+        k_max = KRAUS_ORDER_CAP
+    while True:
+        lost = _kraus_apply(rho.entries, loss_matrices(spec.eta, min(l_max, dim), dim))
+        out_dim = dim + k_max
+        mid = np.zeros((out_dim, out_dim), dtype=complex)
+        mid[:dim, :dim] = lost
+        out = _kraus_apply(mid, amplifier_matrices(spec.gain, k_max, out_dim))
+        trace = float(np.trace(out).real)
+        if trace >= 1.0 - TRACE_DEFICIT_TOL:
+            break
+        if auto:
+            auto = False
+            l_max *= 2
+            k_max *= 2
+            warnings.warn(
+                f"Kraus orders escalated to l_max={l_max}, k_max={k_max} "
+                f"to close a trace deficit of {1.0 - trace:.3e}",
+                RuntimeWarning,
+            )
+            continue
+        raise TruncationRiskError(
+            f"channel output keeps trace {trace:.8f} < 1 - {TRACE_DEFICIT_TOL:.0e} "
+            f"at l_max={l_max}, k_max={k_max}",
+            magnitude=1.0 - trace,
+        )
+    out /= trace
+    return trim_density(FockDensityMatrix(out), tol=1e-12)
+
+
+def recorded(engine, rho, spec, **orders):
+    """engine's output entries and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entries = engine(rho, spec, **orders).entries
+    return entries, [str(w.message) for w in caught]
+
+
+DIMENSION_STATES = {
+    2: lambda: random_qudit(2, seed=4),
+    7: lambda: random_qudit(7, seed=4),
+    61: lambda: cat(1.5, n_c=60).to_density(),
+    200: lambda: cat(1.5, n_c=199).to_density(),
+    300: lambda: cat(1.0, n_c=299).to_density(),
+}
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.2])
+@pytest.mark.parametrize("dim", sorted(DIMENSION_STATES))
+def test_thermal_loss_equals_dense_route_bitwise(dim, n_bar):
+    rho = DIMENSION_STATES[dim]()
+    assert rho.dim == dim
+    spec = ThermalLossSpec(0.6, n_bar)
+    got = thermal_loss_fock(rho, spec)
+    assert np.array_equal(got.entries, dense_thermal_loss(rho, spec).entries)
+
+
+def test_escalation_equals_dense_route_bitwise():
+    rho = cat(5.0, n_c=100).to_density()
+    spec = ThermalLossSpec(0.1, 0.0)
+    got, got_warnings = recorded(thermal_loss_fock, rho, spec)
+    want, want_warnings = recorded(dense_thermal_loss, rho, spec)
+    assert np.array_equal(got, want)
+    assert got_warnings == want_warnings
+    assert len(got_warnings) == 1 and "Kraus orders escalated" in got_warnings[0]
+
+
+@pytest.mark.parametrize(
+    "rho,tau,passes",
+    [(random_qudit(7, seed=0), 0.6, 1), (cat(5.0, n_c=100).to_density(), 0.1, 2)],
+    ids=["one-pass", "escalated"],
+)
+def test_one_pure_loss_build_per_kraus_pass(monkeypatch, rho, tau, passes):
+    # perfbench counts channels.kraus.escalations as the pure_loss_kraus
+    # calls beyond the first inside one thermal_loss_fock
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pure_loss_kraus(*args)
+
+    monkeypatch.setattr(channels, "pure_loss_kraus", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        thermal_loss_fock(rho, ThermalLossSpec(tau, 0.0))
+    assert len(calls) == passes
+    assert len(caught) == passes - 1
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 0.1])
@@ -288,6 +420,15 @@ def test_phase_space_vacuum_covariance_update():
     out = thermal_loss_phase_space(f, ThermalLossSpec(tau, n_bar))
     want = (tau * 0.5 + (1 - tau) * (n_bar + 0.5)) * np.eye(2)
     assert np.allclose(moments(out).V, want, atol=1e-4)
+
+
+def test_phase_space_mass_lost_off_the_grid_raises():
+    # n_bar = 20 at tau = 0.05 spreads the cat past its default grid,
+    # which keeps 82% of the mass
+    f = wigner_from_fock(cat(1.5).to_density())
+    with pytest.raises(TruncationRiskError, match="--extent-sigmas") as err:
+        thermal_loss_phase_space(f, ThermalLossSpec(0.05, 20.0))
+    assert 0.17 < err.value.magnitude < 0.19
 
 
 def test_cross_engine_pointwise():

@@ -302,6 +302,16 @@ def test_channel_tau_validation(capsys):
     assert err.value.code == 2
 
 
+def test_channel_phase_space_mass_loss_exits_three(capsys):
+    argv = ["channel", "--cat", "1.5", "--tau", "0.05", "--nbar", "20",
+            "--engine", "phasespace"]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    assert doc["error"]["type"] == "TruncationRiskError"
+    assert "lost off the grid" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("engine", ["fock", "phasespace", "both"])
 @pytest.mark.parametrize("nbar", ["nan", "inf"])
 def test_channel_rejects_non_finite_nbar(capsys, nbar, engine):
