@@ -114,28 +114,25 @@ def amplifier_kraus(gain, k_max, dim):
     return [v[k, : dim - k] for k in range(k_max + 1)]
 
 
-def thermal_loss_fock(rho, spec, l_max=None, k_max=None):
+def thermal_loss_fock(rho, spec):
     """Loss-then-amplifier Kraus evolution in the truncated Fock basis.
 
-    Default orders are min(dim - 1, 30); with defaults in effect a trace
-    deficit beyond 1e-6 triggers one doubling of both orders before the
-    deficit is reported as an error.  The output is renormalized and
-    trimmed of negligible trailing Fock levels.
+    The Kraus orders are min(dim - 1, 30) for the loss and 30 for the
+    amplifier; a trace deficit beyond 1e-6 triggers one doubling of both
+    orders before the deficit is reported as an error.  The output is
+    renormalized and trimmed of negligible trailing Fock levels.
     """
     rho = as_density(rho)
     dim = rho.dim
     if spec.tau == 1.0:
         return rho
-    auto = l_max is None and k_max is None
-    if l_max is None:
-        # loss can remove at most dim - 1 quanta from the truncated state
-        l_max = min(dim - 1, KRAUS_ORDER_CAP)
-    if k_max is None:
-        # the amplifier adds quanta into fresh headroom, so its order is
-        # not bounded by the input dimension
-        k_max = KRAUS_ORDER_CAP
+    # loss can remove at most dim - 1 quanta from the truncated state
+    l_max = min(dim - 1, KRAUS_ORDER_CAP)
+    # the amplifier adds quanta into fresh headroom, so its order is not
+    # bounded by the input dimension
+    k_max = KRAUS_ORDER_CAP
     c = rho.entries
-    while True:
+    for escalated in (False, True):
         # (v_i rho_ij) v_j is the expression the dense op @ rho @ op.T
         # evaluates per element, so the sums match it bit for bit
         lost = np.zeros((dim, dim), dtype=complex)
@@ -148,55 +145,42 @@ def thermal_loss_fock(rho, spec, l_max=None, k_max=None):
         trace = float(np.trace(out).real)
         if trace >= 1.0 - TRACE_DEFICIT_TOL:
             break
-        if auto:
-            auto = False
-            l_max *= 2
-            k_max *= 2
-            warnings.warn(
-                f"Kraus orders escalated to l_max={l_max}, k_max={k_max} "
-                f"to close a trace deficit of {1.0 - trace:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
+        if escalated:
+            raise TruncationRiskError(
+                f"channel output keeps trace {trace:.8f} < 1 - {TRACE_DEFICIT_TOL:.0e} "
+                f"at l_max={l_max}, k_max={k_max}",
+                magnitude=1.0 - trace,
             )
-            continue
-        raise TruncationRiskError(
-            f"channel output keeps trace {trace:.8f} < 1 - {TRACE_DEFICIT_TOL:.0e} "
-            f"at l_max={l_max}, k_max={k_max}",
-            magnitude=1.0 - trace,
+        l_max *= 2
+        k_max *= 2
+        warnings.warn(
+            f"Kraus orders escalated to l_max={l_max}, k_max={k_max} "
+            f"to close a trace deficit of {1.0 - trace:.3e}",
+            RuntimeWarning,
+            stacklevel=2,
         )
     out /= trace
     return trim_density(FockDensityMatrix(out), tol=1e-12)
 
 
-def _scale_pair(s):
-    if np.isscalar(s):
-        return float(s), float(s)
-    s = np.asarray(s, dtype=float)
-    if s.shape != (2, 2) or s[0, 1] != 0.0 or s[1, 0] != 0.0:
-        raise ValueError("matrix rescaling supports diagonal 2x2 factors only")
-    return float(s[0, 0]), float(s[1, 1])
-
-
 def rescale(field, s):
     """Phase-space dilation (1/s^2) W(r/s) on the field's own grid.
 
-    Accepts a scalar s or a diagonal 2x2 matrix with per-axis factors.
-    Resampling is bilinear, one axis at a time; shrinking factors (s < 1)
-    sample beyond the original extent, which is only sound when the field
+    Resampling is bilinear, one axis at a time; a shrinking factor (s < 1)
+    samples beyond the original extent, which is only sound when the field
     has decayed at the boundary (checked).
     """
-    sq, sp = _scale_pair(s)
-    if sq <= 0.0 or sp <= 0.0:
-        raise ValueError("rescaling factors must be positive")
+    if not s > 0.0:
+        raise ValueError("rescaling factor must be positive")
     g = field.grid
-    if sq < 1.0 or sp < 1.0:
+    if s < 1.0:
         edge = _edge_max(field.values)
         if not edge <= BOUNDARY_TOL:
             raise GridError(
                 f"rescaled support leaves the grid: boundary magnitude {edge:.3e} "
                 f"exceeds {BOUNDARY_TOL:.0e}"
             )
-    return WignerField(g, _bilinear(field.values, g, g.q / sq, g.p / sp) / (sq * sp))
+    return WignerField(g, _bilinear(field.values, g, g.q / s, g.p / s) / (s * s))
 
 
 def _linear_weights(axis, x):

@@ -35,8 +35,9 @@ from .fisher import (
     fisher_from_field,
     fock_fisher_sweep,
 )
-from .fock import as_density, cat, load_state
+from .fock import as_density, cat, load_state, state_moments
 from .measure import _physical_quadrature, measure_from_field, ngm
+from .numerics import PhaseSpaceGrid
 from .wigner import default_grid, wigner_from_fock, wigner_gradient
 
 __all__ = [
@@ -349,7 +350,11 @@ def cmd_channel(config):
         _print_value("after[fock]: ", value)
     if config.engine in ("phasespace", "both"):
         def run_phase_space():
-            field = wigner_from_fock(rho, grid=grid)
+            # wide enough for the output too, whose mean sqrt(tau) d is inside
+            mean, cov = state_moments(rho)
+            out_cov = spec.tau * cov + (1.0 - spec.tau) * (spec.n_bar + 0.5) * np.eye(2)
+            field = wigner_from_fock(rho, grid=PhaseSpaceGrid.for_moments(
+                mean, np.maximum(cov, out_cov), points=config.points, sigmas=config.sigmas))
             return measure_from_field(thermal_loss_phase_space(field, spec))
 
         value, extra = _collect(run_phase_space)

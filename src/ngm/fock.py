@@ -14,13 +14,7 @@ import json
 import numpy as np
 
 from .errors import CutoffError, NormalizationError
-from .numerics import _log_factorial
-
-# orders between exponent refreshes of the displaced-squeezed recurrence:
-# a refresh costs four numpy calls, and between two of them a mantissa
-# grows by at most (1 + |β|)^16, far inside the double range for any row
-# that is not zeroed outright
-_RESCALE_EVERY = 16
+from .numerics import _log_factorial, _three_term
 
 __all__ = [
     "FockVector",
@@ -31,7 +25,6 @@ __all__ = [
     "displaced_squeezed",
     "gkp_logical",
     "qubit_rotation",
-    "haar_unitary",
     "random_qudit",
     "apply_qubit_state",
     "state_moments",
@@ -134,8 +127,8 @@ def _coherent_amplitudes(alpha, n_c):
         amp[0] = 1.0
         return amp
     logmag = n * np.log(a) - 0.5 * lf - 0.5 * a**2
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(logmag) * phase
+    # (alpha/|alpha|)^n is exactly (+-1)^n for a real alpha; e^{i n pi} is not
+    return np.exp(logmag) * (alpha / a) ** n
 
 
 def coherent(alpha, n_c=40):
@@ -166,8 +159,8 @@ def cat(alpha, parity="even", n_c=40):
     leak = 1.0 - float(np.sum(np.abs(plus) ** 2))
     if leak > 1e-8:
         raise CutoffError(f"cat truncation leakage {leak:.3e} > 1e-8 at n_c={n_c}")
-    amp = plus + sign * _coherent_amplitudes(-alpha, n_c)
-    # parity selection is exact here: odd (even) Fock entries cancel to 0.0
+    # <n|-alpha> = (-1)^n <n|alpha> exactly: odd (even) entries cancel to 0.0
+    amp = plus + sign * (-1.0) ** np.arange(n_c + 1) * plus
     return FockVector(amp, normalize=True)
 
 
@@ -177,10 +170,9 @@ def _displaced_squeezed_rows(alpha, xi, n_c):
     D(α)S(ξ)|0⟩ = c_0 exp(β â† − (t/2) â†²)|0⟩ with t = tanh ξ, β = α + tα*
     and c_0 = exp(−|α|²/2 − tα*²/2)/√cosh ξ, so the amplitudes obey the
     Hermite three-term recurrence √(n+1) c_{n+1} = β c_n − t √n c_{n−1}
-    (Yuen, PRA 13, 2226 (1976)).  It runs over all rows at once, on
-    mantissas with a binary exponent per row, renormalised every
-    _RESCALE_EVERY orders: c_0 underflows at far sites while the kept
-    amplitudes need not.  A row bounded below 2^-1100 up to n_c is 0.
+    (Yuen, PRA 13, 2226 (1976)), run over all rows at once by
+    ``_three_term``.  c_0 underflows at far sites while the kept amplitudes
+    need not, so there it enters as a mantissa and a binary exponent.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     t = np.tanh(xi)
@@ -189,32 +181,11 @@ def _displaced_squeezed_rows(alpha, xi, n_c):
     log_c0 = -0.5 * ((1.0 + t) * alpha.real**2 + (1.0 - t) * alpha.imag**2)
     log_c0 -= 0.5 * (abs(xi) + np.log1p(np.exp(-2.0 * abs(xi))) - np.log(2.0))
     log2_c0 = log_c0 / np.log(2.0)
-    live = log2_c0 + n_c * np.log2(1.0 + np.abs(beta)) > -1100.0
-    exp = np.where(live, np.floor(log2_c0), 0.0).astype(int)
-    mant = np.empty((n_c + 1, alpha.size), dtype=complex)
-    mant[0] = np.where(live, np.exp2(log2_c0 - exp), 0.0)
-    mant[0] *= np.exp(1j * t * alpha.real * alpha.imag)
-    steps = beta / np.sqrt(np.arange(1.0, n_c + 1.0))[:, None]
+    exp = np.where(log2_c0 < -1022.0, np.floor(log2_c0), 0.0)
+    c0 = np.exp2(log2_c0 - exp) * np.exp(1j * t * alpha.real * alpha.imag)
+    step = 1.0 / np.sqrt(np.arange(1.0, n_c + 1.0))
     back = t * np.sqrt(np.arange(n_c) / np.arange(1.0, n_c + 1.0))
-    np.multiply(steps[:1], mant[:1], out=mant[1:2])
-    # exps[n] is the exponent of order n; the two orders that seed a
-    # block are rescaled into it
-    exps = np.empty((n_c + 1, alpha.size), dtype=int)
-    start = 0
-    for n in range(1, n_c):
-        if n % _RESCALE_EVERY == 0:
-            exps[start : n - 1] = exp
-            mag = np.maximum(np.abs(mant[n - 1]), np.abs(mant[n]))
-            shift = np.clip(np.frexp(mag)[1], -1000, 1000)
-            mant[n - 1 : n + 1] *= np.ldexp(1.0, -shift)
-            exp = exp + shift
-            start = n - 1
-        np.multiply(steps[n], mant[n], out=mant[n + 1])
-        mant[n + 1] -= back[n] * mant[n - 1]
-    exps[start:] = exp
-    parts = mant.view(float)
-    np.ldexp(parts, np.repeat(exps, 2, axis=1), out=parts)
-    return mant.T
+    return _three_term(beta, c0, exp, step, back, n_c + 1).T
 
 
 def displaced_squeezed(alpha, xi, n_c=40):
@@ -274,15 +245,6 @@ def qubit_rotation(theta, phi):
     return np.array(
         [[c, np.exp(1j * phi) * s], [np.exp(-1j * phi) * s, -c]], dtype=complex
     )
-
-
-def haar_unitary(d, seed):
-    """Haar-random unitary: QR of a complex Ginibre matrix, phases fixed."""
-    d = int(d)
-    if d < 1:
-        raise ValueError("haar_unitary needs d >= 1")
-    rng = np.random.default_rng(seed)
-    return _haar_from_rng(d, rng)
 
 
 def _haar_from_rng(d, rng):

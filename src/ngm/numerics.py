@@ -1,4 +1,5 @@
-"""Phase-space grids, log-factorials, quadrature and Gaussian smoothing.
+"""Phase-space grids, log-factorials, the three-term recurrence, quadrature
+and Gaussian smoothing.
 
 Conventions used throughout the package: hbar = 1, quadrature ordering
 (q, p) per mode, vacuum variance 1/2.  Wigner fields are sampled on
@@ -132,6 +133,56 @@ def _log_factorial(n):
     """ln(k!) for k = 0..n.  The sum runs in order, so a longer table
     extends a shorter one bit for bit."""
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1.0)))))
+
+
+def _three_term(z, mant0, exp0, step, back, n):
+    """Rows y_0 .. y_{n-1} of y_{k+1} = (z y_k) step_k - y_{k-1} back_k, one
+    column per entry of z, with y_0 = mant0 2^exp0 and y_{-1} = 0.
+
+    A column grows by less than G = |z| max|step| + max|back| + 2 per order,
+    so every 400 / log2 G orders a column whose last two entries have left
+    [2^-500, 2^500] takes a binary exponent of its own (as does a nonzero
+    exp0).  Only those columns are scaled back at the end: a column that
+    stays in range is the plain recurrence bit for bit.  A column bounded
+    below 2^-1100 through order n - 1 is 0.
+    """
+    table = np.empty((n, z.size), np.result_type(z, mant0, step))
+    table[0] = mant0
+    smax, g0 = np.abs(step).max(initial=0.0), np.abs(back).max(initial=0.0) + 2.0
+    exp = np.array(exp0, dtype=float)
+    seeded = np.flatnonzero(exp)
+    if seeded.size:
+        top = np.log2(np.abs(table[0, seeded])) + exp[seeded]
+        top += (n - 1) * np.log2(np.abs(z[seeded]) * smax + g0)
+        dead = seeded[top < -1100.0]
+        table[0, dead] = exp[dead] = 0.0
+    starts, exps = [0], [exp.astype(int)]
+    if n > 1:
+        np.multiply(z, step[0] * table[0], out=table[1])
+        every = int(400.0 // np.log2(np.abs(z).max() * smax + g0))
+    tmp = np.empty_like(table[0])
+    for k in range(1, n - 1):
+        if k % every == 0:
+            # a zero column has exponent 0 and stays where it is
+            shift = np.frexp(np.abs(table[k - 1 : k + 1]).max(axis=0))[1]
+            shift = np.where(np.abs(shift) > 500, np.clip(shift, -1000, 1000), 0)
+            if shift.any():
+                table[k - 1 : k + 1] *= np.ldexp(1.0, -shift)
+                starts.append(k - 1)
+                exps.append(exps[-1] + shift)
+        np.multiply(z, table[k], out=table[k + 1])
+        table[k + 1] *= step[k]
+        np.multiply(table[k - 1], back[k], out=tmp)
+        table[k + 1] -= tmp
+    if seeded.size or len(exps) > 1:
+        exps = np.array(exps)
+        cols = np.flatnonzero(exps.any(axis=0))
+        rows = np.repeat(exps[:, cols], np.diff(starts + [n]), axis=0)
+        part = table.take(cols, axis=1)
+        flat = part.view(float)
+        np.ldexp(flat, np.repeat(rows, part.itemsize // 8, axis=1), out=flat)
+        table[:, cols] = part
+    return table
 
 
 def axis_weights(n, step):

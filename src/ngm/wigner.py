@@ -11,7 +11,8 @@ from rho through the 50:50 beam splitter that takes the Weyl kernel
 photon at a time in O(dim^3) (see ``_coefficients``); the beam-splitter
 blocks depend on dim alone, so a process builds them once, for the largest
 dim up to a memory ceiling (``_block_levels``).  Then W is A_q D A_p^T,
-two GEMMs against Hermite tables A[i, j] = phi_j(sqrt2 x_i).
+two GEMMs against Hermite tables A[i, j] = phi_j(sqrt2 x_i), built by the
+shared three-term recurrence of ``numerics``.
 The rank is 2 dim - 1 for any rho, pure or mixed, and nothing is
 sampled but the grid itself.  The analytic gradient uses the ladder
 phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order above
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density, state_moments
-from .numerics import PhaseSpaceGrid, axis_weights, integrate
+from .numerics import PhaseSpaceGrid, _three_term, axis_weights, integrate
 
 __all__ = [
     "WignerField",
@@ -108,9 +109,6 @@ class WignerField:
 #: unit roundoff of float64
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
-#: phi_0(x) = pi^-1/4 e^{-x^2/2} is a normal double for |x| up to here
-_PLAIN_REACH = 37.0
-
 #: margin added to the turning radius sqrt(2k + 1) of phi_k: past it
 #: phi_k is below 1e-36 (1.5e-37 at k = 0, less at higher orders)
 SUPPORT_MARGIN = 12.0
@@ -137,47 +135,27 @@ def _require_finite(values, label):
 def _hermite_functions(x, n):
     """Table of phi_0(x) .. phi_{n-1}(x), the normalised Hermite functions.
 
-    The three-term recurrence cannot overflow, but its seed phi_0
-    underflows past |x| = _PLAIN_REACH while phi_k stays O(1) out to its
-    turning point sqrt(2k + 1).  There, up to SUPPORT_MARGIN past the last
-    turning point, the recurrence runs on mantissas with a binary exponent
-    per point, renormalised exactly at every order; farther out the table
-    is 0.
+    The recurrence's seed phi_0 = pi^-1/4 e^{-x^2/2} underflows past
+    |x| ~ 37.6 while phi_k is O(1) out to its turning point sqrt(2k + 1):
+    there it enters ``_three_term`` as a mantissa and a binary exponent.
+    Past SUPPORT_MARGIN beyond the last turning point the table is 0.
     """
-    table = np.empty((n, x.size))
-    a = np.sqrt(2.0 / np.arange(1.0, n))
-    b = np.sqrt(np.arange(n - 1.0) / np.arange(1.0, n))
-    table[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
-    if n > 1:
-        np.multiply(x, a[0] * table[0], out=table[1])
-    tmp = np.empty_like(x)
-    for k in range(2, n):
-        np.multiply(x, table[k - 1], out=table[k])
-        table[k] *= a[k - 1]
-        np.multiply(table[k - 2], b[k - 1], out=tmp)
-        table[k] -= tmp
-    far = np.flatnonzero(np.abs(x) > _PLAIN_REACH)
-    if far.size == 0:
-        return table
-    table[:, far] = 0.0
-    far = far[np.abs(x[far]) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN]
-    if far.size == 0:
-        return table
-    xf = x[far]
-    log2 = -0.5 * xf * xf / np.log(2.0) - 0.25 * np.log2(np.pi)
-    exp = np.floor(log2)
-    cur, prev = np.exp2(log2 - exp), np.zeros_like(xf)
-    exp = exp.astype(int)
-    scaled = np.empty((n, far.size))
-    np.ldexp(cur, exp, out=scaled[0])
-    for k in range(1, n):
-        cur, prev = a[k - 1] * xf * cur - b[k - 1] * prev, cur
-        cur, shift = np.frexp(cur)
-        prev = np.ldexp(prev, -shift)
-        exp += shift
-        np.ldexp(cur, exp, out=scaled[k])
-    table[:, far] = scaled
-    return table
+    seed = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    exp = np.zeros_like(seed)
+    # the cut and the underflow both lie where phi_0 < 1.5e-37 (|x| > 13)
+    tail = np.flatnonzero(seed < 1e-36)
+    if tail.size:
+        inside = np.abs(x[tail]) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN
+        seed[tail[~inside]] = 0.0
+        far = tail[inside & (seed[tail] < np.finfo(float).tiny)]
+        # e^{-h} = e^{m ln2 - h} 2^-m, ln 2 split in two (Cody-Waite)
+        half = 0.5 * x[far] ** 2
+        m = np.ceil(half / np.log(2.0))
+        lo = m * 1.9082149292705877e-10
+        seed[far] = np.pi**-0.25 * np.exp(m * 0.6931471803691238 - half + lo)
+        exp[far] = -m
+    k = np.arange(1.0, n)
+    return _three_term(x, seed, exp, np.sqrt(2.0 / k), np.sqrt((k - 1.0) / k), n)
 
 
 def _beam_splitter_rows(dim):

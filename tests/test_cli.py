@@ -303,13 +303,27 @@ def test_channel_tau_validation(capsys):
 
 
 def test_channel_phase_space_mass_loss_exits_three(capsys):
+    # the grid holds the output's (1 - tau)(nbar + 1/2) spread, so no mass
+    # is lost off it; at 513 points it is too coarse for the cat's fringes
+    # rescaled by sqrt(0.05), and 2049 points resolve them
     argv = ["channel", "--cat", "1.5", "--tau", "0.05", "--nbar", "20",
             "--engine", "phasespace"]
     assert main(argv) == 3
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{"):])
     assert doc["error"]["type"] == "TruncationRiskError"
-    assert "lost off the grid" in doc["error"]["message"]
+    assert "the grid is too coarse" in doc["error"]["message"]
+    assert main(argv + ["--grid-points", "2049"]) == 0
+
+
+def test_channel_phase_space_grid_holds_the_output(tmp_path):
+    # the input's own grid loses 1.9e-4 of the output's mass past its edge
+    path = tmp_path / "channel.json"
+    argv = ["channel", "--cat", "1.5", "--tau", "0.3", "--nbar", "3",
+            "--engine", "phasespace", "--out", str(path)]
+    assert main(argv) == 0
+    doc = json.loads(path.read_text())
+    assert doc["after_phasespace"]["re_mu"] < doc["before"]["re_mu"]
 
 
 @pytest.mark.parametrize("engine", ["fock", "phasespace", "both"])

@@ -22,6 +22,7 @@ from ngm.fock import (
     FockDensityMatrix,
     FockVector,
     _displaced_squeezed_rows,
+    _haar_from_rng,
     apply_qubit_state,
     as_density,
     cat,
@@ -29,7 +30,6 @@ from ngm.fock import (
     displaced_squeezed,
     fidelity,
     gkp_logical,
-    haar_unitary,
     load_state,
     qubit_rotation,
     random_qudit,
@@ -89,6 +89,18 @@ def test_cat_endpoints_and_parity():
     assert np.max(np.abs(even2.amplitudes[1::2])) < 1e-14
     odd2 = cat(2.0, "odd", 40)
     assert np.max(np.abs(odd2.amplitudes[0::2])) < 1e-14
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("alpha", [1.5, -1.5, 2.0])
+def test_cat_parity_is_exact(alpha, parity):
+    # the cancelled parity is 0.0, not rounding, and a real alpha gives
+    # real amplitudes: the cat's mean and V_qp vanish exactly
+    amp = cat(alpha, parity, 40).amplitudes
+    assert np.all(amp[1 if parity == "even" else 0 :: 2] == 0.0)
+    assert np.all(amp.imag == 0.0)
+    mean, cov = state_moments(cat(alpha, parity, 40))
+    assert np.all(mean == 0.0) and cov[0, 1] == 0.0
 
 
 def test_cat_matches_closed_form_normalization():
@@ -289,6 +301,10 @@ def test_qubit_rotation_special_angles():
     assert np.allclose(x, [[0, 1], [1, 0]], atol=1e-15)
     u = qubit_rotation(1.1, 0.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-14
+
+
+def haar_unitary(d, seed):
+    return _haar_from_rng(d, np.random.default_rng(seed))
 
 
 def test_haar_unitary_contracts():

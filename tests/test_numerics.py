@@ -1,9 +1,14 @@
-"""Grid, log-factorial, quadrature and convolution contracts.
+"""Grid, log-factorial, recurrence, quadrature and convolution contracts.
 
 Oracles here are independent of the production code paths: log-factorials
-in 50-digit arithmetic, closed-form Gaussian integrals for the quadrature
-and convolution checks, and scipy's own fast FFT lengths for the padding.
+and three-term recurrences in 50-digit arithmetic, the Hermite tables as
+the library built them before the shared recurrence, closed-form Gaussian
+integrals for the quadrature and convolution checks, and scipy's own fast
+FFT lengths for the padding.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,16 +16,19 @@ from mpmath import mp, factorial
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
+import ngm as ngm_package
 from ngm.errors import TruncationRiskError
 from ngm.numerics import (
     PhaseSpaceGrid,
     _convolve_gaussians,
     _fast_len,
     _log_factorial,
+    _three_term,
     axis_weights,
     convolve_gaussian,
     integrate,
 )
+from ngm.wigner import SUPPORT_MARGIN, _hermite_functions
 
 mp.dps = 50
 
@@ -42,6 +50,168 @@ def gauss2d(grid, mean, cov):
     dp = P - mean[1]
     quad = inv[0, 0] * dq**2 + 2 * inv[0, 1] * dq * dp + inv[1, 1] * dp**2
     return np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
+
+
+# ---------------------------------------------------- three-term recurrence
+
+
+def split_hermite_functions(x, n):
+    """phi_0(x) .. phi_{n-1}(x) by the two loops the library ran before
+    the shared recurrence: the plain one up to |x| = 37, and past it, up
+    to SUPPORT_MARGIN beyond the last turning point, one on mantissas with
+    a binary exponent per point renormalised at every order."""
+    table = np.empty((n, x.size))
+    a = np.sqrt(2.0 / np.arange(1.0, n))
+    b = np.sqrt(np.arange(n - 1.0) / np.arange(1.0, n))
+    table[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    if n > 1:
+        np.multiply(x, a[0] * table[0], out=table[1])
+    tmp = np.empty_like(x)
+    for k in range(2, n):
+        np.multiply(x, table[k - 1], out=table[k])
+        table[k] *= a[k - 1]
+        np.multiply(table[k - 2], b[k - 1], out=tmp)
+        table[k] -= tmp
+    far = np.flatnonzero(np.abs(x) > 37.0)
+    table[:, far] = 0.0
+    far = far[np.abs(x[far]) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN]
+    xf = x[far]
+    log2 = -0.5 * xf * xf / np.log(2.0) - 0.25 * np.log2(np.pi)
+    exp = np.floor(log2)
+    cur, prev = np.exp2(log2 - exp), np.zeros_like(xf)
+    exp = exp.astype(int)
+    table[0, far] = np.ldexp(cur, exp)
+    for k in range(1, n):
+        cur, prev = a[k - 1] * xf * cur - b[k - 1] * prev, cur
+        cur, shift = np.frexp(cur)
+        prev = np.ldexp(prev, -shift)
+        exp += shift
+        table[k, far] = np.ldexp(cur, exp)
+    return table
+
+
+def mp_three_term(z, y0, step, back, n):
+    """y_0 .. y_{n-1} of y_{k+1} = step_k z y_k - back_k y_{k-1} in 50 digits."""
+    y = [mp.mpmathify(y0)]
+    if n > 1:
+        y.append(step[0] * z * y[0])
+    for k in range(1, n - 1):
+        y.append(step[k] * z * y[k] - back[k] * y[k - 1])
+    return y
+
+
+def mp_hermite_functions(x, n):
+    x = mp.mpf(x)
+    step = [mp.sqrt(mp.mpf(2) / (k + 1)) for k in range(n - 1)]
+    back = [mp.sqrt(mp.mpf(k) / (k + 1)) for k in range(n - 1)]
+    y0 = mp.pi ** mp.mpf(-0.25) * mp.exp(-x * x / 2)
+    return np.array([float(v) for v in mp_three_term(x, y0, step, back, n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 18, 121, 321, 403])
+def test_hermite_table_is_the_plain_loop_bit_for_bit(n):
+    # up to |x| = 37 the split loops ran the plain recurrence; inside the
+    # support the shared one is that recurrence to the bit, and past it
+    # the split loops kept values below 1.5e-37 where the table is now 0
+    x = np.concatenate((np.linspace(-37.0, 37.0, 2001), [-25.1, 0.0, 13.7]))
+    got = _hermite_functions(x, n)
+    want = split_hermite_functions(x, n)
+    inside = np.abs(x) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN
+    assert np.array_equal(got[:, inside].view(np.int64), want[:, inside].view(np.int64))
+    assert np.all(got[:, ~inside] == 0.0) and np.all(np.abs(want[:, ~inside]) < 1.5e-37)
+
+
+@pytest.mark.parametrize("n", [403, 802])
+def test_hermite_table_error_no_worse_than_split_loops(n):
+    # per point, the largest error over the orders relative to the largest
+    # value: the seed past |x| = 37.6 now enters exact to rounding, where
+    # the split loops' log2 seed erred by up to 1e-13
+    x = np.array([0.3, 5.0, 9.9, 20.0, 30.0, 36.5, 37.5, 38.0, 40.0, 45.0, 50.0, 55.0, 60.0])
+    want = np.array([mp_hermite_functions(v, n) for v in x]).T
+    scale = np.maximum(np.abs(want).max(axis=0), np.finfo(float).tiny)
+    got = np.abs(_hermite_functions(x, n) - want).max(axis=0) / scale
+    split = np.abs(split_hermite_functions(x, n) - want).max(axis=0) / scale
+    inside = np.abs(x) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN
+    assert np.all(got[inside] <= 1.1 * split[inside]), (got, split)
+    assert got[inside].max() < 1e-14
+    assert np.all(_hermite_functions(x, n)[:, ~inside] == 0.0)
+
+
+def test_vacuum_table_has_one_order():
+    # n = 1: no step at all, so the seed is the table
+    x = np.array([0.0, 1.5, -12.9, 13.0, 40.0])
+    table = _hermite_functions(x, 1)
+    assert table.shape == (1, 5)
+    assert np.array_equal(table[0, :3], np.pi**-0.25 * np.exp(-0.5 * x[:3] ** 2))
+    assert np.all(table[0, 3:] == 0.0)
+    # a seed carried as mantissa and exponent, and one below 2^-1100
+    got = _three_term(np.ones(3), np.array([1.5, 1.5, 1.0]),
+                      np.array([0.0, -1050.0, -1101.0]), np.empty(0), np.empty(0), 1)
+    assert np.array_equal(got, [[1.5, 1.5 * 2.0**-1050, 0.0]])
+
+
+def test_dead_columns_are_zero():
+    # seeded at 2^-1200, a column with z = 2^20 reaches 2^-1020 in nine
+    # orders and is computed; with z = 0.5 it grows by at most 1 per order,
+    # so it is bounded below 2^-1100 and 0, as is a column whose exponent
+    # leaves the integer range
+    step, back = np.ones(9), np.full(9, 0.5)
+    back[0] = 0.0
+    z = np.array([2.0**20, 0.5, 2.0**20])
+    got = _three_term(z, np.ones(3), np.array([-1200.0, -1200.0, -1e30]), step, back, 10)
+    want = mp_three_term(mp.mpf(2) ** 20, mp.mpf(2) ** -1200, list(step), list(back), 10)
+    want = np.array([float(v) for v in want])
+    assert np.max(np.abs(got[:, 0] - want) / np.maximum(np.abs(want), 1e-300)) < 1e-15
+    assert got[-1, 0] > 2.0**-1021
+    assert np.all(got[:, 1:] == 0.0)
+
+
+def test_complex_columns_keep_the_plain_arithmetic():
+    # one column in range, whose entries are the plain recurrence to the
+    # bit, and one seeded at 2^-1060 whose mantissa is rescaled on its way
+    # past 2^300: it matches the recurrence in 50 digits
+    n = 400
+    step = np.ones(n - 1)
+    back = 0.4 * np.sqrt(np.arange(n - 1.0) / np.arange(1.0, n))
+    z = np.array([1.3 - 0.8j, 9.0 + 6.0j])
+    mant0 = np.array([0.6 + 0.2j, 0.5 - 0.7j])
+    got = _three_term(z, mant0, np.array([0.0, -1060.0]), step, back, n)
+    # the same array layout, with the in-range column in both places
+    plain = np.empty((n, 2), complex)
+    plain[0] = mant0[0]
+    plain[1] = z[0] * (step[0] * plain[0])
+    for k in range(1, n - 1):
+        plain[k + 1] = z[0] * plain[k] * step[k] - plain[k - 1] * back[k]
+    assert np.array_equal(got[:, 0], plain[:, 0])
+    y0 = mp.mpc(mant0[1]) * mp.mpf(2) ** -1060
+    want = mp_three_term(mp.mpc(z[1]), y0, list(step), list(back), n)
+    want = np.array([complex(v) for v in want])
+    assert np.abs(want).max() > 2.0**300
+    live = np.abs(want) > 1e-290
+    assert np.max(np.abs(got[live, 1] - want[live]) / np.abs(want[live])) < 1e-13
+
+
+def binary_exponent_uses(tree):
+    """References to frexp or ldexp under tree: attributes, names, imports."""
+    names = ("frexp", "ldexp")
+    return sum(
+        (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+        for node in ast.walk(tree)
+    )
+
+
+def test_frexp_and_ldexp_live_in_the_recurrence_only():
+    # one function of the package carries binary exponents
+    src = pathlib.Path(ngm_package.__file__).parent
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(src.rglob("*.py"))]
+    helper = [
+        node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_three_term"
+    ]
+    assert len(helper) == 1 and binary_exponent_uses(helper[0]) > 0
+    assert sum(map(binary_exponent_uses, trees)) == binary_exponent_uses(helper[0])
 
 
 # ----------------------------------------------------------- log-factorial

@@ -59,20 +59,31 @@ def _laguerre_table(k, u, m, out, work):
 
 
 def laguerre_synthesize(c, grid, with_grad):
-    """The Laguerre-series field(s) of c: [W] or [W, dW/dq, dW/dp]."""
+    """The Laguerre-series field(s) of c: [W] or [W, dW/dq, dW/dp].
+
+    The grid must be symmetric about both axes.  The Laguerre tables,
+    functions of q^2 + p^2 alone, are built on the quadrant q, p >= 0 only.
+    The series is summed there and at its mirror (q, -p), where
+    A = sqrt2 (q + ip) is conj A.  The other two quadrants are those points
+    reflected through the origin, where A^k turns into (-1)^k A^k, so their
+    sums are the even-k terms minus the odd-k ones (the reverse for the
+    gradients, one power of A lower).
+    """
     dim = c.shape[0]
-    Q, P = grid.meshes()
-    r2 = Q**2 + P**2
-    w0 = np.exp(-r2) / np.pi
-    u = (2.0 * r2).ravel()
+    hq, hp = grid.n_q // 2, grid.n_p // 2
+    assert grid.q_min == -grid.q_max and grid.p_min == -grid.p_max
+    Q, P = np.meshgrid(grid.q[hq:], grid.p[hp:], indexing="ij")
+    u = (2.0 * (Q**2 + P**2)).ravel()
     A = (np.sqrt(2.0) * (Q + 1j * P)).ravel()
-    Qf, Pf = Q.ravel(), P.ravel()
     npts = u.size
 
     signs = (-1.0) ** np.arange(dim)
-    F = np.zeros(npts, dtype=complex)
-    Fq = np.zeros(npts, dtype=complex) if with_grad else None
-    Fp = np.zeros(npts, dtype=complex) if with_grad else None
+    # [parity of k, mirror]: sum_k A^k S_k of the upper (S_u) and lower
+    # (S_d) diagonals; R the same over the gradient sums T; G and H the
+    # k A^(k-1) S_u and k conj(A)^(k-1) S_d sums
+    F = np.zeros((2, 2, npts), dtype=complex)
+    if with_grad:
+        R, G, H = (np.zeros((2, 2, npts), dtype=complex) for _ in range(3))
 
     # Diagonals may be skipped only by the size of the raw density entries:
     # dropping a band Delta changes W pointwise by at most (2/pi)||Delta||_tr
@@ -81,12 +92,10 @@ def laguerre_synthesize(c, grid, with_grad):
     # on the grid and can amplify a tiny coefficient arbitrarily).
     raw_tol = 1e-16 * max(np.max(np.abs(c)), 1e-300)
     Apow = np.ones(npts, dtype=complex)
-    Aprev = None
     for k in range(dim):
+        Aprev = Apow
         if k > 0:
-            if with_grad:
-                Aprev = Apow.copy()
-            Apow *= A
+            Apow = Apow * A
         js = np.arange(dim - k)
         raw = max(np.max(np.abs(c[js, js + k])), np.max(np.abs(c[js + k, js])))
         if raw <= raw_tol:
@@ -94,19 +103,16 @@ def laguerre_synthesize(c, grid, with_grad):
         m = dim - k
         pref = signs[js] * np.exp(0.5 * (LOG_FACTORIAL[js] - LOG_FACTORIAL[js + k]))
         a = c[js, js + k] * pref
-        rows = [a]
-        if k > 0:
-            b = c[js + k, js] * pref
-            rows.append(b)
+        # the lower diagonal enters once the upper one is the main one
+        b = c[js + k, js] * pref if k > 0 else np.zeros_like(a)
+        rows = [a, b]
         if with_grad:
-            rows.append(_suffix(a))
-            if k > 0:
-                rows.append(_suffix(b))
-        R = np.vstack(rows)
-        n_rows = R.shape[0]
+            rows += [_suffix(a), _suffix(b)]
+        coeffs = np.vstack(rows)
+        n_rows = coeffs.shape[0]
         # one real GEMM per chunk combines every coefficient vector with the
         # shared Laguerre table (stacked real/imaginary parts)
-        C = np.vstack((R.real, R.imag))
+        C = np.vstack((coeffs.real, coeffs.imag))
         chunk = max(4096, min(npts, _TABLE_CELLS // m))
         table = np.empty((m, min(chunk, npts)))
         work = np.empty(min(chunk, npts))
@@ -114,34 +120,44 @@ def laguerre_synthesize(c, grid, with_grad):
             e = min(npts, s + chunk)
             L = table[:, : e - s]
             _laguerre_table(k, u[s:e], m, L, work[: e - s])
-            G = C @ L
-            sums = G[:n_rows] + 1j * G[n_rows:]
-            if k == 0:
-                Su = sums[0]
-                F[s:e] += Su
+            prod = C @ L
+            sums = prod[:n_rows] + 1j * prod[n_rows:]
+            Ak, Akc = Apow[s:e], np.conj(Apow[s:e])
+            for mirror, (up, down) in enumerate(((Ak, Akc), (Akc, Ak))):
+                F[k % 2, mirror, s:e] += up * sums[0] + down * sums[1]
                 if with_grad:
-                    Tu = sums[1]
-                    Fq[s:e] += -4.0 * Qf[s:e] * Tu
-                    Fp[s:e] += -4.0 * Pf[s:e] * Tu
-            else:
-                Su, Sd = sums[0], sums[1]
-                Ak = Apow[s:e]
-                Akc = np.conj(Ak)
-                F[s:e] += Ak * Su + Akc * Sd
-                if with_grad:
-                    Tu, Td = sums[2], sums[3]
-                    radial = Ak * Tu + Akc * Td
-                    side = Aprev[s:e] * Su
-                    side_c = np.conj(Aprev[s:e]) * Sd
-                    rt2k = np.sqrt(2.0) * k
-                    Fq[s:e] += rt2k * (side + side_c) - 4.0 * Qf[s:e] * radial
-                    Fp[s:e] += 1j * rt2k * (side - side_c) - 4.0 * Pf[s:e] * radial
-    shape = grid.shape
-    W = w0 * F.reshape(shape)
-    out = [W]
+                    R[k % 2, mirror, s:e] += up * sums[2] + down * sums[3]
+            if with_grad and k > 0:
+                Ap, Apc = Aprev[s:e], np.conj(Aprev[s:e])
+                for mirror, (up, down) in enumerate(((Ap, Apc), (Apc, Ap))):
+                    G[k % 2, mirror, s:e] += k * (up * sums[0])
+                    H[k % 2, mirror, s:e] += k * (down * sums[1])
+    shape = (hq + 1, hp + 1)
+    quadrant_q = np.stack((Q, Q)).reshape(2, -1)
+    quadrant_p = np.stack((P, -P)).reshape(2, -1)
+    parts = [F]
     if with_grad:
-        out.append(w0 * (Fq.reshape(shape) - 2.0 * Q * F.reshape(shape)))
-        out.append(w0 * (Fp.reshape(shape) - 2.0 * P * F.reshape(shape)))
+        rt2 = np.sqrt(2.0)
+        parts.append(rt2 * (G + H) - 4.0 * quadrant_q * R)
+        parts.append(1j * rt2 * (G - H) - 4.0 * quadrant_p * R)
+    full = []
+    for i, part in enumerate(parts):
+        # the point reflection: (-1)^k on W's terms, (-1)^(k-1) on the gradients'
+        flip = 1.0 if i == 0 else -1.0
+        out = np.empty(grid.shape, dtype=complex)
+        near = (part[0] + part[1]).reshape(2, *shape)
+        far = (flip * (part[0] - part[1])).reshape(2, *shape)
+        out[hq:, hp:] = near[0]
+        out[hq:, : hp + 1] = near[1][:, ::-1]
+        out[: hq + 1, : hp + 1] = far[0][::-1, ::-1]
+        out[: hq + 1, hp:] = far[1][::-1, :]
+        full.append(out)
+    Qg, Pg = grid.meshes()
+    w0 = np.exp(-(Qg**2 + Pg**2)) / np.pi
+    out = [w0 * full[0]]
+    if with_grad:
+        out.append(w0 * (full[1] - 2.0 * Qg * full[0]))
+        out.append(w0 * (full[2] - 2.0 * Pg * full[0]))
     return out
 
 
