@@ -29,6 +29,9 @@ __all__ = [
 #: absolute boundary-decay threshold for convolution inputs
 BOUNDARY_TOL = 1e-12
 
+#: least half-extent of a moment-sized grid
+_MIN_EXTENT = 6.0
+
 
 def worker_count(workers=None):
     """Thread-pool size: the argument, else NGM_WORKERS, else 1."""
@@ -49,13 +52,21 @@ def _ordered_map(fn, items, workers=None):
         return list(pool.map(fn, items))
 
 
+def _axis(lo, hi, n):
+    """n points over [lo, hi]; over [-e, e] (odd n) x >= 0 mirrored, bit for bit."""
+    if lo != -hi:
+        return np.linspace(lo, hi, n)
+    half = np.linspace(0.0, hi, n // 2 + 1)
+    return np.concatenate((-half[:0:-1], half))
+
+
 class PhaseSpaceGrid:
     """Uniform rectangular grid over single-mode phase space.
 
     Point counts are rounded up to odd so composite Simpson applies exactly;
     by default at least ``min_points`` per axis are required, the working
     floor for entropy integrals.  Pass a smaller ``min_points`` only for
-    cheap smoke tests.
+    cheap smoke tests.  An axis over [-e, e] is mirrored about 0.0.
     """
 
     def __init__(self, q_min, q_max, p_min, p_max, n_q, n_p, min_points=65):
@@ -72,14 +83,14 @@ class PhaseSpaceGrid:
         self.q_min, self.q_max = float(q_min), float(q_max)
         self.p_min, self.p_max = float(p_min), float(p_max)
         self.n_q, self.n_p = n_q, n_p
-        self.q = np.linspace(self.q_min, self.q_max, n_q)
-        self.p = np.linspace(self.p_min, self.p_max, n_p)
+        self.q = _axis(self.q_min, self.q_max, n_q)
+        self.p = _axis(self.p_min, self.p_max, n_p)
 
     @classmethod
-    def for_moments(cls, mean, cov, points=513, sigmas=5.5, min_extent=6.0):
+    def for_moments(cls, mean, cov, points=513, sigmas=5.5):
         """Grid sized to hold a state with the given first/second moments.
 
-        Half-extent per axis is the largest of min_extent, sigmas * rms
+        Half-extent per axis is the largest of _MIN_EXTENT (6), sigmas * rms
         about the origin (rms = sqrt(V_ii + d_i^2), so displaced states
         stay covered) and |d_i| + sigmas * sigma_i.  Coverage of 5.5
         standard deviations keeps the tail bias of a quadrature-extracted
@@ -91,8 +102,8 @@ class PhaseSpaceGrid:
         cov = np.asarray(cov, dtype=float)
         sig = np.sqrt(np.diag(cov))
         rms = np.sqrt(np.diag(cov) + mean**2)
-        eq = max(min_extent, sigmas * rms[0], abs(mean[0]) + sigmas * sig[0])
-        ep = max(min_extent, sigmas * rms[1], abs(mean[1]) + sigmas * sig[1])
+        eq = max(_MIN_EXTENT, sigmas * rms[0], abs(mean[0]) + sigmas * sig[0])
+        ep = max(_MIN_EXTENT, sigmas * rms[1], abs(mean[1]) + sigmas * sig[1])
         return cls(-eq, eq, -ep, ep, points, points)
 
     @property

@@ -10,14 +10,18 @@ from rho through the 50:50 beam splitter that takes the Weyl kernel
 <q-y|rho|q+y> from the coordinates (q - y, q + y) to (q, y), built one
 photon at a time in O(dim^3) (see ``_coefficients``); the beam-splitter
 blocks depend on dim alone, so a process builds them once, for the largest
-dim up to a memory ceiling (``_block_levels``).  Then W is A_q D A_p^T,
-two GEMMs against Hermite tables A[i, j] = phi_j(sqrt2 x_i), built by the
-shared three-term recurrence of ``numerics``.
-The rank is 2 dim - 1 for any rho, pure or mixed, and nothing is
-sampled but the grid itself.  The analytic gradient uses the ladder
-phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order above
-D.  The finite-difference check evaluates D at q +- h on a sub-lattice,
-with no field-sized synthesis.
+dim up to a memory ceiling (``_block_levels``).  Then W is A_q D A_p^T
+against Hermite tables A[i, j] = phi_j(sqrt2 x_i) from the shared
+three-term recurrence of ``numerics``.  Grid axes centred on 0 are
+mirrored bit for bit and phi_j(-x) = (-1)^j phi_j(x), so the tables hold
+x >= 0 and each product is E + O at x, E - O at -x, with E and O the sums
+over the even and the odd orders: half the flops of a whole GEMM.  The
+rounding bound is computed on one quadrant.  The rank is 2 dim - 1 for
+any rho, pure or mixed, and nothing is sampled but the grid itself.  The
+analytic gradient uses phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2)
+phi_{n+1}, one order above D and of the opposite parity.  The
+finite-difference check samples q - h and q + h on a sub-lattice as one
+mirrored axis, with no field-sized synthesis.
 
 The map is linear, so an anti-Hermitian part of the input gives an
 imaginary field.  It is synthesized and its residue checked, never
@@ -113,14 +117,18 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 #: phi_k is below 1e-36 (1.5e-37 at k = 0, less at higher orders)
 SUPPORT_MARGIN = 12.0
 
+#: the gradient check samples every _CHECK_STRIDE-th point, +- _CHECK_STEP
+_CHECK_STRIDE, _CHECK_STEP = 8, 1e-5
+
 #: cells per block of a sweep over a field's q rows: 64 rows of a 513-point
 #: grid, 256 KiB, so a block and its buffers stay in cache
 _BLOCK_CELLS = 64 * 513
 
 
-def _row_blocks(shape, floats):
+def _row_blocks(shape, floats, cells=_BLOCK_CELLS):
     """Per block of q rows: its slice, views of reused float buffers, a bool one."""
-    step = max(1, _BLOCK_CELLS // shape[1])
+    # blocks of even size: a short last one would cost a pass's overhead
+    step = -(-shape[0] // max(1, shape[0] * shape[1] // cells))
     bufs = (*np.empty((floats, step, shape[1])), np.empty((step, shape[1]), bool))
     for i in range(0, shape[0], step):
         n = min(step, shape[0] - i)
@@ -320,42 +328,84 @@ def _coefficients(c, anti):
     return D
 
 
+def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS):
+    """out = A^T Y for A the table on the axis x, T its columns on x[h:].
+
+    x[:h] is -x[h + c:] reversed (c = n - 2h).  With E and O the sums over
+    the even and the odd orders, row x is E + O and row -x E - O (O - E if
+    ``odd``, for derivatives).  By blocks of x[h:], E goes into out, O and
+    E - O into reused buffers; ``finish(rows, block, mirrored, first, *bufs)``
+    may work on a block in cache (rows from ``first`` on have mirrors) with
+    O's buffer, now free, and two more: a float one and a bool one.
+    """
+    c = out.shape[0] - 2 * h
+    base, mirror = out[h:], out[:h][::-1]
+    (Te, To), (Ye, Yo) = (T[0::2].T, T[1::2].T), (Y[0::2], Y[1::2])
+    for rows, other, diff, *bufs in _row_blocks((T.shape[1], out.shape[1]), 3, cells):
+        block = base[rows]
+        np.matmul(Te[rows], Ye, out=block)
+        np.matmul(To[rows], Yo, out=other)
+        first = max(rows.start, c) - rows.start
+        np.subtract(*(block[first:], other[first:])[:: 1 - 2 * odd], out=diff[first:])
+        block += other
+        if finish:
+            finish(rows, block, diff[first:], first, other, *bufs)
+        mirror[rows.start + first - c : rows.stop - c] = diff[first:]
+
+
 def _fields(D, q, p, with_grad, bound=None):
     """[W] or [W, dW/dq, dW/dp] of the coefficients D on the q and p axes.
 
-    W = A_q D A_p^T / sqrt(pi) with A[i, j] = phi_j(sqrt2 x_i); gradients
-    use dphi_n/dx = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}, one order
-    above D.  Values of W inside gamma (|A_q| |D| |A_p|^T) / sqrt(pi), the
-    two products' own rounding bound, carry no sign and are set to 0; if
-    given, ``bound`` (the shape of W) receives that bound.
+    W = A_q D A_p^T / sqrt(pi) with A[i, j] = phi_j(sqrt2 x_i), both products
+    split by parity; gradients use dphi_n/dx = sqrt(n/2) phi_{n-1} -
+    sqrt((n+1)/2) phi_{n+1}, one order above D.  Values of W inside
+    gamma (|A_q| |D| |A_p|^T) / sqrt(pi), the products' own rounding bound
+    (each entry still sums size products per product, in another order),
+    carry no sign and are set to 0; ``bound``, if given, receives it.
     """
     size = D.shape[0]
     orders = size + 1 if with_grad else size
-    table = _hermite_functions(np.sqrt(2.0) * np.concatenate((q, p)), orders)
-    Aq, Ap = table[:size, : q.size], table[:size, q.size :]
-    D = D / np.sqrt(np.pi)
-    inner = D @ Ap
-    W = Aq.T @ inner
+    # h points of an axis mirror its last h, x[i] = -x[n-1-i] bit for bit
+    hq, hp = (x.size // 2 if (x == -x[::-1]).all() else 0 for x in (q, p))
+    uq, cq, cp = q.size - hq, q.size - 2 * hq, p.size - 2 * hp
+    table = _hermite_functions(np.sqrt(2.0) * np.concatenate((q[hq:], p[hp:])), orders)
+    Tq, Tp = table[:size, :uq], table[:size, uq:]
+    Dt = np.ascontiguousarray(D.T) / np.sqrt(np.pi)
+    # inner = D A_p^T, (2 dim - 1) x n_p, is one block
+    inner = np.empty((size, p.size))
+    _parity_product(Tp, Dt, hp, False, inner.T, cells=inner.size)
     n_terms = 2 * size
     gamma = n_terms * _UNIT_ROUNDOFF / (1.0 - n_terms * _UNIT_ROUNDOFF)
-    spread = np.abs(D) @ np.abs(Ap)
+    spread = np.abs(Dt).T @ np.abs(Tp)
     spread *= gamma
-    abs_q = np.abs(Aq)
-    # field-sized temporaries would be faulted in and freed on every call
-    for rows, row_bound, mag, mask in _row_blocks(W.shape, 2):
-        np.matmul(abs_q[:, rows].T, spread, out=row_bound)
-        np.less_equal(np.abs(W[rows], out=mag), row_bound, out=mask)
-        np.copyto(W[rows], 0.0, where=mask)
+    abs_q = np.abs(Tq.T)
+
+    # the bound is even in q and p: one quadrant serves the four
+    def drop_rounding(rows, block, mirrored, first, mag, row_bound, mask):
+        np.matmul(abs_q[rows], spread, out=row_bound[:, hp:])
+        row_bound[:, :hp][:, ::-1] = row_bound[:, hp + cp :]
+        for cells, k in ((block, 0), (mirrored, first)):
+            np.less_equal(np.abs(cells, out=mag[k:]), row_bound[k:], out=mask[k:])
+            if mask[k:].any():
+                np.copyto(cells, 0.0, where=mask[k:])
         if bound is not None:
-            bound[rows] = row_bound
+            bound[hq:][rows] = row_bound
+
+    # field-sized temporaries would be faulted in and freed on every call
+    W = np.empty((q.size, p.size))
+    _parity_product(Tq, inner, hq, False, W, drop_rounding)
+    if bound is not None:
+        bound[:hq] = bound[hq + cq :][::-1]
     fields = [W]
     if with_grad:
         # d/dq phi_n(sqrt2 q) = sqrt(n) phi_{n-1} - sqrt(n+1) phi_{n+1}
         root = np.sqrt(np.arange(orders, dtype=float))[:, None]
         deriv = root[:size] * np.vstack((np.zeros_like(table[:1]), table[: size - 1]))
         deriv -= root[1:] * table[1:]
-        fields.append(deriv[:, : q.size].T @ inner)
-        fields.append(Aq.T @ (D @ deriv[:, q.size :]))
+        fields += [np.empty_like(W), np.empty_like(W)]
+        _parity_product(deriv[:, :uq], inner, hq, True, fields[1])
+        _parity_product(deriv[:, uq:], Dt, hp, True, inner.T, cells=inner.size)  # D dA_p^T
+        _parity_product(Tq, inner, hq, False, fields[2])
     return fields
 
 
@@ -410,7 +460,7 @@ def wigner_from_fock(rho, grid=None, points=513):
     return WignerField(grid, _real_part(W, "Wigner field"))
 
 
-def wigner_gradient(rho, grid=None, points=513, check=True, check_stride=8, h=1e-5):
+def wigner_gradient(rho, grid=None, points=513, check=True):
     """Wigner field with analytic (dW/dq, dW/dp), finite-difference checked.
 
     The check evaluates W's Hermite-Gauss expansion on a coarse sub-lattice
@@ -430,11 +480,12 @@ def wigner_gradient(rho, grid=None, points=513, check=True, check_stride=8, h=1e
         grad_p=_real_part(gp, "gradient (p)"),
     )
     if check:
-        _check_gradient(rho, field, check_stride, h)
+        _check_gradient(rho, field)
     return field
 
 
-def _check_gradient(rho, field, stride, h):
+def _check_gradient(rho, field):
+    stride, h = _CHECK_STRIDE, _CHECK_STEP
     qs = field.grid.q[::stride]
     ps = field.grid.p[::stride]
     mask = np.abs(field.values[::stride, ::stride]) > 1e-6
@@ -442,15 +493,18 @@ def _check_gradient(rho, field, stride, h):
         return
     D = _coefficients(rho.entries, False)[0]
     fd, dev = [], []
-    for grad, dq, dp in ((field.grad_q, h, 0.0), (field.grad_p, 0.0, h)):
-        bounds = np.empty((2, qs.size, ps.size))
-        (hi,) = _fields(D, qs + dq, ps + dp, False, bounds[0])
-        (lo,) = _fields(D, qs - dq, ps - dp, False, bounds[1])
-        fd.append((hi - lo) / (2.0 * h))
+    # W(q, p) from D is W(p, q) from D^T: the shifted axis goes first, as
+    # xs -+ h interleaved, which is mirrored if xs is: -(x_i + h) = x_{m-i} - h
+    for grad, C, xs, ys in ((field.grad_q, D, qs, ps), (field.grad_p.T, D.T, ps, qs)):
+        shifted = np.column_stack((xs - h, xs + h)).ravel()
+        bounds = np.empty((shifted.size, ys.size))
+        (W,) = _fields(C, shifted, ys, False, bounds)
+        fd.append((W[1::2] - W[0::2]) / (2.0 * h))
         # both samples are within their rounding bounds, so the central
         # difference is within their sum over 2h
-        slack = (bounds[0] + bounds[1]) / (2.0 * h)
+        slack = (bounds[0::2] + bounds[1::2]) / (2.0 * h)
         dev.append(np.abs(grad[::stride, ::stride] - fd[-1]) - slack)
+    fd[1], dev[1] = fd[1].T, dev[1].T
     scale = np.maximum(np.maximum(np.abs(fd[0]), np.abs(fd[1])), 1e-6)
     worst = np.max((np.maximum(dev[0], dev[1]) / scale)[mask])
     if not worst <= 1e-5:

@@ -137,6 +137,18 @@ def test_hermite_table_error_no_worse_than_split_loops(n):
     assert np.all(_hermite_functions(x, n)[:, ~inside] == 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 121, 802])
+def test_hermite_table_parity_is_exact(n):
+    # phi_j(-x) = (-1)^j phi_j(x) to the bit (zeros aside, whose sign is
+    # not kept), out past |x| ~ 37.6 where the seed takes a binary exponent
+    x = np.concatenate((np.linspace(0.0, 60.0, 601), [37.5, 37.7, 45.0]))
+    table = _hermite_functions(x, n)
+    sign = (-1.0) ** np.arange(n)[:, None]
+    assert np.array_equal(_hermite_functions(-x, n), sign * table)
+    if n == 802:
+        assert np.count_nonzero(table[:, x > 37.6]) > 0
+
+
 def test_vacuum_table_has_one_order():
     # n = 1: no step at all, so the seed is the table
     x = np.array([0.0, 1.5, -12.9, 13.0, 40.0])
@@ -236,6 +248,31 @@ def test_grid_rounds_up_to_odd():
     g = PhaseSpaceGrid(-6, 6, -6, 6, 128, 512)
     assert g.n_q == 129 and g.n_p == 513
     assert g.q[0] == -6 and g.q[-1] == 6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_centred_grid_axes_are_mirrored(seed):
+    # an axis over [-e, e] is x[i] = -x[n-1-i] bit for bit with an exact 0.0
+    # centre, and moves off np.linspace by at most 2 ulps of e (measured
+    # over 10,000 random draws; about half of them move by more than one)
+    rng = np.random.default_rng(seed)
+    for _ in range(250):
+        e = rng.uniform(0.5, 60.0)
+        n = 2 * int(rng.integers(32, 1100)) + 1
+        grid = PhaseSpaceGrid(-e, e, -2.0 * e, 2.0 * e, n, n + 2)
+        for axis, extent in ((grid.q, e), (grid.p, 2.0 * e)):
+            h = axis.size // 2
+            assert np.array_equal(axis[:h].view(np.int64), (-axis[:h:-1]).view(np.int64))
+            assert axis[h] == 0.0 and not np.signbit(axis[h])
+            assert axis[0] == -extent and axis[-1] == extent
+            assert np.max(np.abs(axis - np.linspace(-extent, extent, axis.size))) <= 2 * np.spacing(extent)
+
+
+def test_off_centre_grid_axes_are_linspace():
+    for q_min, q_max, p_min, p_max in ((25.3, 31.3, -1.0, 2.0), (-6.0, 6.5, -3.0, 3.0 + 1e-15)):
+        grid = PhaseSpaceGrid(q_min, q_max, p_min, p_max, 41, 65, min_points=2)
+        assert np.array_equal(grid.q.view(np.int64), np.linspace(q_min, q_max, 41).view(np.int64))
+        assert np.array_equal(grid.p.view(np.int64), np.linspace(p_min, p_max, 65).view(np.int64))
 
 
 def test_grid_minimum_points_policy():

@@ -327,6 +327,10 @@ def fields_by_whole_blocks(D, q, p):
     return W, bound
 
 
+#: unit roundoff of float64
+UNIT = np.finfo(float).eps / 2.0
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -335,16 +339,91 @@ def fields_by_whole_blocks(D, q, p):
     ],
     ids=["lossy-qudit", "ds160"],
 )
-def test_rounding_bound_buffers_match_whole_blocks(make):
-    # the same cells are zeroed, to the bit and the sign
+def test_rounding_bound_buffers_match_whole_blocks(make, monkeypatch):
+    # the parity split sums the same products in another order, so W
+    # matches the whole GEMMs within both bounds, not to the bit
     rho = as_density(make())
     grid = default_grid(rho)
     D = wigner._coefficients(rho.entries, False)[0]
     bound = np.empty(grid.shape)
     (W,) = wigner._fields(D, grid.q, grid.p, False, bound)
     want_W, want_bound = fields_by_whole_blocks(D, grid.q, grid.p)
-    assert np.array_equal(W.view(np.int64), want_W.view(np.int64))
-    assert np.array_equal(bound.view(np.int64), want_bound.view(np.int64))
+    # the same products with a zero bound: nothing but exact zeros is cut
+    monkeypatch.setattr(wigner, "_UNIT_ROUNDOFF", 0.0)
+    (raw,) = wigner._fields(D, grid.q, grid.p, False)
+    zeroed = np.abs(raw) <= bound
+    assert np.array_equal(W == 0.0, zeroed)
+    assert np.array_equal(W[~zeroed], raw[~zeroed])
+    # both bounds sum the same non-negative products, in other orders
+    # (measured: 5.5 u on the qudit, 20 u on ds160)
+    assert np.all(np.abs(bound - want_bound) <= 32 * UNIT * want_bound)
+    assert np.all(np.abs(W - want_W) <= bound + want_bound)
+
+
+def whole_gemm_fields(D, q, p):
+    """[(W, its bound), (dW/dq, bound), (dW/dp, bound)] by whole GEMMs.
+
+    The tables cover both axes whole, the products are unsplit and nothing
+    is cut; each bound is gamma |L|^T |D| |R| / sqrt(pi) for the field
+    L^T D R / sqrt(pi), with gamma = 2 size u / (1 - 2 size u).
+    """
+    size = D.shape[0]
+    table = wigner._hermite_functions(np.sqrt(2.0) * np.concatenate((q, p)), size + 1)
+    root = np.sqrt(np.arange(size + 1.0))[:, None]
+    deriv = root[:size] * np.vstack((np.zeros_like(table[:1]), table[: size - 1]))
+    deriv -= root[1:] * table[1:]
+    A, dA = table[:size], deriv
+    D = D / np.sqrt(np.pi)
+    gamma = 2 * size * UNIT / (1.0 - 2 * size * UNIT)
+    pairs = [(A, A), (dA, A), (A, dA)]
+    return [
+        (L[:, : q.size].T @ (D @ R[:, q.size :]),
+         gamma * (np.abs(L[:, : q.size]).T @ (np.abs(D) @ np.abs(R[:, q.size :]))))
+        for L, R in pairs
+    ]
+
+
+KERNEL_GRIDS = {
+    "mirrored-65": lambda: PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, 65, 65),
+    "mirrored-1025": lambda: PhaseSpaceGrid(-9.0, 9.0, -9.0, 9.0, 1025, 1025),
+    # q is not mirrored, p = (-1, 0, 1) is
+    "outer-ring": lambda: PhaseSpaceGrid(25.3, 31.3, -1, 1, 41, 3, min_points=2),
+}
+
+
+def kernel_input(grid_name, anti):
+    """A Hermitian matrix that reaches the grid, plus an anti-Hermitian
+    part (an imaginary field) where it reaches it too, if ``anti``."""
+    if grid_name == "outer-ring":
+        c = number_state(400).to_density().entries
+        reach = slice(390, None)
+    else:
+        c = as_density(cat(1.5, "odd", 30)).entries
+        reach = slice(None)
+    if anti:
+        rng = np.random.default_rng(11)
+        part = random_matrix(rng, c.shape[0])[reach, reach]
+        c = c.copy()
+        c[reach, reach] += 1e-3 * (part - part.conj().T)
+    return c
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["hermitian", "complex"])
+@pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS))
+def test_parity_kernel_matches_whole_gemms(grid_name, anti):
+    # W and both gradients, each within the two computations' bounds of
+    # each other; a cell of W that the kernel zeroed was within its own
+    # bound of 0, so it is within three bounds of the whole GEMM
+    grid = KERNEL_GRIDS[grid_name]()
+    sets = wigner._coefficients(kernel_input(grid_name, anti), anti)
+    assert len(sets) == 1 + anti
+    for D in sets:
+        got = wigner._fields(D, grid.q, grid.p, True)
+        want = whole_gemm_fields(D, grid.q, grid.p)
+        assert np.max(np.abs(want[0][0])) > 1e-4
+        for i, (field, (oracle, bound)) in enumerate(zip(got, want)):
+            assert field.shape == grid.shape
+            assert np.all(np.abs(field - oracle) <= (3.0 if i == 0 else 2.0) * bound)
 
 
 def number_state(n):

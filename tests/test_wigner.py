@@ -166,7 +166,7 @@ def test_guards_reject_nan():
     f = wigner_gradient(rho, GRID, check=False)
     f.grad_q = np.full(GRID.shape, np.nan)
     with pytest.raises(ConsistencyError):
-        _check_gradient(rho, f, 8, 1e-5)
+        _check_gradient(rho, f)
 
 
 def test_wigner_bound_and_mass():
@@ -344,4 +344,4 @@ def test_gradient_check_rejects_perturbed_gradient(state, axis, rel):
     field = wigner_gradient(rho, check=False)
     setattr(field, axis, getattr(field, axis) * (1.0 + rel))
     with pytest.raises(ConsistencyError):
-        _check_gradient(rho, field, 8, 1e-5)
+        _check_gradient(rho, field)
