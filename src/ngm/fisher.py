@@ -6,24 +6,22 @@ The location-Fisher matrix of a Wigner function,
 
 is finite for the states treated here even when W takes negative values:
 across a simple zero the integrand behaves like 1/x, whose symmetric
-neighbourhood integrates to a principal value.  Numerically the
-symmetric band around the zero set is excised by the smooth weight
+neighbourhood integrates to a principal value.  The band around the zero
+set is excised by the smooth weight
 
-    w(r) = ramp(|W| / max(band/pi, width * |grad W|)),
+    w = ramp(t),  t = |W| / max(band/pi, width * |grad W|),
 
-where ramp is the C^2 smoothstep rising 0 -> 1 on [0, 1].  The ratio
-|W|/|grad W| is the Newton estimate of the distance to the zero set, so
-the weight vanishes inside a tube of the given width (in grid steps)
-around every sign change, rises symmetrically across it (which is what
-cancels the odd 1/x part), and saturates to exactly one in regular
-regions -- in particular the decaying tails, where |W| is small but
-nothing is singular, are left alone.  The band/pi floor keeps the
-requested continuum excision in |W| units.  A hard mask instead of the
-ramp would leave the mesh sampling an unresolved 1/x and fails badly;
-sub-cell tube widths do the same, so the width is tied to the mesh step
-(3 and 6 steps) and the leading excision residual, linear in the width,
-is removed by Richardson extrapolation of the two levels.  Fields
-without sign changes have no zero crossings and are integrated in full.
+ramp the C^2 smoothstep rising 0 -> 1 on [0, 1].  |W|/|grad W| is the
+Newton estimate of the distance to the zero set, so w vanishes in a tube
+around every sign change, rises symmetrically across it (cancelling the
+odd 1/x part) and is one in regular regions, the tails included.  A hard
+mask or a sub-cell tube leaves an unresolved 1/x on the mesh, so the
+width is 6 mesh steps with the band and 3 with band/2: the threshold
+halves exactly, the second weight is ramp(2t) bit for bit, and Richardson
+extrapolation of the two removes the residual linear in the width.  One
+sweep of q-row blocks reduces both levels' integrands, the excluded and
+the total |W| mass to row sums against the p weights.  Fields without
+sign changes take the same sweep with the tail mask as their one weight.
 
 On top of J the module provides the drift condition Tr[G(V^-1 - J)]
 whose sign controls whether the relative-entropy measure decreases under
@@ -45,7 +43,7 @@ import numpy as np
 from .errors import NumericalError
 from .fock import FockVector, as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
-from .numerics import _convolve_gaussians, _ordered_map, integrate
+from .numerics import _convolve_gaussians, _ordered_map, _row_blocks, axis_weights
 from .wigner import WignerField, moments, wigner_gradient
 
 __all__ = [
@@ -111,9 +109,7 @@ class FisherMatrix:
         if np.max(np.abs(self.J - self.J.T)) > 1e-10:
             raise NumericalError("Fisher matrix lost symmetry")
         if positive and np.linalg.eigvalsh(self.J)[0] < -1e-8:
-            raise NumericalError(
-                "Fisher matrix of a nonnegative field is not PSD"
-            )
+            raise NumericalError("Fisher matrix of a nonnegative field is not PSD")
         return self
 
     @property
@@ -121,67 +117,67 @@ class FisherMatrix:
         return float(np.trace(self.J))
 
 
-def _entry_pairs(field):
-    return ((0, 0, field.grad_q, field.grad_q),
-            (0, 1, field.grad_q, field.grad_p),
-            (1, 1, field.grad_p, field.grad_p))
-
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _tube_weight(field, width, band):
-    """Smooth excision weight for a tube of `width` around the zero set."""
-    slope = np.hypot(field.grad_q, field.grad_p)
-    thresh = np.maximum(band / math.pi, width * slope)
-    return _smoothstep(np.abs(field.values) / thresh)
-
-
-def _weighted_integral(field, weight):
-    """Integrate (d_i W)(d_j W)/W * weight, entrywise (weight may be a mask)."""
-    W = field.values
-    safe = np.where(W == 0.0, 1.0, W)
-    kernel = weight / safe
-    entries = np.empty((2, 2))
-    for i, j, gi, gj in _entry_pairs(field):
-        entries[i, j] = entries[j, i] = integrate(gi * gj * kernel, field.grid)
-    return entries
-
-
 def fisher_from_field(field, band=BAND_DEFAULT):
     """Fisher matrix of an already-synthesized field with gradients."""
     if not field.has_gradient:
         raise ValueError("fisher_from_field needs analytic gradients; "
                          "synthesize with wigner_gradient")
-    if band <= 0.0:
-        raise ValueError("band must be positive")
-    W = field.values
-    if W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR):
-        # sign-definite field: no zero crossings, integrate in full
-        # (the tail guard only protects against 0/0 underflow)
-        J = _weighted_integral(field, np.abs(W) >= TAIL_FLOOR)
-        return FisherMatrix(J, J.copy(), J.copy(), band, 0.0, 0.0, True)
-    step = max(field.grid.dq, field.grid.dp)
-    weight_full = _tube_weight(field, 2.0 * RESOLUTION_CELLS * step, band)
-    weight_half = _tube_weight(field, RESOLUTION_CELLS * step, 0.5 * band)
-    J_full = _weighted_integral(field, weight_full)
-    J_half = _weighted_integral(field, weight_half)
+    if not 0.0 < band < math.inf:
+        raise ValueError("band must be positive and finite")
+    W, gq, gp, grid = field.values, field.grad_q, field.grad_p, field.grid
+    # no zero crossings: integrated in full, the tail mask its one weight
+    definite = W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR)
+    wq, wp = axis_weights(grid.n_q, grid.dq), axis_weights(grid.n_p, grid.dp)
+    # rows: qq, qp, pp at the full then the half level; excluded, total |W|
+    sums = np.zeros((8, grid.n_q))
+    with np.errstate(invalid="ignore", over="ignore"):  # checked on the sums
+        for rows, a, t, full, half, mask in _row_blocks(W.shape, 4):
+            block = W[rows]
+            np.matmul(np.abs(block, out=a), wp, out=sums[7, rows])
+            if definite:
+                np.copyto(full, np.greater_equal(a, TAIL_FLOOR, out=mask))
+                kernels = (full,)
+            else:
+                # t = |W| / max(band/pi, width |grad W|) at the full level;
+                # the half level halves both, so its ramp takes 2t exactly
+                np.square(gq[rows], out=t)
+                t += np.square(gp[rows], out=half)
+                np.sqrt(t, out=t)
+                t *= 2.0 * RESOLUTION_CELLS * max(grid.dq, grid.dp)
+                np.divide(a, np.maximum(t, band / math.pi, out=t), out=t)
+                kernels = (full, half)
+                for k in kernels:
+                    # the C^2 smoothstep t^3 (10 - 15 t + 6 t^2) of min(t, 1)
+                    np.minimum(t, 1.0, out=t)
+                    np.multiply(t, 6.0, out=k)
+                    k -= 15.0
+                    k *= t
+                    k += 10.0
+                    for _ in range(3):
+                        k *= t
+                    t *= 2.0
+                np.subtract(1.0, full, out=t)
+                np.matmul(np.multiply(t, a, out=t), wp, out=sums[6, rows])
+            # weight / W, with W = 0 read as 1: every weight vanishes there
+            np.copyto(t, block)
+            np.copyto(t, 1.0, where=np.equal(block, 0.0, out=mask))
+            for k in kernels:
+                k /= t
+            for n, (gi, gj) in enumerate(((gq, gq), (gq, gp), (gp, gp))):
+                np.multiply(gi[rows], gj[rows], out=a)
+                for level, k in enumerate(kernels):
+                    np.matmul(np.multiply(a, k, out=t), wp, out=sums[3 * level + n, rows])
+    totals = sums @ wq
+    if not np.all(np.isfinite(totals)):
+        raise NumericalError("non-finite Fisher integrals: the field or its "
+                             "gradient has non-finite entries")
+    J_full, J_half = (totals[[k, k + 1, k + 1, k + 2]].reshape(2, 2) for k in (0, 3))
+    if definite:
+        return FisherMatrix(J_full, J_full.copy(), J_full.copy(), band, 0.0, 0.0, True)
     J = 2.0 * J_half - J_full
-    gap = np.linalg.norm(J_full - J_half)
-    rel_gap = gap / max(np.linalg.norm(J), TAIL_FLOOR)
-    excluded = integrate((1.0 - weight_full) * np.abs(W), field.grid)
-    abs_mass = integrate(np.abs(W), field.grid)
-    return FisherMatrix(
-        J,
-        J_full,
-        J_half,
-        band,
-        float(excluded / abs_mass),
-        float(rel_gap),
-        bool(rel_gap <= CONVERGENCE_LIMIT),
-    )
+    rel_gap = float(np.linalg.norm(J_full - J_half) / max(np.linalg.norm(J), TAIL_FLOOR))
+    return FisherMatrix(J, J_full, J_half, band, float(totals[6] / totals[7]),
+                        rel_gap, rel_gap <= CONVERGENCE_LIMIT)
 
 
 def fisher_matrix(rho, grid=None, band=BAND_DEFAULT, points=513):
@@ -201,11 +197,11 @@ def monotonicity_condition(V, J, G):
     not increase for an infinitesimal Gaussian convolution with
     covariance direction ``G``.
     """
-    V = np.asarray(V, dtype=float)
+    V, J, G = (np.asarray(x, dtype=float) for x in (V, J, G))
+    if not all(np.all(np.isfinite(x)) for x in (V, J, G)):
+        raise NumericalError("non-finite entries in the drift condition")
     if np.linalg.eigvalsh(0.5 * (V + V.T))[0] <= 0.0:
         raise ValueError("V must be positive definite")
-    J = np.asarray(J, dtype=float)
-    G = np.asarray(G, dtype=float)
     return float(np.trace(G @ (np.linalg.inv(V) - J)))
 
 
@@ -232,8 +228,8 @@ def cramer_rao_check(V, J):
 
 def _validate_epsilons(epsilons):
     eps = [float(e) for e in epsilons]
-    if len(eps) < 2 or any(e <= 0 for e in eps):
-        raise ValueError("need at least two positive epsilons")
+    if len(eps) < 2 or not all(0.0 < e < math.inf for e in eps):
+        raise ValueError("need at least two positive, finite epsilons")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilons must decrease")
     return eps
@@ -280,6 +276,8 @@ def _smoothing_reports(field, fisher, G, epsilons=None, base=None):
     """
     epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
     G = np.asarray(G, dtype=float)
+    if not np.all(np.isfinite(G)):
+        raise ValueError("G must be finite")
     # the smoothing kernels are epsilon-narrow, so wraparound leakage is
     # bounded by the field's own edge magnitude; moment-adapted grids
     # leave edges around 1e-8 for strongly anti-squeezed states, which

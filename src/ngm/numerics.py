@@ -207,6 +207,21 @@ def axis_weights(n, step):
     return w * step
 
 
+#: cells per block of a sweep over a field's q rows: 64 rows of a 513-point
+#: grid, 256 KiB, so a block and its buffers stay in cache
+_BLOCK_CELLS = 64 * 513
+
+
+def _row_blocks(shape, floats, cells=_BLOCK_CELLS):
+    """Per block of q rows: its slice, views of reused float buffers, a bool one."""
+    # blocks of even size: a short last one would cost a pass's overhead
+    step = -(-shape[0] // max(1, shape[0] * shape[1] // cells))
+    bufs = (*np.empty((floats, step, shape[1])), np.empty((step, shape[1]), bool))
+    for i in range(0, shape[0], step):
+        n = min(step, shape[0] - i)
+        yield (slice(i, i + n), *(b[:n] for b in bufs))
+
+
 def grid_weights(grid):
     """Tensor-product quadrature weights, shape (n_q, n_p)."""
     return np.outer(axis_weights(grid.n_q, grid.dq), axis_weights(grid.n_p, grid.dp))

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density, state_moments
-from .numerics import PhaseSpaceGrid, _three_term, axis_weights, integrate
+from .numerics import (_BLOCK_CELLS, PhaseSpaceGrid, _row_blocks, _three_term,
+                       axis_weights, integrate)
 
 __all__ = [
     "WignerField",
@@ -119,21 +120,6 @@ SUPPORT_MARGIN = 12.0
 
 #: the gradient check samples every _CHECK_STRIDE-th point, +- _CHECK_STEP
 _CHECK_STRIDE, _CHECK_STEP = 8, 1e-5
-
-#: cells per block of a sweep over a field's q rows: 64 rows of a 513-point
-#: grid, 256 KiB, so a block and its buffers stay in cache
-_BLOCK_CELLS = 64 * 513
-
-
-def _row_blocks(shape, floats, cells=_BLOCK_CELLS):
-    """Per block of q rows: its slice, views of reused float buffers, a bool one."""
-    # blocks of even size: a short last one would cost a pass's overhead
-    step = -(-shape[0] // max(1, shape[0] * shape[1] // cells))
-    bufs = (*np.empty((floats, step, shape[1])), np.empty((step, shape[1]), bool))
-    for i in range(0, shape[0], step):
-        n = min(step, shape[0] - i)
-        yield (slice(i, i + n), *(b[:n] for b in bufs))
-
 
 def _require_finite(values, label):
     if not np.all(np.isfinite(values)):

@@ -10,9 +10,15 @@ which doubles as the target for the finite-difference smoothing slope
 (entropy gains (1/2)Tr[G J] per unit smoothing strength).
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ngm import fisher as fisher_module
+from ngm import numerics
+from ngm.channels import ThermalLossSpec, thermal_loss_fock
 from ngm.cli import main
 from ngm.errors import NumericalError
 from ngm.fock import (
@@ -24,6 +30,11 @@ from ngm.fock import (
     as_density,
 )
 from ngm.fisher import (
+    BAND_DEFAULT,
+    CONVERGENCE_LIMIT,
+    NEGATIVITY_FLOOR,
+    RESOLUTION_CELLS,
+    TAIL_FLOOR,
     FisherMatrix,
     cramer_rao_check,
     debruijn_check,
@@ -33,8 +44,8 @@ from ngm.fisher import (
     measure_derivative_check,
     monotonicity_condition,
 )
-from ngm.numerics import PhaseSpaceGrid
-from ngm.wigner import moments, wigner_from_fock, wigner_gradient
+from ngm.numerics import PhaseSpaceGrid, integrate
+from ngm.wigner import WignerField, moments, wigner_from_fock, wigner_gradient
 
 # Radial principal-value reduction for |1><1| (see module docstring);
 # cross-checked against scipy's Cauchy-weight quadrature of the same
@@ -125,6 +136,114 @@ def test_fisher_rejects_nonpositive_band():
         fisher_from_field(field, band=0.0)
 
 
+@pytest.mark.parametrize("band", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fisher_rejects_non_finite_band(band):
+    field = wigner_gradient(fock_density(0), points=129)
+    with pytest.raises(ValueError, match="finite"):
+        fisher_from_field(field, band=band)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("part", ["values", "grad_q", "grad_p"])
+@pytest.mark.parametrize("n", [0, 1], ids=["vacuum", "one-photon"])
+def test_fisher_rejects_non_finite_field(n, part, bad):
+    # the vacuum takes the sign-definite route, |1> the banded one
+    field = wigner_gradient(fock_density(n), points=129)
+    parts = {key: getattr(field, key).copy() for key in ("values", "grad_q", "grad_p")}
+    parts[part][40, 70] = bad
+    broken = WignerField(field.grid, parts["values"], parts["grad_q"], parts["grad_p"])
+    with pytest.raises(NumericalError, match="non-finite"):
+        fisher_from_field(broken)
+
+
+def whole_field_fisher(field, band=BAND_DEFAULT):
+    """The Fisher matrix by whole-field integrals, as an oracle.
+
+    Each band level builds its tube weight over the whole field, and each
+    entry, the excluded and the total |W| mass is its own integrate call.
+    Returns (J, J_band, J_half_band, excluded_fraction, rel_gap, converged).
+    """
+    W, grid = field.values, field.grid
+    pairs = ((0, 0, field.grad_q, field.grad_q), (0, 1, field.grad_q, field.grad_p),
+             (1, 1, field.grad_p, field.grad_p))
+
+    def tube_weight(width, band):
+        thresh = np.maximum(band / math.pi, width * np.hypot(field.grad_q, field.grad_p))
+        t = np.clip(np.abs(W) / thresh, 0.0, 1.0)
+        return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+
+    def weighted_integral(weight):
+        kernel = weight / np.where(W == 0.0, 1.0, W)
+        entries = np.empty((2, 2))
+        for i, j, gi, gj in pairs:
+            entries[i, j] = entries[j, i] = integrate(gi * gj * kernel, grid)
+        return entries
+
+    if W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR):
+        J = weighted_integral(np.abs(W) >= TAIL_FLOOR)
+        return J, J, J, 0.0, 0.0, True
+    step = max(grid.dq, grid.dp)
+    weight_full = tube_weight(2.0 * RESOLUTION_CELLS * step, band)
+    J_full = weighted_integral(weight_full)
+    J_half = weighted_integral(tube_weight(RESOLUTION_CELLS * step, 0.5 * band))
+    J = 2.0 * J_half - J_full
+    rel_gap = np.linalg.norm(J_full - J_half) / max(np.linalg.norm(J), TAIL_FLOOR)
+    excluded = integrate((1.0 - weight_full) * np.abs(W), grid)
+    return (J, J_full, J_half, excluded / integrate(np.abs(W), grid), rel_gap,
+            rel_gap <= CONVERGENCE_LIMIT)
+
+
+def lossy_qudit():
+    return thermal_loss_fock(random_qudit(5, seed=3), ThermalLossSpec(0.7, 0.01))
+
+
+FISHER_STATES = {
+    "cat": lambda: cat(1.6),
+    "one-photon": lambda: fock_density(1),
+    "vacuum": lambda: fock_density(0),
+    "displaced-squeezed": lambda: as_density(displaced_squeezed(0.8 + 0.3j, 0.4, n_c=60)),
+    "lossy-qudit": lossy_qudit,
+}
+BANDED = ("cat", "one-photon")
+
+
+@pytest.mark.parametrize("grid", ["513", "1025", "129x257"])
+@pytest.mark.parametrize("state", list(FISHER_STATES))
+def test_row_block_sweep_matches_whole_field_fisher(state, grid, monkeypatch):
+    rho = FISHER_STATES[state]()
+    if grid == "129x257":
+        # off-centre axes are not mirrored; blocks of 11 rows leave a
+        # partial last block of 8 (so do the mirrored 513 and 1025 grids)
+        field = wigner_gradient(rho, grid=PhaseSpaceGrid(-6.5, 7.0, -7.0, 6.0, 129, 257))
+        monkeypatch.setattr(fisher_module, "_row_blocks",
+                            lambda shape, floats: numerics._row_blocks(shape, floats, 10 * 257))
+    else:
+        field = wigner_gradient(rho, points=int(grid))
+    fm = fisher_from_field(field)
+    J, J_band, J_half, excluded, rel_gap, converged = whole_field_fisher(field)
+    # relative to the matrix: off-diagonal entries may vanish
+    for got, want in ((fm.J, J), (fm.J_band, J_band), (fm.J_half_band, J_half)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert fm.converged == converged
+    if state in BANDED:
+        assert fm.excluded_fraction == pytest.approx(excluded, rel=1e-13, abs=0.0)
+        assert fm.rel_gap == pytest.approx(rel_gap, rel=1e-13, abs=0.0)
+        assert excluded > 0.0
+    else:
+        assert fm.excluded_fraction == 0.0 and fm.rel_gap == 0.0
+
+
+def test_fisher_has_no_field_sized_temporaries():
+    field = wigner_gradient(fock_density(1), points=1025)
+    tracemalloc.start()
+    try:
+        fisher_from_field(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field.values.nbytes / 4
+
+
 def test_fisher_thermal_mixture_equality_and_cramer_rao():
     # the geometric Fock mixture is a thermal (Gaussian) state up to
     # truncation, so J = V^-1 almost exactly and the Cramer-Rao gap is
@@ -194,6 +313,14 @@ def test_monotonicity_condition_rejects_singular_covariance():
         monotonicity_condition(np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["V", "J", "G"])
+def test_monotonicity_condition_rejects_nan(which):
+    args = [0.5 * np.eye(2), 2.0 * np.eye(2), np.eye(2)]
+    args[which] = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(NumericalError):
+        monotonicity_condition(*args)
+
+
 def test_debruijn_vacuum_slope_two():
     report = debruijn_check(fock_density(0), np.eye(2))
     assert report["slope"] == pytest.approx(2.0, rel=1e-2)
@@ -221,6 +348,18 @@ def test_debruijn_rejects_bad_epsilons():
         debruijn_check(fock_density(0), np.eye(2), epsilons=[1e-3])
     with pytest.raises(ValueError):
         debruijn_check(fock_density(0), np.eye(2), epsilons=[1e-4, 1e-3])
+
+
+@pytest.mark.parametrize("check", [debruijn_check, measure_derivative_check])
+@pytest.mark.parametrize(
+    "G, epsilons",
+    [(np.eye(2), [np.nan, 1e-4]), (np.eye(2), [np.inf, 1e-3]),
+     (np.array([[1.0, 0.0], [0.0, np.nan]]), None), (np.array([[np.inf, 0.0], [0.0, 1.0]]), None)],
+    ids=["nan-epsilon", "inf-epsilon", "nan-G", "inf-G"],
+)
+def test_smoothing_checks_reject_non_finite_arguments(check, G, epsilons):
+    with pytest.raises(ValueError, match="finite"):
+        check(fock_density(0), G, epsilons=epsilons, points=129)
 
 
 def test_measure_derivative_gaussian_zero():
