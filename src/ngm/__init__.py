@@ -5,7 +5,7 @@ its Gaussian associate (the Gaussian with the same first and second
 moments).  Its real part measures non-Gaussianity in shape, its
 imaginary part is pi times the negative Wigner volume, and both are
 computed on truncated-Fock-basis states synthesized onto phase-space
-grids.  Submodules: ``numerics`` (grids, quadrature, convolution),
+grids.  Submodules: ``numerics`` (grids, recurrence, quadrature),
 ``fock`` (state constructors and serialization), ``wigner`` (field
 synthesis and moments), ``measure`` (the measure itself), ``channels``
 (thermal-loss evolution through two independent engines), ``fisher``
@@ -17,12 +17,11 @@ from .errors import (
     CapacityError,
     ConsistencyError,
     CutoffError,
-    GridError,
     NormalizationError,
     NumericalError,
     TruncationRiskError,
 )
-from .numerics import PhaseSpaceGrid, convolve_gaussian, integrate, worker_count
+from .numerics import PhaseSpaceGrid, integrate, worker_count
 from .fock import (
     FockDensityMatrix,
     FockVector,
@@ -61,7 +60,6 @@ from .measure import (
 )
 from .channels import (
     ThermalLossSpec,
-    rescale,
     thermal_loss_fock,
     thermal_loss_phase_space,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "FockDensityMatrix",
     "FockVector",
     "GaussianMoments",
-    "GridError",
     "MeasureValue",
     "NormalizationError",
     "NumericalError",
@@ -107,7 +104,6 @@ __all__ = [
     "build_state",
     "cat",
     "coherent",
-    "convolve_gaussian",
     "cramer_rao_check",
     "debruijn_check",
     "default_grid",
@@ -132,7 +128,6 @@ __all__ = [
     "preset_names",
     "product_measure_check",
     "random_qudit",
-    "rescale",
     "run_preset",
     "save_state",
     "state_from_json",

@@ -6,38 +6,37 @@ followed by a quantum-limited amplifier of gain G = 1 + (1-tau) n_bar.
 The Fock engine applies the truncated Kraus sums of both pieces.  Each
 Kraus operator of either piece has one nonzero diagonal (a scaled a^l or
 (a^dag)^k), so A rho A^dag is a shifted copy of rho scaled by the outer
-product of that diagonal with itself: O(dim^2) per order.  The
-phase-space engine rescales the Wigner field by sqrt(tau) and convolves
-with the (analytic) rescaled thermal Gaussian.  The two engines share no
-code past the input state, which makes their agreement a meaningful
-cross-check rather than a tautology.
+product of that diagonal with itself: O(dim^2) per order.  The orders
+come from the closed-form share of the trace each keeps (binomial for the
+loss, negative-binomial for the amplifier).  The phase-space engine
+rescales the Wigner field by sqrt(tau) and convolves it with the rescaled
+thermal Gaussian, exactly, on each Hermite-Gauss mode.  The two engines
+share no code past the input's coefficients D, which makes their
+agreement a meaningful cross-check rather than a tautology.
 """
 
-import warnings
+import math
 
 import numpy as np
 
-from .errors import GridError, TruncationRiskError
+from .errors import CapacityError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
-from .numerics import (
-    BOUNDARY_TOL,
-    _edge_max,
-    _log_factorial,
-    convolve_gaussian,
-)
-from .wigner import MASS_TOL, WignerField
+from .numerics import _log_factorial, integrate
+from .wigner import MASS_TOL, WignerField, _coefficients, _fields, _require_finite
 
 __all__ = [
     "ThermalLossSpec",
     "pure_loss_kraus",
     "amplifier_kraus",
     "thermal_loss_fock",
-    "rescale",
     "thermal_loss_phase_space",
 ]
 
-#: default ceiling on the per-piece Kraus order
-KRAUS_ORDER_CAP = 30
+#: least per-piece Kraus order; the closed-form tails raise it where needed
+KRAUS_ORDER_FLOOR = 30
+
+#: largest amplifier order, whose output space has dim + order levels
+_KRAUS_ORDER_CEILING = 1024
 
 #: acceptable trace deficit after truncated channel application
 TRACE_DEFICIT_TOL = 1e-6
@@ -114,111 +113,108 @@ def amplifier_kraus(gain, k_max, dim):
     return [v[k, : dim - k] for k in range(k_max + 1)]
 
 
+def _least_order(weights, log_shares, floor):
+    """max(floor, least k whose shares keep all but TRACE_DEFICIT_TOL / 2), else None."""
+    kept = np.cumsum(weights @ np.exp(log_shares))
+    hit = np.flatnonzero(kept >= weights.sum() - 0.5 * TRACE_DEFICIT_TOL)
+    return max(floor, int(hit[0])) if hit.size else None
+
+
+def _loss_order(p, eta):
+    """Loss order for populations p: order l keeps C(n, l) eta^(n-l) (1-eta)^l of level n."""
+    dim = p.size
+    floor = min(dim - 1, KRAUS_ORDER_FLOOR)
+    if floor == dim - 1:
+        return floor  # loss removes at most dim - 1 quanta
+    n = np.arange(dim)
+    lf = _log_factorial(dim)
+    lost = n[:, None] - n
+    logs = lf[n][:, None] - lf[n] - lf[np.abs(lost)] + lost * np.log(eta) + n * np.log1p(-eta)
+    return _least_order(p, np.where(lost >= 0, logs, -np.inf), floor)
+
+
+def _amplifier_order(q, gain):
+    """Amplifier order for populations q: order k keeps C(m + k, k) gain^-(m+1)
+    (1 - 1/gain)^k of level m.  Past _KRAUS_ORDER_CEILING, CapacityError."""
+    # the top level's share past the floor bounds every level's (q sums to at
+    # most 1), and by Chernoff it is at most ((1 - x)/(1 - y))^r (x/y)^j
+    x, r, j = 1.0 - 1.0 / gain, q.size, KRAUS_ORDER_FLOOR + 1
+    y, cut = j / (j + r), math.log(0.5 * TRACE_DEFICIT_TOL)
+    if x == 0.0 or x < y and r * math.log((1 - x) / (1 - y)) + j * math.log(x / y) < cut:
+        return KRAUS_ORDER_FLOOR
+    m = np.arange(q.size)[:, None]
+    for top in (KRAUS_ORDER_FLOOR, _KRAUS_ORDER_CEILING):
+        k = np.arange(top + 1)
+        lf = _log_factorial(q.size + top)
+        logs = lf[m + k] - lf[k] - (lf[m] + (m + 1) * math.log(gain))
+        logs += k * math.log1p(-1.0 / gain)
+        order = _least_order(q, logs, KRAUS_ORDER_FLOOR)
+        if order is not None:
+            return order
+    raise CapacityError(
+        f"the amplifier needs more than {_KRAUS_ORDER_CEILING} Kraus orders "
+        f"to keep the trace within {TRACE_DEFICIT_TOL:.0e}"
+    )
+
+
 def thermal_loss_fock(rho, spec):
     """Loss-then-amplifier Kraus evolution in the truncated Fock basis.
 
-    The Kraus orders are min(dim - 1, 30) for the loss and 30 for the
-    amplifier; a trace deficit beyond 1e-6 triggers one doubling of both
-    orders before the deficit is reported as an error.  The output is
-    renormalized and trimmed of negligible trailing Fock levels.
+    Each piece takes the least order whose closed-form shares keep all but
+    TRACE_DEFICIT_TOL / 2 of its input's trace, at least min(dim - 1, 30) for
+    the loss and 30 for the amplifier; a deficit beyond TRACE_DEFICIT_TOL
+    after the sums raises.  The output is renormalized and trimmed.
     """
     rho = as_density(rho)
     dim = rho.dim
     if spec.tau == 1.0:
         return rho
-    # loss can remove at most dim - 1 quanta from the truncated state
-    l_max = min(dim - 1, KRAUS_ORDER_CAP)
+    c = rho.entries
+    _require_finite(c, "density matrix")
+    l_max = _loss_order(np.diagonal(c).real, spec.eta)
+    # (v_i rho_ij) v_j is the expression the dense op @ rho @ op.T
+    # evaluates per element, so the sums match it bit for bit
+    lost = np.zeros((dim, dim), dtype=complex)
+    for l, v in enumerate(pure_loss_kraus(spec.eta, l_max, dim)):
+        lost[: dim - l, : dim - l] += v[:, None] * c[l:, l:] * v
     # the amplifier adds quanta into fresh headroom, so its order is not
     # bounded by the input dimension
-    k_max = KRAUS_ORDER_CAP
-    c = rho.entries
-    for escalated in (False, True):
-        # (v_i rho_ij) v_j is the expression the dense op @ rho @ op.T
-        # evaluates per element, so the sums match it bit for bit
-        lost = np.zeros((dim, dim), dtype=complex)
-        for l, v in enumerate(pure_loss_kraus(spec.eta, min(l_max, dim), dim)):
-            lost[: dim - l, : dim - l] += v[:, None] * c[l:, l:] * v
-        out_dim = dim + k_max
-        out = np.zeros((out_dim, out_dim), dtype=complex)
-        for k, v in enumerate(amplifier_kraus(spec.gain, k_max, out_dim)):
-            out[k : k + dim, k : k + dim] += v[:dim, None] * lost * v[:dim]
-        trace = float(np.trace(out).real)
-        if trace >= 1.0 - TRACE_DEFICIT_TOL:
-            break
-        if escalated:
-            raise TruncationRiskError(
-                f"channel output keeps trace {trace:.8f} < 1 - {TRACE_DEFICIT_TOL:.0e} "
-                f"at l_max={l_max}, k_max={k_max}",
-                magnitude=1.0 - trace,
-            )
-        l_max *= 2
-        k_max *= 2
-        warnings.warn(
-            f"Kraus orders escalated to l_max={l_max}, k_max={k_max} "
-            f"to close a trace deficit of {1.0 - trace:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
+    k_max = _amplifier_order(np.diagonal(lost).real, spec.gain)
+    out_dim = dim + k_max
+    out = np.zeros((out_dim, out_dim), dtype=complex)
+    for k, v in enumerate(amplifier_kraus(spec.gain, k_max, out_dim)):
+        out[k : k + dim, k : k + dim] += v[:dim, None] * lost * v[:dim]
+    trace = float(np.trace(out).real)
+    if not trace >= 1.0 - TRACE_DEFICIT_TOL:
+        raise TruncationRiskError(
+            f"channel output keeps trace {trace:.8f} < 1 - {TRACE_DEFICIT_TOL:.0e} "
+            f"at l_max={l_max}, k_max={k_max}",
+            magnitude=1.0 - trace,
         )
     out /= trace
     return trim_density(FockDensityMatrix(out), tol=1e-12)
 
 
-def rescale(field, s):
-    """Phase-space dilation (1/s^2) W(r/s) on the field's own grid.
+def thermal_loss_phase_space(rho, spec, grid):
+    """Rescale-and-convolve realization of the thermal-loss channel on ``grid``.
 
-    Resampling is bilinear, one axis at a time; a shrinking factor (s < 1)
-    samples beyond the original extent, which is only sound when the field
-    has decayed at the boundary (checked).
+    W_out = L_sqrt(tau)[W_in] * L_sqrt(1-tau)[W_thermal]: the field of rho
+    dilated by sqrt(tau) and convolved with the Gaussian of covariance
+    s^2 I, s^2 = (1-tau)(n_bar + 1/2), is chi_q D chi_p^T / sqrt(pi) exactly
+    for the tables of ``_hermite_functions`` at (tau, 2 s^2).  A grid for
+    the output's moments (sqrt(tau) d, tau V + s^2 I) holds it.  The output
+    is renormalized on the grid; a mass off 1 by more than MASS_TOL (or
+    NaN) raises TruncationRiskError: below 1 the output spreads past the
+    grid, above 1 the grid is too coarse to integrate it.
     """
-    if not s > 0.0:
-        raise ValueError("rescaling factor must be positive")
-    g = field.grid
-    if s < 1.0:
-        edge = _edge_max(field.values)
-        if not edge <= BOUNDARY_TOL:
-            raise GridError(
-                f"rescaled support leaves the grid: boundary magnitude {edge:.3e} "
-                f"exceeds {BOUNDARY_TOL:.0e}"
-            )
-    return WignerField(g, _bilinear(field.values, g, g.q / s, g.p / s) / (s * s))
-
-
-def _linear_weights(axis, x):
-    """For each x: the cell index i on ``axis`` and the weights of nodes
-    i and i + 1, both 0 for x off the axis."""
-    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
-    t = (x - axis[i]) / (axis[i + 1] - axis[i])
-    inside = (x >= axis[0]) & (x <= axis[-1])
-    return i, np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0)
-
-
-def _bilinear(values, grid, q, p):
-    """Bilinear samples of ``values`` on ``grid`` at the points (q_i, p_j),
-    0 outside the grid: one linear pass along q, then one along p."""
-    i, lo, hi = _linear_weights(grid.q, q)
-    rows = lo[:, None] * values[i] + hi[:, None] * values[i + 1]
-    j, lo, hi = _linear_weights(grid.p, p)
-    return lo * rows[:, j] + hi * rows[:, j + 1]
-
-
-def thermal_loss_phase_space(field, spec):
-    """Rescale-and-convolve realization of the thermal-loss channel.
-
-    W_out = L_sqrt(tau)[W_in] * L_sqrt(1-tau)[W_thermal]; the rescaled
-    thermal Wigner function is the Gaussian with covariance
-    (1-tau)(n_bar + 1/2) I, applied analytically in the spectral domain.
-    The output is renormalized on its grid.  A convolved mass off 1 by
-    more than MASS_TOL (or NaN) raises TruncationRiskError: below 1 the
-    kernel spread the field past the grid, above 1 the grid is too coarse
-    to integrate the rescaled field.
-    """
-    scaled = rescale(field, np.sqrt(spec.tau))
-    kernel_cov = (1.0 - spec.tau) * (spec.n_bar + 0.5) * np.eye(2)
-    values = convolve_gaussian(scaled.values, scaled.grid, kernel_cov)
-    mass = WignerField(scaled.grid, values).integral()
+    D = _coefficients(as_density(rho).entries, False)[0]
+    v = 2.0 * (1.0 - spec.tau) * (spec.n_bar + 0.5)
+    (values,) = _fields(D, grid.q, grid.p, False, maps=((spec.tau, v), (spec.tau, v)))
+    _require_finite(values, "phase-space channel output")
+    mass = integrate(values, grid)
     if not abs(mass - 1.0) <= MASS_TOL:
         if mass > 1.0:
-            cause = "the grid is too coarse for the rescaled field (--grid-points)"
+            cause = "the grid is too coarse for the output field (--grid-points)"
         else:
             cause = (f"{1.0 - mass:.3e} is lost off the grid; a wider grid "
                      "(--extent-sigmas) is needed")
@@ -227,4 +223,4 @@ def thermal_loss_phase_space(field, spec):
             f"{MASS_TOL:.0e} of 1: {cause}",
             magnitude=abs(mass - 1.0),
         )
-    return WignerField(scaled.grid, values / mass)
+    return WignerField(grid, values / mass)

@@ -4,10 +4,9 @@ Every number the CLI prints or writes comes from the same library call a
 script would make with the same arguments, so CLI output and library
 output agree exactly.  Documents carry no timestamps and use stable key
 and row ordering, which makes reruns with an identical configuration
-byte-identical.  Runtime warnings raised during a computation (Kraus
-order escalation, negative real part beyond quadrature noise, band
-extrapolation gaps) are recorded in the output document rather than
-silenced.
+byte-identical.  Runtime warnings raised during a computation (negative
+real part beyond quadrature noise, band extrapolation gaps) are recorded
+in the output document rather than silenced.
 
 Exit codes: 0 success (warnings allowed), 2 configuration error,
 3 numerical precondition failure, 4 cross-engine inconsistency.
@@ -38,7 +37,7 @@ from .fisher import (
 from .fock import as_density, cat, load_state, state_moments
 from .measure import _physical_quadrature, measure_from_field, ngm
 from .numerics import PhaseSpaceGrid
-from .wigner import default_grid, wigner_from_fock, wigner_gradient
+from .wigner import default_grid, wigner_gradient
 
 __all__ = [
     "ENGINE_AGREEMENT_TOL",
@@ -289,7 +288,7 @@ def _fisher_report(config):
         # the library checks on this field and its Fisher matrix, smoothed
         # once for both
         reports, extra = _collect(
-            lambda: _smoothing_reports(field, fisher, np.eye(2), base=base)
+            lambda: _smoothing_reports(rho, field, fisher, np.eye(2), base=base)
         )
         for key, report, wanted in zip(
             ("debruijn", "measure_derivative"), reports,
@@ -350,12 +349,12 @@ def cmd_channel(config):
         _print_value("after[fock]: ", value)
     if config.engine in ("phasespace", "both"):
         def run_phase_space():
-            # wide enough for the output too, whose mean sqrt(tau) d is inside
+            # the grid is sized for the output's moments (sqrt(tau) d, tau V + s^2 I)
             mean, cov = state_moments(rho)
             out_cov = spec.tau * cov + (1.0 - spec.tau) * (spec.n_bar + 0.5) * np.eye(2)
-            field = wigner_from_fock(rho, grid=PhaseSpaceGrid.for_moments(
-                mean, np.maximum(cov, out_cov), points=config.points, sigmas=config.sigmas))
-            return measure_from_field(thermal_loss_phase_space(field, spec))
+            out_grid = PhaseSpaceGrid.for_moments(np.sqrt(spec.tau) * mean, out_cov,
+                                                  points=config.points, sigmas=config.sigmas)
+            return measure_from_field(thermal_loss_phase_space(rho, spec, out_grid))
 
         value, extra = _collect(run_phase_space)
         after["phasespace"] = value

@@ -26,10 +26,6 @@ class TruncationRiskError(NumericalError):
         self.magnitude = magnitude
 
 
-class GridError(NumericalError):
-    """Grid cannot represent the requested operation (support overflow)."""
-
-
 class NormalizationError(NumericalError):
     """Trace or phase-space mass deviates beyond tolerance."""
 

@@ -29,8 +29,9 @@ an infinitesimal Gaussian convolution of covariance G, the Cramer-Rao
 gap V - J^-1, and two finite-difference cross-checks (differential
 entropy and measure derivative under epsilon-smoothing) that validate J
 against an independent numerical route.  Both checks share one gradient
-field, its Fisher matrix and one smoothing pass: the field is
-transformed forward once and each epsilon costs one inverse transform.
+field, its Fisher matrix and one smoothing pass, whose fields are
+synthesized from the state's Hermite-Gauss coefficients at the smoothed
+table maps: no sampled field is convolved.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ import numpy as np
 from .errors import NumericalError
 from .fock import FockVector, as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
-from .numerics import _convolve_gaussians, _ordered_map, _row_blocks, axis_weights
-from .wigner import WignerField, moments, wigner_gradient
+from .numerics import _ordered_map, _row_blocks, axis_weights
+from .wigner import (WignerField, _coefficients, _fields, _require_finite, moments,
+                     wigner_gradient)
 
 __all__ = [
     "BAND_DEFAULT",
@@ -266,31 +268,48 @@ def _slope_report(epsilons, keys, base, values, reference, fisher):
     }
 
 
-def _smoothing_reports(field, fisher, G, epsilons=None, base=None):
+def _principal_axes(G):
+    """(Lambda, theta): G = R diag(Lambda) R^T, R the rotation by theta (0 for a
+    diagonal G).  ValueError unless G is finite, symmetric and PSD (to 1e-12)."""
+    G = np.asarray(G, dtype=float)
+    if G.shape != (2, 2) or not np.all(np.isfinite(G)):
+        raise ValueError("G must be a finite 2x2 matrix")
+    tol = 1e-12 * np.abs(G).max()
+    if not abs(G[0, 1] - G[1, 0]) <= tol:
+        raise ValueError("G must be symmetric")
+    lam, U = (np.diag(G), np.eye(2)) if G[0, 1] == 0.0 else np.linalg.eigh(G)
+    if not lam.min() >= -tol:
+        raise ValueError("G must be positive semi-definite")
+    return np.maximum(lam, 0.0), math.atan2(U[1, 0], U[0, 0])
+
+
+def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
     """The de Bruijn and measure-derivative reports of one smoothing pass.
 
-    ``fisher`` is the Fisher matrix of the gradient field ``field``, which
-    is smoothed once per epsilon; one quadrature pass per field (moments
-    and entropy) serves both reports.  ``base``, the field's own
-    ``_physical_quadrature`` if the caller has it, saves that pass.
+    ``fisher`` is the Fisher matrix of ``field``, the gradient field of
+    ``rho``.  W convolved with N(0, eps G), G = R Lambda R^T, is synthesized
+    from rho's coefficients at the table maps (1, 2 eps Lambda_ii), after
+    turning rho by rho_mn e^{-i(m - n) theta} (field W(R r)) for a
+    non-diagonal G; the entropy, Tr(G J) and Tr(G V^-1) do not change.  One
+    quadrature pass per field serves both reports; ``base``, the field's
+    own ``_physical_quadrature`` if the caller has it, saves that pass when
+    G is diagonal (for another G the turned field's own pass is the base).
     """
     epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
+    lam, theta = _principal_axes(G)
     G = np.asarray(G, dtype=float)
-    if not np.all(np.isfinite(G)):
-        raise ValueError("G must be finite")
-    # the smoothing kernels are epsilon-narrow, so wraparound leakage is
-    # bounded by the field's own edge magnitude; moment-adapted grids
-    # leave edges around 1e-8 for strongly anti-squeezed states, which
-    # is harmless here
-    smoothed = [
-        WignerField(field.grid, values)
-        for values in _convolve_gaussians(
-            field.values, field.grid, [eps * G for eps in epsilons],
-            boundary_tol=1e-6,
-        )
-    ]
-    m, entropy, _ = base or _physical_quadrature(field)
-    passes = [_physical_quadrature(f) for f in smoothed]
+    entries = as_density(rho).entries
+    turn = np.exp(-1j * theta * np.arange(entries.shape[0]))
+    D = _coefficients(turn[:, None] * entries * turn.conj(), False)[0]
+
+    def quadrature(v):
+        maps = ((1.0, v[0]), (1.0, v[1]))
+        (values,) = _fields(D, field.grid.q, field.grid.p, False, maps=maps)
+        _require_finite(values, "smoothed Wigner field")
+        return _physical_quadrature(WignerField(field.grid, values))
+
+    m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)
+    passes = [quadrature(2.0 * eps * lam) for eps in epsilons]
     entropies = [h for _, h, _ in passes]
     debruijn = _slope_report(
         epsilons, ("base_entropy", "entropies", "slope"), entropy, entropies,
@@ -299,10 +318,11 @@ def _smoothing_reports(field, fisher, G, epsilons=None, base=None):
     # the moments are re-measured on each smoothed field, so the
     # Gaussian term moves too
     values = [gaussian_associate_entropy(mf) - h for mf, h, _ in passes]
+    R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     report = _slope_report(
         epsilons, ("base_re_mu", "values", "derivative"),
         gaussian_associate_entropy(m) - entropy, values,
-        0.5 * monotonicity_condition(m.V, fisher.J, G), fisher,
+        0.5 * monotonicity_condition(R @ m.V @ R.T, fisher.J, G), fisher,
     )
     derivative, reference = report["derivative"], report["reference"]
     deadband = 1e-3
@@ -324,7 +344,7 @@ def debruijn_check(rho, G, epsilons=None, grid=None, points=513,
     """
     field = wigner_gradient(rho, grid=grid, points=points)
     fisher = fisher_from_field(field, band=band)
-    return _smoothing_reports(field, fisher, G, epsilons)[0]
+    return _smoothing_reports(rho, field, fisher, G, epsilons)[0]
 
 
 def measure_derivative_check(rho, G, epsilons=None, grid=None, points=513,
@@ -338,7 +358,7 @@ def measure_derivative_check(rho, G, epsilons=None, grid=None, points=513,
     """
     field = wigner_gradient(rho, grid=grid, points=points)
     fisher = fisher_from_field(field, band=band)
-    return _smoothing_reports(field, fisher, G, epsilons)[1]
+    return _smoothing_reports(rho, field, fisher, G, epsilons)[1]
 
 
 def fock_fisher_sweep(n_max=10, points=513, band=BAND_DEFAULT, workers=None):

@@ -1,14 +1,13 @@
-"""Phase-space grids, log-factorials, the three-term recurrence, quadrature
-and Gaussian smoothing.
+"""Phase-space grids, log-factorials, the three-term recurrence and
+quadrature.
 
 Conventions used throughout the package: hbar = 1, quadrature ordering
 (q, p) per mode, vacuum variance 1/2.  Wigner fields are sampled on
 tensor-product grids with ``values[i, j] = W(q_i, p_j)``.
 
 Integration is composite Simpson on each axis (grids are kept at odd point
-counts for this reason); convolution is linear, via FFT with zero padding
-to fast lengths (11-smooth, 5-smooth on the real axis), and a field
-smoothed by several Gaussians is transformed forward once.
+counts for this reason).  No field is convolved on its samples: Gaussian
+maps act on the Hermite-Gauss tables the recurrence builds (``wigner``).
 """
 
 import os
@@ -16,18 +15,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import TruncationRiskError
-
 __all__ = [
     "PhaseSpaceGrid",
     "axis_weights",
     "integrate",
-    "convolve_gaussian",
     "worker_count",
 ]
-
-#: absolute boundary-decay threshold for convolution inputs
-BOUNDARY_TOL = 1e-12
 
 #: least half-extent of a moment-sized grid
 _MIN_EXTENT = 6.0
@@ -235,88 +228,3 @@ def integrate(values, grid):
     wq = axis_weights(grid.n_q, grid.dq)
     wp = axis_weights(grid.n_p, grid.dp)
     return wq @ values @ wp
-
-
-def _edge_max(values):
-    return max(
-        np.abs(values[0, :]).max(),
-        np.abs(values[-1, :]).max(),
-        np.abs(values[:, 0]).max(),
-        np.abs(values[:, -1]).max(),
-    )
-
-
-def _check_boundary(values, grid, tol, label):
-    mag = _edge_max(values)
-    if not mag <= tol:
-        raise TruncationRiskError(
-            f"{label} does not decay at the grid boundary "
-            f"(edge magnitude {mag:.3e} > {tol:.0e}); enlarge the grid",
-            magnitude=mag,
-        )
-
-
-def convolve_gaussian(values, grid, cov, boundary_tol=BOUNDARY_TOL):
-    """Convolve a field with a centered Gaussian of covariance `cov`.
-
-    The kernel enters through its exact Fourier transform
-    exp(-w^T cov w / 2) on the zero-padded spectral grid, so kernels much
-    narrower than the mesh stay accurate (the sampled-kernel route fails
-    there).  `cov` is a 2x2 symmetric PSD matrix; cov = 0 returns a copy.
-    """
-    return _convolve_gaussians(values, grid, [cov], boundary_tol)[0]
-
-
-def _fast_len(target, real=False):
-    """Smallest length >= target with no prime factor above 11 (above 5
-    for a real axis): a length the FFT transforms fast."""
-    best = 1 << (target - 1).bit_length()  # a power of two qualifies
-    odd = [1]
-    for prime in (3, 5) if real else (3, 5, 7, 11):
-        for m in list(odd):
-            while m * prime < best:
-                m *= prime
-                odd.append(m)
-    # the least m * 2^k >= target for each odd part m
-    return min(m << ((target - 1) // m).bit_length() for m in odd)
-
-
-def _convolve_gaussians(values, grid, covs, boundary_tol=BOUNDARY_TOL):
-    """`convolve_gaussian` of one field for each covariance in `covs`.
-
-    One boundary check and one forward transform serve every kernel (a
-    zero one among others is smoothed to rounding, not copied).  Axes pad
-    to the next fast length >= 2n - 1 (``_fast_len``); a narrower pad
-    would wrap the tails of the Nyquist-cut kernel, which are not Gaussian.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError("field shape does not match grid")
-    covs = [np.asarray(cov, dtype=float) for cov in covs]
-    if any(cov.shape != (2, 2) for cov in covs):
-        raise ValueError("cov must be 2x2")
-    if all(np.allclose(cov, 0.0) for cov in covs):
-        return [values.copy() for _ in covs]
-    _check_boundary(values, grid, boundary_tol, "field")
-    nq, np_ = grid.shape
-    shape = (_fast_len(2 * nq - 1), _fast_len(2 * np_ - 1, real=True))
-    wq = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=grid.dq)
-    wp = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=grid.dp)
-    spec = np.fft.rfft2(values, s=shape)
-    # kernels multiply into one reused buffer (the spectrum, if only one)
-    buf = spec if len(covs) == 1 else np.empty_like(spec)
-    out = []
-    for cov in covs:
-        if cov[0, 1] == 0.0:
-            np.multiply(spec, np.exp(-0.5 * cov[0, 0] * wq * wq)[:, None], out=buf)
-            buf *= np.exp(-0.5 * cov[1, 1] * wp * wp)
-        else:
-            # one exponent: split factors of an indefinite cross term overflow
-            quad = np.add.outer(cov[0, 0] * wq * wq, cov[1, 1] * wp * wp)
-            quad += 2.0 * cov[0, 1] * np.multiply.outer(wq, wp)
-            np.multiply(spec, np.exp(-0.5 * quad), out=buf)
-        np.fft.ifft(buf, axis=0, out=buf)
-        # only the kept rows go through the p transform; the crop is
-        # copied so that no padded array outlives the call
-        out.append(np.fft.irfft(buf[:nq], n=shape[1], axis=1)[:, :np_].copy())
-    return out

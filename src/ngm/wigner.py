@@ -12,7 +12,9 @@ photon at a time in O(dim^3) (see ``_coefficients``); the beam-splitter
 blocks depend on dim alone, so a process builds them once, for the largest
 dim up to a memory ceiling (``_block_levels``).  Then W is A_q D A_p^T
 against Hermite tables A[i, j] = phi_j(sqrt2 x_i) from the shared
-three-term recurrence of ``numerics``.  Grid axes centred on 0 are
+three-term recurrence of ``numerics``; the same recurrence gives the tables
+dilated and smoothed, so a Gaussian map of W is the same product with
+other tables (``_hermite_functions``).  Grid axes centred on 0 are
 mirrored bit for bit and phi_j(-x) = (-1)^j phi_j(x), so the tables hold
 x >= 0 and each product is E + O at x, E - O at -x, with E and O the sums
 over the even and the odd orders: half the flops of a whole GEMM.  The
@@ -126,30 +128,39 @@ def _require_finite(values, label):
         raise NumericalError(f"{label} has non-finite entries")
 
 
-def _hermite_functions(x, n):
-    """Table of phi_0(x) .. phi_{n-1}(x), the normalised Hermite functions.
+def _hermite_functions(x, n, tau=1.0, v=0.0):
+    """chi_0(x) .. chi_{n-1}(x): the normalised Hermite functions phi_j
+    dilated by sqrt(tau) (times 1/sqrt(tau)) and convolved with a Gaussian
+    of variance v; phi_j itself, bit for bit, at the defaults.
 
-    The recurrence's seed phi_0 = pi^-1/4 e^{-x^2/2} underflows past
-    |x| ~ 37.6 while phi_k is O(1) out to its turning point sqrt(2k + 1):
-    there it enters ``_three_term`` as a mantissa and a binary exponent.
-    Past SUPPORT_MARGIN beyond the last turning point the table is 0.
+    With a = tau + v, chi_0 = pi^-1/4 a^-1/2 e^{-x^2/(2a)} and chi_{k+1} =
+    (sqrt(tau) x/a) sqrt(2/(k+1)) chi_k - ((tau - v)/a) sqrt(k/(k+1)) chi_{k-1};
+    chi_j has the parity of phi_j.  The seed underflows past |x| ~ 37.6 sqrt(a)
+    while chi_k is O(1) out to about sqrt(a (2k + 1)): there it enters
+    ``_three_term`` as a mantissa and a binary exponent.  Past
+    SUPPORT_MARGIN sqrt(a) beyond the last turning point the table is 0.
     """
-    seed = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    a = tau + v
+    w = x / np.sqrt(a)
+    seed = np.pi**-0.25 * np.exp(-0.5 * w * w)
     exp = np.zeros_like(seed)
-    # the cut and the underflow both lie where phi_0 < 1.5e-37 (|x| > 13)
+    # the cut and the underflow both lie where the seed's e^{-w^2/2} part
+    # is below 1.5e-37 (|w| > 13)
     tail = np.flatnonzero(seed < 1e-36)
     if tail.size:
-        inside = np.abs(x[tail]) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN
+        inside = np.abs(w[tail]) < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN
         seed[tail[~inside]] = 0.0
         far = tail[inside & (seed[tail] < np.finfo(float).tiny)]
         # e^{-h} = e^{m ln2 - h} 2^-m, ln 2 split in two (Cody-Waite)
-        half = 0.5 * x[far] ** 2
+        half = 0.5 * w[far] ** 2
         m = np.ceil(half / np.log(2.0))
         lo = m * 1.9082149292705877e-10
         seed[far] = np.pi**-0.25 * np.exp(m * 0.6931471803691238 - half + lo)
         exp[far] = -m
+    seed /= np.sqrt(a)
     k = np.arange(1.0, n)
-    return _three_term(x, seed, exp, np.sqrt(2.0 / k), np.sqrt((k - 1.0) / k), n)
+    back = (tau - v) / a * np.sqrt((k - 1.0) / k)
+    return _three_term(np.sqrt(tau) * x / a, seed, exp, np.sqrt(2.0 / k), back, n)
 
 
 def _beam_splitter_rows(dim):
@@ -339,11 +350,13 @@ def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS):
         mirror[rows.start + first - c : rows.stop - c] = diff[first:]
 
 
-def _fields(D, q, p, with_grad, bound=None):
+def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
     """[W] or [W, dW/dq, dW/dp] of the coefficients D on the q and p axes.
 
-    W = A_q D A_p^T / sqrt(pi) with A[i, j] = phi_j(sqrt2 x_i), both products
-    split by parity; gradients use dphi_n/dx = sqrt(n/2) phi_{n-1} -
+    W = A_q D A_p^T / sqrt(pi), A[i, j] = chi_j(sqrt2 x_i) at the (tau, v) of
+    ``maps`` per axis (the field dilated by sqrt(tau) and convolved with
+    variance v/2; W itself at (1, 0)), both products split by parity.
+    Gradients, at (1, 0) only, use dphi_n/dx = sqrt(n/2) phi_{n-1} -
     sqrt((n+1)/2) phi_{n+1}, one order above D.  Values of W inside
     gamma (|A_q| |D| |A_p|^T) / sqrt(pi), the products' own rounding bound
     (each entry still sums size products per product, in another order),
@@ -354,7 +367,10 @@ def _fields(D, q, p, with_grad, bound=None):
     # h points of an axis mirror its last h, x[i] = -x[n-1-i] bit for bit
     hq, hp = (x.size // 2 if (x == -x[::-1]).all() else 0 for x in (q, p))
     uq, cq, cp = q.size - hq, q.size - 2 * hq, p.size - 2 * hp
-    table = _hermite_functions(np.sqrt(2.0) * np.concatenate((q[hq:], p[hp:])), orders)
+    # one table for both axes where their maps agree
+    axes = [np.concatenate((q[hq:], p[hp:]))] if maps[0] == maps[1] else (q[hq:], p[hp:])
+    tables = [_hermite_functions(np.sqrt(2.0) * x, orders, *m) for x, m in zip(axes, maps)]
+    table = tables[0] if len(tables) == 1 else np.hstack(tables)
     Tq, Tp = table[:size, :uq], table[:size, uq:]
     Dt = np.ascontiguousarray(D.T) / np.sqrt(np.pi)
     # inner = D A_p^T, (2 dim - 1) x n_p, is one block
@@ -542,14 +558,9 @@ def _quadrature(field):
     return m, -float(wq @ ent_rows), 0.0 - float(wq @ neg_rows)
 
 
-def moments(field, physical=True):
-    """Quadrature moments of a normalized field.
-
-    ``physical=False`` skips the uncertainty-bound check, for fields that
-    are legitimate densities but not state Wigner functions (for example
-    rescaled ones).
-    """
-    return _quadrature(field)[0].validate(physical=physical)
+def moments(field):
+    """Quadrature moments of a normalized field, uncertainty bound checked."""
+    return _quadrature(field)[0].validate(physical=True)
 
 
 def _covariance_det(V):

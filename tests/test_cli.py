@@ -303,21 +303,35 @@ def test_channel_tau_validation(capsys):
 
 
 def test_channel_phase_space_mass_loss_exits_three(capsys):
-    # the grid holds the output's (1 - tau)(nbar + 1/2) spread, so no mass
-    # is lost off it; at 513 points it is too coarse for the cat's fringes
-    # rescaled by sqrt(0.05), and 2049 points resolve them
+    # the output's (1 - tau)(nbar + 1/2) spread has sigma 4.4: a grid of
+    # one sigma (the 6.0 floor of its half-extent) keeps 68% of its mass
     argv = ["channel", "--cat", "1.5", "--tau", "0.05", "--nbar", "20",
             "--engine", "phasespace"]
-    assert main(argv) == 3
+    assert main(argv + ["--extent-sigmas", "1"]) == 3
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{"):])
     assert doc["error"]["type"] == "TruncationRiskError"
-    assert "the grid is too coarse" in doc["error"]["message"]
-    assert main(argv + ["--grid-points", "2049"]) == 0
+    assert "--extent-sigmas" in doc["error"]["message"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_channel_strong_noise_engines_agree(tmp_path, capsys):
+    # gain 20: the Kraus orders come from the closed-form tails, and the
+    # exact phase-space engine holds the output at 513 points
+    path = tmp_path / "channel.json"
+    argv = ["channel", "--cat", "1.5", "--tau", "0.05", "--nbar", "20",
+            "--engine", "both", "--out", str(path)]
+    assert main(argv) == 0
+    doc = json.loads(path.read_text())
+    assert doc["consistent"] is True and doc["warnings"] == []
+    assert doc["engine_delta"]["re_mu"] < 1e-6
+    capsys.readouterr()
 
 
 def test_channel_phase_space_grid_holds_the_output(tmp_path):
-    # the input's own grid loses 1.9e-4 of the output's mass past its edge
+    # the input's own grid would lose 1.9e-4 of the output's mass past its
+    # edge; the output's own moments size the grid
     path = tmp_path / "channel.json"
     argv = ["channel", "--cat", "1.5", "--tau", "0.3", "--nbar", "3",
             "--engine", "phasespace", "--out", str(path)]

@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_numerics import padded_convolve_gaussian
 
 from ngm import fisher as fisher_module
 from ngm import numerics
@@ -45,6 +46,7 @@ from ngm.fisher import (
     monotonicity_condition,
 )
 from ngm.numerics import PhaseSpaceGrid, integrate
+from ngm.measure import wigner_entropy_real
 from ngm.wigner import WignerField, moments, wigner_from_fock, wigner_gradient
 
 # Radial principal-value reduction for |1><1| (see module docstring);
@@ -360,6 +362,58 @@ def test_debruijn_rejects_bad_epsilons():
 def test_smoothing_checks_reject_non_finite_arguments(check, G, epsilons):
     with pytest.raises(ValueError, match="finite"):
         check(fock_density(0), G, epsilons=epsilons, points=129)
+
+
+@pytest.mark.parametrize("check", [debruijn_check, measure_derivative_check])
+@pytest.mark.parametrize(
+    "G, match",
+    [(np.array([[1.0, 0.3], [0.0, 1.0]]), "symmetric"), (-np.eye(2), "semi-definite"),
+     (np.array([[1.0, 2.0], [2.0, 1.0]]), "semi-definite"), (np.eye(3), "2x2")],
+    ids=["asymmetric", "negative", "indefinite", "3x3"],
+)
+def test_smoothing_checks_reject_non_covariance(check, G, match):
+    # an asymmetric G has no Gaussian kernel, a negative one would deconvolve
+    with pytest.raises(ValueError, match=match):
+        check(fock_density(1), G, points=129)
+
+
+#: a non-diagonal smoothing direction, turned pi/4 off the axes
+TILTED_G = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def test_debruijn_tilted_direction():
+    for rho in (fock_density(1), as_density(displaced_squeezed(0.4 + 0.5j, -0.3, n_c=60))):
+        report = debruijn_check(rho, TILTED_G)
+        assert report["reference"] == pytest.approx(
+            0.5 * np.trace(TILTED_G @ fisher_matrix(rho).J), rel=1e-12)
+        assert report["rel_error"] < 0.02
+
+
+def test_measure_derivative_tilted_direction():
+    report = measure_derivative_check(fock_density(1), TILTED_G)
+    assert report["rel_error"] < 0.03
+    assert report["derivative"] < 0.0
+    assert report["sign_agrees"]
+    # a Gaussian's drift vanishes in every direction
+    state = as_density(displaced_squeezed(0.4 + 0.5j, -0.3, n_c=60))
+    report = measure_derivative_check(state, TILTED_G)
+    assert abs(report["derivative"]) < 1e-3
+    assert abs(report["reference"]) < 1e-3
+    assert report["sign_agrees"]
+
+
+def test_tilted_smoothing_matches_the_fft_oracle_on_a_gaussian():
+    # the turned state's entropy increments against the padded FFT
+    # convolution of the untouched field by eps G (measured gap 3.3e-9;
+    # on a cat, whose -int W ln|W| carries an orientation-dependent
+    # quadrature error, up to 2e-5 at 513 points)
+    rho = as_density(displaced_squeezed(0.4 + 0.5j, -0.3, n_c=60))
+    field = wigner_gradient(rho)
+    report = debruijn_check(rho, TILTED_G)
+    want = [wigner_entropy_real(WignerField(field.grid, padded_convolve_gaussian(
+        field.values, field.grid, eps * TILTED_G))) for eps in report["epsilons"]]
+    got = np.subtract(report["entropies"], report["base_entropy"])
+    assert np.max(np.abs(got - np.subtract(want, wigner_entropy_real(field)))) < 1e-8
 
 
 def test_measure_derivative_gaussian_zero():

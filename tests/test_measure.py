@@ -275,10 +275,11 @@ def test_ngm_runs_one_quadrature_pass(monkeypatch):
 
 
 def test_smoothing_reports_run_one_quadrature_pass_per_field(monkeypatch):
-    field = wigner_gradient(fock_density(1))
+    rho = fock_density(1)
+    field = wigner_gradient(rho)
     fisher = fisher_from_field(field)
     calls = spy_on_quadrature(monkeypatch)
-    _smoothing_reports(field, fisher, np.eye(2))
+    _smoothing_reports(rho, field, fisher, np.eye(2))
     assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
 
 

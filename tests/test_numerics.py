@@ -2,9 +2,10 @@
 
 Oracles here are independent of the production code paths: log-factorials
 and three-term recurrences in 50-digit arithmetic, the Hermite tables as
-the library built them before the shared recurrence, closed-form Gaussian
-integrals for the quadrature and convolution checks, and scipy's own fast
-FFT lengths for the padding.
+the library built them before the shared recurrence, brute-force
+quadrature for the dilated and smoothed tables, closed-form Gaussian
+integrals for the quadrature and convolution checks, and the padded FFT
+convolution of sampled fields the library once ran.
 """
 
 import ast
@@ -13,22 +14,19 @@ import pathlib
 import numpy as np
 import pytest
 from mpmath import mp, factorial
-from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 import ngm as ngm_package
-from ngm.errors import TruncationRiskError
+from ngm import wigner
+from ngm.fock import FockDensityMatrix, as_density, coherent, displaced_squeezed, random_qudit
 from ngm.numerics import (
     PhaseSpaceGrid,
-    _convolve_gaussians,
-    _fast_len,
     _log_factorial,
     _three_term,
     axis_weights,
-    convolve_gaussian,
     integrate,
 )
-from ngm.wigner import SUPPORT_MARGIN, _hermite_functions
+from ngm.wigner import SUPPORT_MARGIN, _hermite_functions, wigner_from_fock
 
 mp.dps = 50
 
@@ -147,6 +145,64 @@ def test_hermite_table_parity_is_exact(n):
     assert np.array_equal(_hermite_functions(-x, n), sign * table)
     if n == 802:
         assert np.count_nonzero(table[:, x > 37.6]) > 0
+
+
+#: (tau, v) pairs of the table family: the smoothing maps (1, 2 eps), the
+#: thermal-loss maps (tau, 2 (1 - tau)(n_bar + 1/2)) down to tau = 0.05 at
+#: n_bar = 20, and a plain dilation (tau, 0) on either side of 1
+TABLE_MAPS = [(1.0, 5e-4), (1.0, 2e-3), (0.9, 0.1), (0.7, 0.6), (0.5, 2.0),
+              (0.05, 38.95), (0.64, 0.0), (1.5625, 0.0)]
+
+
+@pytest.mark.parametrize("tau,v", TABLE_MAPS)
+def test_table_family_matches_brute_force_quadrature(tau, v):
+    # chi_j(u) = int phi_j(s) g_v(u - sqrt(tau) s) ds, phi_j from the plain
+    # table, by the trapezoid rule on a mesh that resolves the kernel
+    n = 30
+    a = tau + v
+    u = np.linspace(-8.0 * np.sqrt(a), 8.0 * np.sqrt(a), 81)
+    got = _hermite_functions(u, n, tau, v)
+    if v == 0.0:
+        want = _hermite_functions(u / np.sqrt(tau), n) / np.sqrt(tau)
+    else:
+        s = np.linspace(-45.0, 45.0, 36001)
+        r = u[:, None] - np.sqrt(tau) * s
+        kernel = np.exp(-r * r / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+        want = (_hermite_functions(s, n) * (s[1] - s[0])) @ kernel.T
+    assert np.max(np.abs(got - want)) < 1e-11
+
+
+def mp_table_family(x, n, tau, v):
+    """chi_0(x) .. chi_{n-1}(x) by the family's recurrence in 50 digits."""
+    x, tau, v = mp.mpf(x), mp.mpf(tau), mp.mpf(v)
+    a = tau + v
+    step = [mp.sqrt(mp.mpf(2) / (k + 1)) for k in range(n - 1)]
+    back = [(tau - v) / a * mp.sqrt(mp.mpf(k) / (k + 1)) for k in range(n - 1)]
+    y0 = mp.pi ** mp.mpf(-0.25) / mp.sqrt(a) * mp.exp(-x * x / (2 * a))
+    z = mp.sqrt(tau) * x / a
+    return np.array([float(val) for val in mp_three_term(z, y0, step, back, n)])
+
+
+@pytest.mark.parametrize("tau,v", [(1.0, 2e-3), (0.05, 38.95), (1.5625, 0.0)])
+def test_table_family_far_field(tau, v):
+    # past |x| ~ 37.6 sqrt(a) the seed takes a binary exponent; the table
+    # follows the recurrence in 50 digits there, to the plain table's
+    # error plus the seed's conditioning (x^2 / 2a carries a few ulps of
+    # itself when x^2 / a is not exact), and is 0 past SUPPORT_MARGIN
+    # sqrt(a) beyond the last turning point
+    n = 403
+    w = np.array([0.3, 9.9, 30.0, 37.5, 38.0, 45.0, 55.0, 60.0])
+    x = w * np.sqrt(tau + v)
+    want = np.array([mp_table_family(val, n, tau, v) for val in x]).T
+    scale = np.maximum(np.abs(want).max(axis=0), np.finfo(float).tiny)
+    table = _hermite_functions(x, n, tau, v)
+    inside = w < np.sqrt(2.0 * n - 1.0) + SUPPORT_MARGIN
+    error = np.abs(table - want).max(axis=0) / scale
+    assert np.all((error < 1e-14 + 4.0 * np.finfo(float).eps * w * w)[inside])
+    assert np.all(table[:, ~inside] == 0.0) and np.all(np.abs(want[:, ~inside]) < 1e-36)
+    # chi_j has the parity of phi_j, to the bit
+    sign = (-1.0) ** np.arange(n)[:, None]
+    assert np.array_equal(_hermite_functions(-x, n, tau, v), sign * table)
 
 
 def test_vacuum_table_has_one_order():
@@ -353,81 +409,89 @@ def test_axis_weights_even_count_falls_back_to_trapezoid():
 # ---------------------------------------------------------------- convolve
 
 
+def smoothed(state, grid, cov):
+    """W of the state convolved with N(0, cov), cov diagonal: the table
+    maps (1, 2 cov_qq) and (1, 2 cov_pp) on the state's coefficients."""
+    D = wigner._coefficients(as_density(state).entries, False)[0]
+    maps = tuple((1.0, 2.0 * c) for c in np.diag(cov))
+    (values,) = wigner._fields(D, grid.q, grid.p, False, maps=maps)
+    return values
+
+
+def coherent_at(mean):
+    """The coherent state whose Wigner function has this (q, p) mean."""
+    return coherent((mean[0] + 1j * mean[1]) / np.sqrt(2.0))
+
+
 def test_convolve_gaussians_sum_covariance():
     g = PhaseSpaceGrid(-8, 8, -8, 8, 257, 257)
-    a = gauss2d(g, [0.0, 0.0], np.diag([0.5, 0.5]))
     want = gauss2d(g, [0.0, 0.0], np.diag([0.8, 1.2]))
-    got = convolve_gaussian(a, g, np.diag([0.3, 0.7]))
-    assert np.max(np.abs(got - want)) < 1e-8
+    got = smoothed(coherent(0.0), g, np.diag([0.3, 0.7]))
+    assert np.max(np.abs(got - want)) < 1e-14
     assert integrate(got, g) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_convolve_narrow_kernel_near_identity():
     g = PhaseSpaceGrid(-8, 8, -8, 8, 257, 257)
-    f = gauss2d(g, [1.0, -0.5], np.diag([0.6, 0.9]))
+    # a thermal state of covariance 0.9 I
+    state = FockDensityMatrix(np.diag(0.4**np.arange(80.0) / 1.4 ** np.arange(1.0, 81.0)))
+    f = wigner_from_fock(state, g).values
     s2 = (2 * g.dq) ** 2
-    got = convolve_gaussian(f, g, s2 * np.eye(2))
+    got = smoothed(state, g, s2 * np.eye(2))
     # smoothing bias ~ s2/2 * laplacian(f)
     assert np.max(np.abs(got - f)) < 5e-3
 
 
 def test_convolve_commutes():
-    # two smoothings in either order
+    # two smoothings in either order, the second by the padded FFT of the
+    # first's samples, are the one smoothing by their sum
     g = PhaseSpaceGrid(-8, 8, -8, 8, 129, 129)
-    a = gauss2d(g, [0.6, 0.0], np.diag([0.5, 0.8]))
-    first, second = np.diag([0.2, 0.3]), np.array([[0.2, 0.05], [0.05, 0.1]])
-    ab = convolve_gaussian(convolve_gaussian(a, g, first), g, second)
-    ba = convolve_gaussian(convolve_gaussian(a, g, second), g, first)
-    assert np.max(np.abs(ab - ba)) < 1e-13
-
-
-def test_convolve_boundary_decay_enforced():
-    g = PhaseSpaceGrid(-6, 6, -6, 6, 129, 129)
-    flat = np.ones(g.shape)
-    with pytest.raises(TruncationRiskError) as err:
-        convolve_gaussian(flat, g, 0.5 * np.eye(2))
-    assert err.value.magnitude == pytest.approx(1.0)
+    state = random_qudit(3, seed=2)
+    first, second = np.diag([0.2, 0.3]), np.diag([0.05, 0.1])
+    ab = padded_convolve_gaussian(smoothed(state, g, first), g, second)
+    ba = padded_convolve_gaussian(smoothed(state, g, second), g, first)
+    both = smoothed(state, g, first + second)
+    assert np.max(np.abs(ab - both)) < 1e-13
+    assert np.max(np.abs(ba - both)) < 1e-13
 
 
 def test_convolve_gaussian_matches_sampled_kernel():
     g = PhaseSpaceGrid(-8, 8, -8, 8, 257, 257)
-    f = gauss2d(g, [0.8, 0.3], np.diag([0.5, 0.5]))
+    f = wigner_from_fock(coherent_at([0.8, 0.3]), g).values
     cov = np.diag([0.2, 0.35])
     kern = gauss2d(g, [0.0, 0.0], cov)
     direct = sampled_convolve(f, kern, g)
-    spectral = convolve_gaussian(f, g, cov)
+    spectral = smoothed(coherent_at([0.8, 0.3]), g, cov)
     assert np.max(np.abs(direct - spectral)) < 1e-9
 
 
 def test_convolve_gaussian_narrow_kernel_exact():
     # kernel sigma far below the mesh: sampled kernels fail here, the
-    # spectral route must still reproduce the exact summed covariance
+    # table route must still reproduce the exact summed covariance
     g = PhaseSpaceGrid(-8, 8, -8, 8, 257, 257)
     s2 = 1e-4  # sigma ~ 0.01 << dq ~ 0.06
-    f = gauss2d(g, [0.0, 0.0], 0.5 * np.eye(2))
     want = gauss2d(g, [0.0, 0.0], (0.5 + s2) * np.eye(2))
-    got = convolve_gaussian(f, g, s2 * np.eye(2))
-    assert np.max(np.abs(got - want)) < 1e-10
+    got = smoothed(coherent(0.0), g, s2 * np.eye(2))
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_convolve_gaussian_zero_cov_is_identity():
     g = PhaseSpaceGrid(-6, 6, -6, 6, 129, 129)
-    f = gauss2d(g, [0.0, 0.0], 0.5 * np.eye(2))
-    got = convolve_gaussian(f, g, np.zeros((2, 2)))
-    assert np.array_equal(got, f)
+    state = random_qudit(3, seed=2)
+    got = smoothed(state, g, np.zeros((2, 2)))
+    assert np.array_equal(got, wigner_from_fock(state, g).values)
 
 
 def test_convolve_gaussian_mass_preserved():
     g = PhaseSpaceGrid(-9, 9, -9, 9, 257, 257)
-    f = gauss2d(g, [0.5, 0.5], np.diag([0.7, 0.5]))
-    got = convolve_gaussian(f, g, np.diag([0.3, 0.3]))
+    got = smoothed(displaced_squeezed(0.5 + 0.5j, 0.17), g, np.diag([0.3, 0.3]))
     assert integrate(got, g) == pytest.approx(1.0, abs=1e-9)
 
 
 def padded_convolve_gaussian(values, grid, cov):
     """The spectral Gaussian convolution at 2n - 1 points per axis, with
-    the kernel built as one 2-D array: the route before fast padded
-    lengths and factored kernels, kept as the oracle."""
+    the kernel built as one 2-D array: the library's route before the
+    Hermite-Gauss tables, kept as the oracle."""
     nq, np_ = grid.shape
     shape = (2 * nq - 1, 2 * np_ - 1)
     wq = 2.0 * np.pi * np.fft.fftfreq(shape[0], d=grid.dq)
@@ -444,45 +508,17 @@ def padded_convolve_gaussian(values, grid, cov):
 SMOOTHING_COVS = [
     np.diag([1e-3, 2.5e-4]),
     np.diag([0.3, 0.05]),
-    np.array([[0.2, 0.07], [0.07, 0.3]]),
-    np.array([[1e-3, -4e-4], [-4e-4, 5e-4]]),
+    np.diag([0.2, 0.3]),
+    np.diag([1e-3, 5e-4]),
 ]
-
-
-def oscillating_field(grid):
-    # an off-centre, tilted, sign-changing field: no symmetry hides an
-    # axis or padding mistake
-    Q, P = grid.meshes()
-    return np.exp(-((Q - 0.5) ** 2) / 0.8 - (P + 0.3) ** 2 / 1.1 - 0.3 * Q * P) * np.cos(2 * Q)
 
 
 @pytest.mark.parametrize("cov", SMOOTHING_COVS + [np.zeros((2, 2))])
 def test_convolve_gaussian_matches_padded_oracle(cov):
-    # unequal point counts, so the two axes pad to different lengths
+    # unequal point counts and extents, and an off-centre, tilted,
+    # sign-changing field: no symmetry hides an axis mistake
     g = PhaseSpaceGrid(-8, 8, -7, 7, 257, 193)
-    f = oscillating_field(g)
-    got = convolve_gaussian(f, g, cov)
+    state = random_qudit(4, seed=9)
+    f = wigner_from_fock(state, g).values
+    got = smoothed(state, g, cov)
     assert np.max(np.abs(got - padded_convolve_gaussian(f, g, cov))) < 1e-14
-
-
-def test_convolve_gaussians_equal_single_calls_bitwise():
-    g = PhaseSpaceGrid(-8, 8, -7, 7, 257, 193)
-    f = oscillating_field(g)
-    got = _convolve_gaussians(f, g, SMOOTHING_COVS)
-    assert len(got) == len(SMOOTHING_COVS)
-    for out, cov in zip(got, SMOOTHING_COVS):
-        assert out.shape == g.shape and out.flags.owndata
-        assert np.array_equal(out, convolve_gaussian(f, g, cov))
-
-
-def test_convolve_gaussians_check_boundary():
-    g = PhaseSpaceGrid(-6, 6, -6, 6, 129, 129)
-    with pytest.raises(TruncationRiskError):
-        _convolve_gaussians(np.ones(g.shape), g, [1e-3 * np.eye(2), np.eye(2)])
-
-
-def test_fast_len_matches_scipy():
-    # the pad lengths, and so every smoothed field, are scipy's
-    for t in range(1, 20001):
-        assert _fast_len(t) == next_fast_len(t), t
-        assert _fast_len(t, real=True) == next_fast_len(t, real=True), t
