@@ -114,8 +114,8 @@ class RunConfig:
                 f"--grid-points must be at least {MIN_GRID_POINTS}, "
                 f"got {self.points}"
             )
-        if not self.sigmas > 0.0:
-            raise ConfigError("--extent-sigmas must be positive")
+        if not 0.0 < self.sigmas < np.inf:
+            raise ConfigError("--extent-sigmas must be positive and finite")
         if self.cutoff < 1:
             raise ConfigError("--cutoff must be at least 1")
         if self.tau is not None and not 0.0 < self.tau <= 1.0:

@@ -118,6 +118,8 @@ def as_density(state):
 
 
 def _coherent_amplitudes(alpha, n_c):
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude alpha must be finite, got {alpha}")
     # log-space magnitudes keep large |alpha| finite
     n = np.arange(n_c + 1)
     lf = _log_factorial(n_c)
@@ -126,7 +128,7 @@ def _coherent_amplitudes(alpha, n_c):
         amp = np.zeros(n_c + 1, dtype=complex)
         amp[0] = 1.0
         return amp
-    logmag = n * np.log(a) - 0.5 * lf - 0.5 * a**2
+    logmag = n * np.log(a) - 0.5 * lf - 0.5 * (a * a)  # a**2 raises past 1e154
     # (alpha/|alpha|)^n is exactly (+-1)^n for a real alpha; e^{i n pi} is not
     return np.exp(logmag) * (alpha / a) ** n
 
@@ -138,7 +140,7 @@ def coherent(alpha, n_c=40):
         raise ValueError("coherent needs n_c >= 1")
     amp = _coherent_amplitudes(alpha, n_c)
     leak = 1.0 - float(np.sum(np.abs(amp) ** 2))
-    if leak > 1e-8:
+    if not leak <= 1e-8:
         raise CutoffError(f"coherent truncation leakage {leak:.3e} > 1e-8 at n_c={n_c}")
     return FockVector(amp, normalize=True)
 
@@ -157,7 +159,7 @@ def cat(alpha, parity="even", n_c=40):
         raise ValueError("odd cat is singular at alpha = 0; use a small alpha")
     plus = _coherent_amplitudes(alpha, n_c)
     leak = 1.0 - float(np.sum(np.abs(plus) ** 2))
-    if leak > 1e-8:
+    if not leak <= 1e-8:
         raise CutoffError(f"cat truncation leakage {leak:.3e} > 1e-8 at n_c={n_c}")
     # <n|-alpha> = (-1)^n <n|alpha> exactly: odd (even) entries cancel to 0.0
     amp = plus + sign * (-1.0) ** np.arange(n_c + 1) * plus

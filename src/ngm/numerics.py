@@ -63,8 +63,9 @@ class PhaseSpaceGrid:
     """
 
     def __init__(self, q_min, q_max, p_min, p_max, n_q, n_p, min_points=65):
-        if not (q_max > q_min and p_max > p_min):
-            raise ValueError("grid extents must satisfy q_max > q_min, p_max > p_min")
+        if not (np.all(np.isfinite([q_min, q_max, p_min, p_max]))
+                and q_max > q_min and p_max > p_min):
+            raise ValueError("grid extents must be finite, q_max > q_min, p_max > p_min")
         n_q, n_p = int(n_q), int(n_p)
         if n_q < min_points or n_p < min_points:
             raise ValueError(f"grid needs at least {min_points} points per axis")

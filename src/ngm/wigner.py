@@ -8,9 +8,10 @@ modes,
 with phi_n the normalised Hermite functions.  The coefficients D come
 from rho through the 50:50 beam splitter that takes the Weyl kernel
 <q-y|rho|q+y> from the coordinates (q - y, q + y) to (q, y), built one
-photon at a time in O(dim^3) (see ``_coefficients``); the beam-splitter
-blocks depend on dim alone, so a process builds them once, for the largest
-dim up to a memory ceiling (``_block_levels``).  Then W is A_q D A_p^T
+photon at a time in O(dim^3) and applied 16 levels per batched product
+(see ``_coefficients``); no block depends on dim, so a process builds
+them once, as zero-padded stacks of 16 levels for the largest dim up to a
+memory ceiling (``_block_stacks``).  Then W is A_q D A_p^T
 against Hermite tables A[i, j] = phi_j(sqrt2 x_i) from the shared
 three-term recurrence of ``numerics``; the same recurrence gives the tables
 dilated and smoothed, so a Gaussian map of W is the same product with
@@ -35,6 +36,7 @@ Every integral of a sampled field -- the mass check, the moments,
 (``_quadrature``).
 """
 
+import functools
 import threading
 
 import numpy as np
@@ -226,46 +228,80 @@ def _beam_splitter_rows(dim):
         prev, lo_prev = level, lo
 
 
-#: ceiling on the cells of cached beam-splitter rows: 16 MiB, reached near
-#: dim 202 (dim 161 takes 8 MiB); a larger dim streams through the recurrence
+#: levels per bucket: a bucket's levels are one batched product
+_BUCKET = 16
+
+#: ceiling on the cells of cached bucket stacks: 16 MiB, which holds dim
+#: 195 (dim 161 takes 9.2 MiB); a larger dim streams its buckets
 _BLOCK_CACHE_CELLS = 2**21
 
-#: (dim, levels): the rows _beam_splitter_rows(dim) yields, for the largest
-#: dim seen within the ceiling.  Growth builds a new tuple and swaps this
-#: one reference, so a reader that loads it once sees a whole cache.
+#: (dim, stacks, order): _bucket_stacks(dim) and _cell_order(2 dim - 1) for
+#: the largest dim seen within the ceiling.  Growth builds a new tuple and
+#: swaps this one reference, so a reader that loads it once sees a whole cache.
 _blocks = (0, ())
 _blocks_growth = threading.Lock()
 
 
-def _block_cells(dim):
-    """Cells of the level arrays _beam_splitter_rows(dim) allocates."""
-    N = np.arange(2 * dim - 1)
-    rows = N // 2 - np.maximum(N - dim + 1, 0) + 1
-    return int(np.sum(rows * (N // 2 + 1 + N % 2)))
+@functools.lru_cache(maxsize=8)
+def _bucket_maps(dim):
+    """(shapes, pick, first, start) of dim's buckets of _BUCKET levels N:
+    (levels, rows, columns) of each zero-padded stack (the most rows (m, n)
+    of a level, the last one's j <= N/2); per stack row the pair m dim + n
+    whose weights it takes (dim^2, zero weights, for padding); where each
+    bucket's products start in a buffer that opens with 4 size zeros; and
+    where each level's do (0 from N = size on)."""
+    size = 2 * dim - 1
+    shapes, pick, first, start = [], [], [4 * size], []
+    for b in range(0, size, _BUCKET):
+        N = np.arange(b, min(b + _BUCKET, size))[:, None]
+        lo = np.maximum(N - dim + 1, 0)
+        shapes.append((N.size, int(np.max(N // 2 - lo)) + 1, int(N[-1, 0]) // 2 + 1))
+        m = N // 2 + np.arange(1 - shapes[-1][1], 1)
+        pick.append(np.where(m >= lo, m * dim + N - m, dim * dim).ravel())
+        start.append(first[-1] + 4 * shapes[-1][2] * np.arange(N.size))
+        first.append(first[-1] + 4 * N.size * shapes[-1][2])
+    return shapes, np.concatenate(pick), first, np.concatenate(start + [np.zeros(size - 1, int)])
 
 
-def _block_levels(dim):
-    """(N, rows) as _beam_splitter_rows(dim) yields them, cached if they fit.
+def _bucket_stacks(dim):
+    """Per bucket, the rows of _beam_splitter_rows(dim) in one zero-padded
+    stack [level, row, j], each level's rows in ascending m (the order a
+    per-level product sums in) and ending at the stack's last row."""
+    levels = _beam_splitter_rows(dim)
+    for shape in _bucket_maps(dim)[0]:
+        stack = np.zeros(shape)
+        for level in stack:
+            rows = next(levels)[1]
+            level[shape[1] - rows.shape[0] :, : rows.shape[1]] = rows
+        yield stack
 
-    A row of B^N does not depend on dim, and no row is computed from a
-    row beside it, so a smaller dim's level N is, bit for bit, the cached
-    level's rows from its own lo = max(0, N - dim + 1) on.
+
+def _cell_order(size):
+    """4 min(j, k) + 2 [k <= j] + k % 2: where D_jk sits among the products
+    of its level N = j + k, 4 weight sets per column (see _coefficients)."""
+    j, k = np.ogrid[:size, :size]
+    return (4 * np.minimum(j, k) + 2 * (k <= j) + k % 2).astype(np.int32)
+
+
+def _block_stacks(dim):
+    """(_bucket_stacks(dim), _cell_order(2 dim - 1)), cached if they fit.
+
+    A row of B^N does not depend on dim and no row is computed from a row
+    beside it, so a smaller dim's rows of level N are, bit for bit, the
+    last ones of the cached level.  A view has the shape of
+    _bucket_stacks(dim): no product depends on which dim was cached.
     """
     global _blocks
-    cached = _blocks
+    cached, shapes, size = _blocks, _bucket_maps(dim)[0], 2 * dim - 1
     if cached[0] < dim:
-        if _block_cells(dim) > _BLOCK_CACHE_CELLS:
-            return _beam_splitter_rows(dim)
+        if sum(n * rows * cols for n, rows, cols in shapes) > _BLOCK_CACHE_CELLS:
+            return _bucket_stacks(dim), _cell_order(size)
         with _blocks_growth:
             cached = _blocks
             if cached[0] < dim:
-                levels = tuple(rows for _, rows in _beam_splitter_rows(dim))
-                cached = _blocks = (dim, levels)
-    top, levels = cached
-    return (
-        (N, levels[N][max(0, N - dim + 1) - max(0, N - top + 1) :])
-        for N in range(2 * dim - 1)
-    )
+                cached = _blocks = (dim, tuple(_bucket_stacks(dim)), _cell_order(size))
+    stacks = (s[:n, len(s[0]) - rows :, :cols] for s, (n, rows, cols) in zip(cached[1], shapes))
+    return stacks, cached[2][:size, :size]
 
 
 def _coefficients(c, anti):
@@ -284,8 +320,10 @@ def _coefficients(c, anti):
     B^N[(n, m), j] = (-1)^k B^N[(m, n), j], the pair (m, n), (n, m) enters
     through c_mn + c_nm at even k and c_mn - c_nm at odd k, and by
     B^N[(m, n), N - j] = (-1)^m B^N[(m, n), j] the same weights times (-1)^m
-    give the columns past N/2: a level is one real product of those
-    weight sets with the rows m <= n over j <= N/2.
+    give the columns past N/2 (the mirror): a level is one real product of
+    those weight sets with the rows m <= n over j <= N/2, and a bucket of
+    levels one batched product over its zero-padded stack, a padded row
+    taking zero weights.  D is gathered from the products in one pass.
     """
     dim = c.shape[0]
     size = 2 * dim - 1
@@ -293,35 +331,34 @@ def _coefficients(c, anti):
     even[np.diag_indices(dim)] *= 0.5
     odd = c - c.T
     parts = (even.real, odd.imag) + ((even.imag, odd.real) if anti else ())
-    # pair weights in level order: N = m + n, then m
-    m, n = np.triu_indices(dim)
-    order = np.lexsort((m, m + n))
-    pairs = (m * dim + n)[order]
-    weights = np.stack([part.ravel()[pairs] for part in parts])
-    start = np.concatenate(([0], np.cumsum(np.bincount(m + n, minlength=size))))
-    D = np.zeros((len(parts) // 2, size, size))
-    # antidiagonal N of D, entries D[j, N - j], is a strided slice of D.flat
-    flat = D.reshape(len(D), -1)
-    step = max(size - 1, 1)
-    # the same weights with (-1)^m give columns N - j of B^N from column j
-    sets = len(parts)
-    weights = np.vstack((weights, weights * (-1.0) ** m[order]))
-    for N, rows in _block_levels(dim):
-        vals = weights[:, start[N] : start[N + 1]] @ rows
-        cols = rows.shape[1]
-        line = flat[:, N : N * size + 1 : step]
-        mirror = line[:, ::-1]
-        # C from the even weights where k = N - j is even, else the odd ones
-        line[:, N % 2 : cols : 2] = vals[0:sets:2, N % 2 :: 2]
-        line[:, 1 - N % 2 : cols : 2] = vals[1:sets:2, 1 - N % 2 :: 2]
-        mirror[:, 0:cols:2] = vals[sets::2, 0::2]
-        mirror[:, 1:cols:2] = vals[sets + 1 :: 2, 1::2]
+    # per plane of D, weight sets even, odd, then both times (-1)^m (for
+    # the mirror); a last row of zeros for padded rows
+    table = np.zeros((dim * dim + 1, 2 * len(parts)))
+    cells = table[:-1].reshape(dim, dim, -1)
+    for i, part in enumerate(parts):
+        cells[..., i + i // 2 * 2] = part
+        np.multiply(part, (-1.0) ** np.arange(dim)[:, None], out=cells[..., i + i // 2 * 2 + 2])
+    shapes, pick, first, start = _bucket_maps(dim)
+    planes, (stacks, order) = len(parts) // 2, _block_stacks(dim)
+    weights = np.take(table, pick, axis=0)
+    # per plane, level and column j <= N/2, the 4 sets' products
+    out = np.empty((planes, first[-1]))
+    out[:, : first[0]] = slot = 0
+    for (n, rows, cols), stack, at in zip(shapes, stacks, first):
+        w = weights[slot : slot + n * rows].reshape(n, rows, planes, 4).transpose(2, 0, 1, 3)
+        products = out[:, at : at + n * cols * 4].reshape(planes, n, cols, 4)
+        np.matmul(stack.transpose(0, 2, 1), w, out=products)
+        slot += n * rows
+    spots = np.add(np.lib.stride_tricks.sliding_window_view(start, size), order)
+    D = np.take(out, spots, axis=1)
     # D_jk = i^k C_jk: Re and Im of i^k cycle through the odd and even
     # weight sets, whose products with B^N are real
     quarter = np.arange(size) % 4
     D[0] *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
     if anti:
         D[1] *= np.where(quarter >= 2, -1.0, 1.0)
+    # a zero weight times a cached row of another dim may leave -0.0
+    D += 0.0
     return D
 
 

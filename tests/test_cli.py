@@ -138,6 +138,15 @@ def test_numerical_precondition_failure_exits_three(capsys):
     assert doc["error"]["type"] == "NormalizationError"
 
 
+@pytest.mark.parametrize("sigmas", ["inf", "nan", "0", "-1"])
+def test_extent_sigmas_must_be_positive_and_finite(capsys, sigmas):
+    # inf passed the old "positive" check and died inside the grid
+    assert main(["measure", "--cat", "1.5", "--extent-sigmas", sigmas]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "--extent-sigmas" in doc["error"]["message"]
+
+
 def test_grid_points_floor_enforced(capsys):
     assert main(["measure", "--preset", "vacuum", "--grid-points", "10"]) == 2
     capsys.readouterr()

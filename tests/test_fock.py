@@ -78,6 +78,24 @@ def test_coherent_leakage_guard():
         coherent(4.0, 10)
 
 
+@pytest.mark.parametrize("make", [coherent, cat])
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_coherent_and_cat_reject_non_finite_alpha(make, alpha):
+    # cat(inf) warned "invalid value", cat(nan) failed only at normalisation
+    with pytest.raises(ValueError, match="finite"):
+        make(alpha)
+    with pytest.raises(ValueError, match="finite"):
+        coherent(complex(0.0, alpha))
+
+
+@pytest.mark.parametrize("make", [coherent, cat])
+@pytest.mark.parametrize("alpha", [1e200, -1e200])
+def test_alpha_with_its_mass_past_the_cutoff_is_a_cutoff_error(make, alpha):
+    # alpha**2 overflowed to a bare OverflowError
+    with pytest.raises(CutoffError):
+        make(alpha)
+
+
 def test_cat_endpoints_and_parity():
     even0 = cat(0.0, "even", 40)
     assert even0.amplitudes[0] == pytest.approx(1.0)

@@ -343,6 +343,15 @@ def test_grid_rejects_bad_extents():
         PhaseSpaceGrid(6, -6, -6, 6, 129, 129)
 
 
+@pytest.mark.parametrize(
+    "extents", [(-np.inf, np.inf, -6, 6), (-6, 6, -6, np.inf), (-6, 6, np.nan, 6)]
+)
+def test_grid_rejects_non_finite_extents(extents):
+    # an infinite extent passed q_max > q_min and gave NaN axes
+    with pytest.raises(ValueError, match="finite"):
+        PhaseSpaceGrid(*extents, 129, 129)
+
+
 def test_grid_mesh_layout():
     g = PhaseSpaceGrid(-1, 1, -2, 2, 65, 65, min_points=65)
     Q, P = g.meshes()

@@ -220,10 +220,46 @@ def test_beam_splitter_block_is_orthogonal():
 
 
 def streamed_coefficients(c, anti):
-    """_coefficients of c with every level fresh from the recurrence."""
+    """_coefficients of c with every bucket fresh from the recurrence."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wigner, "_block_levels", wigner._beam_splitter_rows)
+        patch.setattr(wigner, "_blocks", (0, ()))
+        patch.setattr(wigner, "_BLOCK_CACHE_CELLS", 0)
         return wigner._coefficients(c, anti)
+
+
+def per_level_coefficients(c, anti):
+    """D by one product per beam-splitter level, written level by level
+    into D's antidiagonals: the loop the batched buckets replaced."""
+    dim = c.shape[0]
+    size = 2 * dim - 1
+    even = c + c.T
+    even[np.diag_indices(dim)] *= 0.5
+    odd = c - c.T
+    parts = (even.real, odd.imag) + ((even.imag, odd.real) if anti else ())
+    # pair weights in level order: N = m + n, then m
+    m, n = np.triu_indices(dim)
+    order = np.lexsort((m, m + n))
+    weights = np.stack([part.ravel()[(m * dim + n)[order]] for part in parts])
+    weights = np.vstack((weights, weights * (-1.0) ** m[order]))
+    start = np.concatenate(([0], np.cumsum(np.bincount(m + n, minlength=size))))
+    D = np.zeros((len(parts) // 2, size, size))
+    flat = D.reshape(len(D), -1)
+    sets = len(parts)
+    for N, rows in wigner._beam_splitter_rows(dim):
+        vals = weights[:, start[N] : start[N + 1]] @ rows
+        cols = rows.shape[1]
+        # antidiagonal N, D[j, N - j], and its mirror D[N - j, j]
+        line = flat[:, N : N * size + 1 : max(size - 1, 1)]
+        mirror = line[:, ::-1]
+        line[:, N % 2 : cols : 2] = vals[0:sets:2, N % 2 :: 2]
+        line[:, 1 - N % 2 : cols : 2] = vals[1:sets:2, 1 - N % 2 :: 2]
+        mirror[:, 0:cols:2] = vals[sets::2, 0::2]
+        mirror[:, 1:cols:2] = vals[sets + 1 :: 2, 1::2]
+    quarter = np.arange(size) % 4
+    D[0] *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
+    if anti:
+        D[1] *= np.where(quarter >= 2, -1.0, 1.0)
+    return D
 
 
 def random_matrix(rng, dim):
@@ -243,21 +279,58 @@ def test_cached_blocks_give_the_recurrence_coefficients(monkeypatch, dims):
     assert wigner._blocks[0] == 161
 
 
+def padded_cells(dim):
+    """Cells of dim's zero-padded bucket stacks."""
+    return sum(np.prod(shape) for shape in wigner._bucket_maps(dim)[0])
+
+
+#: the largest dim whose bucket stacks fit the cache ceiling
+CACHE_TOP = 195
+
+
 def test_block_cache_stays_under_its_ceiling(monkeypatch):
     monkeypatch.setattr(wigner, "_blocks", (0, ()))
-    top = 202
-    assert wigner._block_cells(top) <= wigner._BLOCK_CACHE_CELLS < wigner._block_cells(top + 1)
+    top = CACHE_TOP
+    assert padded_cells(top) <= wigner._BLOCK_CACHE_CELLS < padded_cells(top + 1)
     wigner._coefficients(np.eye(top) / top, False)
-    dim, levels = wigner._blocks
-    held = sum((level if level.base is None else level.base).nbytes for level in levels)
+    dim, stacks = wigner._blocks[:2]
     assert dim == top
-    assert held == 8 * wigner._block_cells(top) <= 16 * 2**20
+    assert [stack.shape for stack in stacks] == list(wigner._bucket_maps(top)[0])
+    held = sum((stack if stack.base is None else stack.base).nbytes for stack in stacks)
+    assert held == 8 * padded_cells(top) <= 16 * 2**20
     # a dim past the ceiling streams and leaves the cache as it was
     rng = np.random.default_rng(6)
     c = random_matrix(rng, top + 1)
     D = wigner._coefficients(c, False)
-    assert wigner._blocks[0] == top and wigner._blocks[1] is levels
+    assert wigner._blocks[0] == top and wigner._blocks[1] is stacks
     assert np.array_equal(D, streamed_coefficients(c, False))
+
+
+COEFFICIENT_INPUTS = {
+    "hermitian": lambda rng, dim: (lambda a: a + a.conj().T)(random_matrix(rng, dim)),
+    "complex": random_matrix,
+    "cat": lambda rng, dim: as_density(cat(1.5, "odd", max(dim - 1, 40))).entries[:dim, :dim],
+    "fock": lambda rng, dim: number_state(dim - 1).to_density().entries,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_INPUTS))
+@pytest.mark.parametrize("dim", [1, 2, 19, 61, 161, CACHE_TOP + 1])
+def test_batched_coefficients_match_the_per_level_loop(monkeypatch, kind, dim):
+    # the cache is built for 161 first, so a smaller dim reads the last rows
+    # of its stacks; CACHE_TOP + 1 streams its buckets
+    monkeypatch.setattr(wigner, "_blocks", (0, ()))
+    wigner._coefficients(np.eye(161), False)
+    c = COEFFICIENT_INPUTS[kind](np.random.default_rng(dim), dim)
+    anti = kind == "complex"
+    got = wigner._coefficients(c, anti)
+    want = per_level_coefficients(c, anti)
+    assert got.shape == want.shape == (1 + anti, 2 * dim - 1, 2 * dim - 1)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # exact zeros (past level 2 dim - 2, and whole levels of a cat or a
+    # number state) carry no sign
+    assert (got == 0.0).any() or dim == 1
+    assert not np.signbit(got[got == 0.0]).any()
 
 
 def test_threads_synthesizing_mixed_dims_match_serial_runs(monkeypatch):
