@@ -12,7 +12,9 @@ loss, negative-binomial for the amplifier).  The phase-space engine
 rescales the Wigner field by sqrt(tau) and convolves it with the rescaled
 thermal Gaussian, exactly, on each Hermite-Gauss mode.  The two engines
 share no code past the input's coefficients D, which makes their
-agreement a meaningful cross-check rather than a tautology.
+agreement a meaningful cross-check rather than a tautology.  The spec
+owns the channel's action on moments, (d, V) -> (sqrt(tau) d, tau V +
+(1 - tau)(n_bar + 1/2) I), which sizes the phase-space engine's grid.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import CapacityError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
 from .numerics import _log_factorial, integrate
-from .wigner import MASS_TOL, WignerField, _coefficients, _fields, _require_finite
+from .wigner import MASS_TOL, WignerField, _real_part, _require_finite, _synthesize_mapped
 
 __all__ = [
     "ThermalLossSpec",
@@ -43,7 +45,9 @@ TRACE_DEFICIT_TOL = 1e-6
 
 
 class ThermalLossSpec:
-    """Thermal-loss parameters with the derived loss/amplifier split."""
+    """Thermal-loss parameters with the derived loss/amplifier split and
+    the noise (1 - tau)(n_bar + 1/2) the channel adds to each quadrature's
+    variance."""
 
     def __init__(self, tau, n_bar):
         tau = float(tau)
@@ -56,6 +60,11 @@ class ThermalLossSpec:
         self.n_bar = n_bar
         self.gain = 1.0 + (1.0 - tau) * n_bar
         self.eta = tau / self.gain
+        self.noise = (1.0 - tau) * (n_bar + 0.5)
+
+    def output_moments(self, mean, cov):
+        """The output's moments (sqrt(tau) d, tau V + noise I) for input (d, V)."""
+        return np.sqrt(self.tau) * mean, self.tau * cov + self.noise * np.eye(2)
 
     def __repr__(self):
         return f"ThermalLossSpec(tau={self.tau}, n_bar={self.n_bar})"
@@ -200,17 +209,18 @@ def thermal_loss_phase_space(rho, spec, grid):
 
     W_out = L_sqrt(tau)[W_in] * L_sqrt(1-tau)[W_thermal]: the field of rho
     dilated by sqrt(tau) and convolved with the Gaussian of covariance
-    s^2 I, s^2 = (1-tau)(n_bar + 1/2), is chi_q D chi_p^T / sqrt(pi) exactly
-    for the tables of ``_hermite_functions`` at (tau, 2 s^2).  A grid for
-    the output's moments (sqrt(tau) d, tau V + s^2 I) holds it.  The output
-    is renormalized on the grid; a mass off 1 by more than MASS_TOL (or
-    NaN) raises TruncationRiskError: below 1 the output spreads past the
-    grid, above 1 the grid is too coarse to integrate it.
+    spec.noise I is chi_q D chi_p^T / sqrt(pi) exactly for the tables of
+    ``_hermite_functions`` at (tau, 2 spec.noise).  A grid for the output's
+    moments (``spec.output_moments``) holds it.  The field of an
+    anti-Hermitian part of rho is synthesized too, and a residue past
+    IMAG_RESIDUE_HARD raises ConsistencyError.  The output is renormalized
+    on the grid; a mass off 1 by more than MASS_TOL (or NaN) raises
+    TruncationRiskError: below 1 the output spreads past the grid, above 1
+    the grid is too coarse to integrate it.
     """
-    D = _coefficients(as_density(rho).entries, False)[0]
-    v = 2.0 * (1.0 - spec.tau) * (spec.n_bar + 0.5)
-    (values,) = _fields(D, grid.q, grid.p, False, maps=((spec.tau, v), (spec.tau, v)))
-    _require_finite(values, "phase-space channel output")
+    maps = ((spec.tau, 2.0 * spec.noise),) * 2
+    (values,) = _synthesize_mapped(as_density(rho).entries, grid, False, maps)
+    values = _real_part(values, "phase-space channel output")
     mass = integrate(values, grid)
     if not abs(mass - 1.0) <= MASS_TOL:
         if mass > 1.0:

@@ -10,6 +10,12 @@ in the output document rather than silenced.
 
 Exit codes: 0 success (warnings allowed), 2 configuration error,
 3 numerical precondition failure, 4 cross-engine inconsistency.
+
+The parser is the one place options and their defaults are declared.
+``main`` parses once, checks the namespace (``_validate``) before anything
+is computed, and hands it to the command.  Each subcommand reads the
+options it accepts, except that ``sweep`` accepts ``--extent-sigmas`` and
+``--cutoff`` from the common set without reading them.
 """
 
 import argparse
@@ -17,26 +23,16 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import build_state, named_preset, preset_names, run_preset
-from .channels import (
-    ThermalLossSpec,
-    thermal_loss_fock,
-    thermal_loss_phase_space,
-)
+from .channels import ThermalLossSpec, thermal_loss_fock, thermal_loss_phase_space
 from .errors import NumericalError
-from .fisher import (
-    _smoothing_reports,
-    cramer_rao_check,
-    fisher_from_field,
-    fock_fisher_sweep,
-)
+from .fisher import _smoothing_reports, cramer_rao_check, fisher_from_field, fock_fisher_sweep
 from .fock import as_density, cat, load_state, state_moments
 from .measure import _physical_quadrature, measure_from_field, ngm
-from .numerics import PhaseSpaceGrid
+from .numerics import MIN_POINTS, PhaseSpaceGrid
 from .wigner import default_grid, wigner_gradient
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "EXIT_NUMERICAL",
     "EXIT_OK",
     "ConfigError",
-    "RunConfig",
     "build_parser",
     "main",
 ]
@@ -60,93 +55,40 @@ EXIT_ENGINE = 4
 # phase-space channel engines before the run is flagged inconsistent.
 ENGINE_AGREEMENT_TOL = 2e-3
 
-MIN_GRID_POINTS = 65
-
 
 class ConfigError(ValueError):
     """Invalid command-line configuration; nothing has been computed."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration; computation starts only after this."""
-
-    command: str
-    points: int = 513
-    sigmas: float = 5.5
-    cutoff: int = 40
-    seed: int = 0
-    out: str = None
-    preset: str = None
-    fock_file: str = None
-    cat_alpha: float = None
-    parity: str = "even"
-    tau: float = None
-    nbar: float = 0.0
-    engine: str = "fock"
-    fock_sweep: int = None
-    debruijn: bool = False
-    derivative: bool = False
-
-    @classmethod
-    def from_args(cls, ns):
-        kwargs = {
-            "command": ns.command,
-            "points": ns.grid_points,
-            "sigmas": ns.extent_sigmas,
-            "cutoff": ns.cutoff,
-            "seed": ns.seed,
-            "out": ns.out,
-        }
-        for attr in ("preset", "fock_file", "parity", "tau", "nbar",
-                     "engine", "fock_sweep", "debruijn", "derivative"):
-            if hasattr(ns, attr):
-                kwargs[attr] = getattr(ns, attr)
-        if hasattr(ns, "cat"):
-            kwargs["cat_alpha"] = ns.cat
-        config = cls(**kwargs)
-        config.validate()
-        return config
-
-    def validate(self):
-        if self.points < MIN_GRID_POINTS:
-            raise ConfigError(
-                f"--grid-points must be at least {MIN_GRID_POINTS}, "
-                f"got {self.points}"
-            )
-        if not 0.0 < self.sigmas < np.inf:
-            raise ConfigError("--extent-sigmas must be positive and finite")
-        if self.cutoff < 1:
-            raise ConfigError("--cutoff must be at least 1")
-        if self.tau is not None and not 0.0 < self.tau <= 1.0:
-            raise ConfigError("--tau must lie in (0, 1]")
-        if not 0.0 <= self.nbar < np.inf:
-            raise ConfigError("--nbar must be finite and non-negative")
-        if self.fock_sweep is not None and self.fock_sweep < 0:
-            raise ConfigError("--fock-sweep must be non-negative")
-        sources = sum(
-            x is not None
-            for x in (self.preset, self.fock_file, self.cat_alpha)
-        )
-        if self.command == "fisher" and self.fock_sweep is not None:
-            if sources:
-                raise ConfigError(
-                    "--fock-sweep does not combine with a state source"
-                )
-        elif self.command in ("measure", "fisher", "channel"):
-            if sources != 1:
-                raise ConfigError(
-                    "choose exactly one state source: "
-                    "--preset, --fock-file, or --cat"
-                )
-        return self
+def _validate(ns):
+    """ConfigError unless the parsed options make a valid run."""
+    if ns.grid_points < MIN_POINTS:
+        raise ConfigError(f"--grid-points must be at least {MIN_POINTS}, got {ns.grid_points}")
+    if not 0.0 < ns.extent_sigmas < np.inf:
+        raise ConfigError("--extent-sigmas must be positive and finite")
+    if ns.cutoff < 1:
+        raise ConfigError("--cutoff must be at least 1")
+    # options that only some subcommands have
+    tau, nbar, fock_sweep = (getattr(ns, key, None) for key in ("tau", "nbar", "fock_sweep"))
+    if tau is not None and not 0.0 < tau <= 1.0:
+        raise ConfigError("--tau must lie in (0, 1]")
+    if nbar is not None and not 0.0 <= nbar < np.inf:
+        raise ConfigError("--nbar must be finite and non-negative")
+    if fock_sweep is not None and fock_sweep < 0:
+        raise ConfigError("--fock-sweep must be non-negative")
+    sources = sum(getattr(ns, key, None) is not None for key in ("preset", "fock_file", "cat"))
+    if fock_sweep is not None:
+        if sources:
+            raise ConfigError("--fock-sweep does not combine with a state source")
+    elif sources != 1:  # sweep's required --preset is its one source
+        raise ConfigError("choose exactly one state source: --preset, --fock-file, or --cat")
 
 
-def _resolve_state(config):
+def _resolve_state(ns):
     """Build the requested state; returns (label, density matrix)."""
     try:
-        if config.preset is not None:
-            preset = named_preset(config.preset)
+        if ns.preset is not None:
+            preset = named_preset(ns.preset)
             if len(preset.parameters) != 1:
                 raise ConfigError(
                     f"preset '{preset.name}' enumerates "
@@ -154,13 +96,11 @@ def _resolve_state(config):
                 )
             rho = build_state(preset.recipe, preset.parameters[0])
             return f"preset:{preset.name}", rho
-        if config.fock_file is not None:
-            rho = as_density(load_state(config.fock_file))
-            return f"file:{config.fock_file}", rho
-        rho = as_density(
-            cat(config.cat_alpha, config.parity, n_c=config.cutoff)
-        )
-        return f"cat:{config.cat_alpha}:{config.parity}", rho
+        if ns.fock_file is not None:
+            rho = as_density(load_state(ns.fock_file))
+            return f"file:{ns.fock_file}", rho
+        rho = as_density(cat(ns.cat, ns.parity, n_c=ns.cutoff))
+        return f"cat:{ns.cat}:{ns.parity}", rho
     except ConfigError:
         raise
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -197,13 +137,7 @@ def _emit_json(doc, out):
 
 
 def _emit_error(exc, code):
-    doc = {
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": code,
-        }
-    }
+    doc = {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
@@ -222,42 +156,41 @@ def _print_value(prefix, value):
     print(f"{prefix}neg_volume = {value.neg_volume!r}")
 
 
-def cmd_measure(config):
-    label, rho = _resolve_state(config)
-    grid = default_grid(rho, points=config.points, sigmas=config.sigmas)
+def cmd_measure(ns):
+    label, rho = _resolve_state(ns)
+    grid = default_grid(rho, points=ns.grid_points, sigmas=ns.extent_sigmas)
     value, warns = _collect(lambda: ngm(rho, grid=grid))
     doc = {"command": "measure", "source": label}
     doc.update(value.to_json())
     doc["warnings"] = warns
     _print_value("", value)
-    _emit_json(doc, config.out)
+    _emit_json(doc, ns.out)
     return EXIT_OK
 
 
-def cmd_sweep(config):
+def cmd_sweep(ns):
     try:
-        preset = named_preset(config.preset)
+        preset = named_preset(ns.preset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows, warns = _collect(lambda: run_preset(preset, points=config.points))
+    rows, warns = _collect(lambda: run_preset(preset, points=ns.grid_points))
     metadata = [
         ("preset", preset.name),
         ("recipe", preset.recipe),
-        ("points", config.points),
-        ("seed", config.seed),
+        ("points", ns.grid_points),
     ]
     if preset.loss_taus:
         metadata.append(("nbar", preset.loss_nbar))
     metadata.extend(("warning", text) for text in warns)
-    path = config.out or f"{preset.name}.csv"
+    path = ns.out or f"{preset.name}.csv"
     _write_rows_csv(path, rows, metadata)
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
 
-def _fisher_report(config):
-    label, rho = _resolve_state(config)
-    grid = default_grid(rho, points=config.points, sigmas=config.sigmas)
+def _fisher_report(ns):
+    label, rho = _resolve_state(ns)
+    grid = default_grid(rho, points=ns.grid_points, sigmas=ns.extent_sigmas)
 
     def compute():
         field = wigner_gradient(rho, grid=grid)
@@ -269,7 +202,7 @@ def _fisher_report(config):
     doc = {
         "command": "fisher",
         "source": label,
-        "points": config.points,
+        "points": ns.grid_points,
         "J": fisher.J.tolist(),
         "trace_J": fisher.trace,
         "trace_Vinv": float(np.trace(np.linalg.inv(V))),
@@ -284,7 +217,7 @@ def _fisher_report(config):
             f"band extrapolation relative gap {fisher.rel_gap:.3e} "
             "exceeds the convergence limit"
         )
-    if config.debruijn or config.derivative:
+    if ns.debruijn or ns.derivative:
         # the library checks on this field and its Fisher matrix, smoothed
         # once for both
         reports, extra = _collect(
@@ -292,7 +225,7 @@ def _fisher_report(config):
         )
         for key, report, wanted in zip(
             ("debruijn", "measure_derivative"), reports,
-            (config.debruijn, config.derivative),
+            (ns.debruijn, ns.derivative),
         ):
             if wanted:
                 report.pop("fisher")
@@ -301,18 +234,15 @@ def _fisher_report(config):
     doc["warnings"] = warns
     print(f"trace_J = {doc['trace_J']!r}")
     print(f"trace_Vinv = {doc['trace_Vinv']!r}")
-    _emit_json(doc, config.out)
+    _emit_json(doc, ns.out)
     return EXIT_OK
 
 
-def cmd_fisher(config):
-    if config.fock_sweep is None:
-        return _fisher_report(config)
-    rows, warns = _collect(
-        lambda: fock_fisher_sweep(n_max=config.fock_sweep,
-                                  points=config.points)
-    )
-    path = config.out or "fock_fisher_sweep.csv"
+def cmd_fisher(ns):
+    if ns.fock_sweep is None:
+        return _fisher_report(ns)
+    rows, warns = _collect(lambda: fock_fisher_sweep(n_max=ns.fock_sweep, points=ns.grid_points))
+    path = ns.out or "fock_fisher_sweep.csv"
     _write_rows_csv(path, rows, [("warning", text) for text in warns])
     for text in warns:
         print(f"warning: {text}")
@@ -320,26 +250,25 @@ def cmd_fisher(config):
     return EXIT_OK
 
 
-def cmd_channel(config):
-    label, rho = _resolve_state(config)
-    spec = ThermalLossSpec(config.tau, config.nbar)
-    grid = default_grid(rho, points=config.points, sigmas=config.sigmas)
+def cmd_channel(ns):
+    label, rho = _resolve_state(ns)
+    spec = ThermalLossSpec(ns.tau, ns.nbar)
+    grid = default_grid(rho, points=ns.grid_points, sigmas=ns.extent_sigmas)
     before, warns = _collect(lambda: ngm(rho, grid=grid))
     doc = {
         "command": "channel",
         "source": label,
         "tau": spec.tau,
         "nbar": spec.n_bar,
-        "engine": config.engine,
+        "engine": ns.engine,
         "before": before.to_json(),
     }
     _print_value("before: ", before)
     after = {}
-    if config.engine in ("fock", "both"):
+    if ns.engine in ("fock", "both"):
         def run_fock():
             out = thermal_loss_fock(rho, spec)
-            out_grid = default_grid(out, points=config.points,
-                                    sigmas=config.sigmas)
+            out_grid = default_grid(out, points=ns.grid_points, sigmas=ns.extent_sigmas)
             return ngm(out, grid=out_grid)
 
         value, extra = _collect(run_fock)
@@ -347,13 +276,11 @@ def cmd_channel(config):
         doc["after_fock"] = value.to_json()
         warns.extend(extra)
         _print_value("after[fock]: ", value)
-    if config.engine in ("phasespace", "both"):
+    if ns.engine in ("phasespace", "both"):
         def run_phase_space():
-            # the grid is sized for the output's moments (sqrt(tau) d, tau V + s^2 I)
-            mean, cov = state_moments(rho)
-            out_cov = spec.tau * cov + (1.0 - spec.tau) * (spec.n_bar + 0.5) * np.eye(2)
-            out_grid = PhaseSpaceGrid.for_moments(np.sqrt(spec.tau) * mean, out_cov,
-                                                  points=config.points, sigmas=config.sigmas)
+            # the grid is sized for the output's moments
+            out_grid = PhaseSpaceGrid.for_moments(*spec.output_moments(*state_moments(rho)),
+                                                  points=ns.grid_points, sigmas=ns.extent_sigmas)
             return measure_from_field(thermal_loss_phase_space(rho, spec, out_grid))
 
         value, extra = _collect(run_phase_space)
@@ -362,12 +289,9 @@ def cmd_channel(config):
         warns.extend(extra)
         _print_value("after[phasespace]: ", value)
     code = EXIT_OK
-    if config.engine == "both":
-        delta = {
-            key: abs(getattr(after["fock"], key)
-                     - getattr(after["phasespace"], key))
-            for key in ("re_mu", "im_mu", "neg_volume")
-        }
+    if ns.engine == "both":
+        delta = {key: abs(getattr(after["fock"], key) - getattr(after["phasespace"], key))
+                 for key in ("re_mu", "im_mu", "neg_volume")}
         consistent = (delta["re_mu"] <= ENGINE_AGREEMENT_TOL
                       and delta["im_mu"] <= ENGINE_AGREEMENT_TOL)
         doc["engine_delta"] = delta
@@ -381,7 +305,7 @@ def cmd_channel(config):
             )
             code = EXIT_ENGINE
     doc["warnings"] = warns
-    _emit_json(doc, config.out)
+    _emit_json(doc, ns.out)
     return code
 
 
@@ -403,13 +327,11 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid-points", type=int, default=513,
-                        help="points per phase-space axis (default 513)")
+                        help="points per phase-space axis (default %(default)s)")
     common.add_argument("--extent-sigmas", type=float, default=5.5,
                         help="grid half-extent in covariance sigmas")
     common.add_argument("--cutoff", type=int, default=40,
                         help="Fock cutoff for states built by the CLI")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in output metadata")
     common.add_argument("--out", default=None,
                         help="output path (JSON or CSV per command)")
     source = argparse.ArgumentParser(add_help=False)
@@ -420,7 +342,7 @@ def build_parser():
     source.add_argument("--cat", type=float, default=None, metavar="ALPHA",
                         help="cat state amplitude")
     source.add_argument("--parity", choices=("even", "odd"), default="even",
-                        help="cat state parity (default even)")
+                        help="cat state parity (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
@@ -450,18 +372,18 @@ def build_parser():
     channel.add_argument("--tau", type=float, required=True,
                          help="channel transmissivity in (0, 1]")
     channel.add_argument("--nbar", type=float, default=0.0,
-                         help="environment occupancy (default 0)")
+                         help="environment occupancy (default %(default)s)")
     channel.add_argument("--engine", choices=("fock", "phasespace", "both"),
                          default="fock",
-                         help="evolution engine (default fock)")
+                         help="evolution engine (default %(default)s)")
     return parser
 
 
 def main(argv=None):
     ns = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(ns)
-        return _HANDLERS[config.command](config)
+        _validate(ns)
+        return _HANDLERS[ns.command](ns)
     except ConfigError as exc:
         _emit_error(exc, EXIT_CONFIG)
         return EXIT_CONFIG

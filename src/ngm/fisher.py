@@ -45,8 +45,7 @@ from .errors import NumericalError
 from .fock import FockVector, as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
 from .numerics import _ordered_map, _row_blocks, axis_weights
-from .wigner import (WignerField, _coefficients, _fields, _require_finite, moments,
-                     wigner_gradient)
+from .wigner import WignerField, _real_part, _synthesize_mapped, moments, wigner_gradient
 
 __all__ = [
     "BAND_DEFAULT",
@@ -288,24 +287,25 @@ def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
 
     ``fisher`` is the Fisher matrix of ``field``, the gradient field of
     ``rho``.  W convolved with N(0, eps G), G = R Lambda R^T, is synthesized
-    from rho's coefficients at the table maps (1, 2 eps Lambda_ii), after
-    turning rho by rho_mn e^{-i(m - n) theta} (field W(R r)) for a
-    non-diagonal G; the entropy, Tr(G J) and Tr(G V^-1) do not change.  One
-    quadrature pass per field serves both reports; ``base``, the field's
-    own ``_physical_quadrature`` if the caller has it, saves that pass when
-    G is diagonal (for another G the turned field's own pass is the base).
+    from rho at the table maps (1, 2 eps Lambda_ii), with the finiteness and
+    residue checks of every field, after turning rho by rho_mn
+    e^{-i(m - n) theta} (field W(R r)) for a non-diagonal G; the entropy,
+    Tr(G J) and Tr(G V^-1) do not change.  One quadrature pass per field
+    serves both reports; ``base``, the field's own ``_physical_quadrature``
+    if the caller has it, saves that pass when G is diagonal (for another G
+    the turned field's own pass is the base).
     """
     epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
     lam, theta = _principal_axes(G)
     G = np.asarray(G, dtype=float)
     entries = as_density(rho).entries
     turn = np.exp(-1j * theta * np.arange(entries.shape[0]))
-    D = _coefficients(turn[:, None] * entries * turn.conj(), False)[0]
+    turned = turn[:, None] * entries * turn.conj()
 
     def quadrature(v):
         maps = ((1.0, v[0]), (1.0, v[1]))
-        (values,) = _fields(D, field.grid.q, field.grid.p, False, maps=maps)
-        _require_finite(values, "smoothed Wigner field")
+        (values,) = _synthesize_mapped(turned, field.grid, False, maps)
+        values = _real_part(values, "smoothed Wigner field")
         return _physical_quadrature(WignerField(field.grid, values))
 
     m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)

@@ -21,13 +21,7 @@ import numpy as np
 from .errors import CapacityError, ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density
 from .numerics import grid_weights
-from .wigner import (
-    ENTROPY_FLOOR,
-    GaussianMoments,
-    _covariance_det,
-    _quadrature,
-    wigner_from_fock,
-)
+from .wigner import GaussianMoments, _covariance_logdet, _quadrature, wigner_from_fock
 
 __all__ = [
     "MeasureValue",
@@ -101,7 +95,7 @@ class MeasureValue:
 
 
 def wigner_entropy_real(field):
-    """-int W ln|W|, with the integrand at its (zero) limit below the floor.
+    """-int W ln|W|, with the integrand at its limit, 0, where W = 0.
 
     The field's mass is checked, as for every other integral of it.
     """
@@ -116,18 +110,17 @@ def _physical_quadrature(field):
 
 def gaussian_associate_entropy(m):
     """ln((2 pi e)^N sqrt(det V)), the entropy of the Gaussian associate."""
-    det = _covariance_det(m.V)
-    return m.n_modes * np.log(2.0 * np.pi * np.e) + 0.5 * np.log(det)
+    return m.n_modes * np.log(2.0 * np.pi * np.e) + 0.5 * _covariance_logdet(m.V)
 
 
 def _gaussian_cross(m, m_tilde):
     """-int W ln W~_G for any W with moments m (closed form, no quadrature)."""
-    det = _covariance_det(m_tilde.V)
+    logdet = _covariance_logdet(m_tilde.V)
     inv = np.linalg.inv(m_tilde.V)
     delta = m.d - m_tilde.d
     return (
         m_tilde.n_modes * np.log(2.0 * np.pi)
-        + 0.5 * np.log(det)
+        + 0.5 * logdet
         + 0.5 * float(np.trace(m.V @ inv))
         + 0.5 * float(delta @ inv @ delta)
     )
@@ -242,9 +235,9 @@ def product_measure_check(rho_a, rho_b, points=97):
 
     wa, wb = grid_weights(fa.grid), grid_weights(fb.grid)
     WA, WB = fa.values, fb.values
-    log_a = np.log(np.maximum(np.abs(WA), 1e-300))
-    log_b = np.log(np.maximum(np.abs(WB), 1e-300))
-    floor = np.log(ENTROPY_FLOOR)
+    # ln 1 = 0 where a factor is 0: the integrand is 0 wherever the product is
+    log_a = np.log(np.where(WA == 0.0, 1.0, np.abs(WA)))
+    log_b = np.log(np.where(WB == 0.0, 1.0, np.abs(WB)))
     entropy = 0.0
     neg = 0.0
     for i in range(WA.shape[0]):
@@ -252,7 +245,7 @@ def product_measure_check(rho_a, rho_b, points=97):
         wblock = wa[i][:, None, None] * wb[None, :, :]
         logs = log_a[i][:, None, None] + log_b[None, :, :]
         weighted = wblock * block
-        entropy -= float(np.sum(np.where(logs < floor, 0.0, weighted * logs)))
+        entropy -= float(np.sum(weighted * logs))
         neg += 0.5 * float(np.sum(wblock * np.abs(block) - weighted))
 
     d4 = np.concatenate((ma.d, mb.d))

@@ -25,6 +25,9 @@ __all__ = [
 #: least half-extent of a moment-sized grid
 _MIN_EXTENT = 6.0
 
+#: least points per axis of a grid, the working floor for entropy integrals
+MIN_POINTS = 65
+
 
 def worker_count(workers=None):
     """Thread-pool size: the argument, else NGM_WORKERS, else 1."""
@@ -57,12 +60,12 @@ class PhaseSpaceGrid:
     """Uniform rectangular grid over single-mode phase space.
 
     Point counts are rounded up to odd so composite Simpson applies exactly;
-    by default at least ``min_points`` per axis are required, the working
-    floor for entropy integrals.  Pass a smaller ``min_points`` only for
-    cheap smoke tests.  An axis over [-e, e] is mirrored about 0.0.
+    at least ``min_points`` per axis are required, by default MIN_POINTS.
+    Pass a smaller ``min_points`` only for cheap smoke tests.  An axis over
+    [-e, e] is mirrored about 0.0.
     """
 
-    def __init__(self, q_min, q_max, p_min, p_max, n_q, n_p, min_points=65):
+    def __init__(self, q_min, q_max, p_min, p_max, n_q, n_p, min_points=MIN_POINTS):
         if not (np.all(np.isfinite([q_min, q_max, p_min, p_max]))
                 and q_max > q_min and p_max > p_min):
             raise ValueError("grid extents must be finite, q_max > q_min, p_max > p_min")

@@ -62,9 +62,6 @@ IMAG_RESIDUE_HARD = 1e-9
 #: a field whose quadrature mass misses 1 by more than this is rejected
 MASS_TOL = 1e-4
 
-#: below this magnitude the integrand W ln|W| is taken at its limit, zero
-ENTROPY_FLOOR = 1e-30
-
 
 class GaussianMoments:
     """First and second quadrature moments (d, V) in qqpp ordering."""
@@ -88,10 +85,11 @@ class GaussianMoments:
         ev = np.linalg.eigvalsh(self.V)
         if ev.min() <= 0.0:
             raise ValueError("covariance matrix not positive definite")
-        if physical and np.linalg.det(self.V) < 0.25**self.n_modes - tol:
-            raise ValueError(
-                f"det V = {np.linalg.det(self.V):.6f} violates the uncertainty bound"
-            )
+        if physical:
+            with np.errstate(over="ignore"):  # a det V past the float range holds
+                det = np.linalg.det(self.V)
+            if det < 0.25**self.n_modes - tol:
+                raise ValueError(f"det V = {det:.6f} violates the uncertainty bound")
         return self
 
 
@@ -449,13 +447,23 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
 
 
 def _synthesize(c, grid, with_grad):
-    """Wigner field of the Fock-basis matrix c on the grid's q and p axes.
+    """[W] or [W, dW/dq, dW/dp] of the Fock-basis matrix c on the grid's axes:
+    ``_synthesize_mapped`` at the identity maps, under the three arguments
+    perfbench's tracer reads."""
+    return _synthesize_mapped(c, grid, with_grad, ((1.0, 0.0), (1.0, 0.0)))
 
-    Returns [W] or [W, dW/dq, dW/dp].  The map is linear, so an
-    anti-Hermitian part of c gives the imaginary part of each field; it
-    is synthesized, for the caller's residue check, unless its trace
-    norm, which bounds pi |W| pointwise, already proves the residue below
-    IMAG_RESIDUE_HARD.
+
+def _synthesize_mapped(c, grid, with_grad, maps):
+    """The fields of ``_fields`` for the Fock-basis matrix c at the table
+    ``maps``, each checked finite.
+
+    The map is linear, so an anti-Hermitian part of c gives the imaginary
+    part of each field; it is synthesized, for the caller's residue check
+    (``_real_part``), unless its trace norm, which bounds pi |W| pointwise,
+    already proves the residue below IMAG_RESIDUE_HARD.  The maps a caller
+    takes (dilation by sqrt(tau) with thermal noise, Gaussian smoothing)
+    are channels, which do not raise the trace norm, so the bound holds
+    for their fields too.
     """
     _require_finite(c, "density matrix")
     q = np.asarray(grid.q, dtype=float)
@@ -463,9 +471,9 @@ def _synthesize(c, grid, with_grad):
     # |W_a| <= ||a||_1 / pi <= sum |a_mn| / pi for a = (c - c^+) / 2i
     anti = np.sum(np.abs(c - c.conj().T)) / (2.0 * np.pi) > IMAG_RESIDUE_HARD
     D = _coefficients(c, anti)
-    fields = _fields(D[0], q, p, with_grad)
+    fields = _fields(D[0], q, p, with_grad, maps=maps)
     if anti:
-        imag = _fields(D[1], q, p, with_grad)
+        imag = _fields(D[1], q, p, with_grad, maps=maps)
         fields = [re + 1j * im for re, im in zip(fields, imag)]
     for f in fields:
         _require_finite(f, "synthesized Wigner field")
@@ -561,20 +569,22 @@ def _quadrature(field):
     one sweep of q-row blocks through reused buffers takes the marginals
     and the row integrals of the entropy integrand and the negative part
     (the cross moment reads the field again).  A mass off 1 by more than
-    MASS_TOL (or NaN) raises; the callers validate the moments.
+    MASS_TOL (or NaN) raises NormalizationError, and moments past the float
+    range NumericalError; the callers validate the moments.
     """
     W, grid = field.values, field.grid
     wq = axis_weights(grid.n_q, grid.dq)
     wp = axis_weights(grid.n_p, grid.dp)
     marg_q, ent_rows, neg_rows = np.empty((3, grid.n_q))
     marg_p = np.zeros(grid.n_p)
-    for rows, b, tiny in _row_blocks(W.shape, 1):
+    for rows, b, zero in _row_blocks(W.shape, 1):
         block = W[rows]
         np.matmul(block, wp, out=marg_q[rows])
         marg_p += wq[rows] @ block
-        # ln 1 = 0 puts the integrand at its limit below the floor
-        np.less(np.abs(block, out=b), ENTROPY_FLOOR, out=tiny)
-        np.copyto(b, 1.0, where=tiny)
+        # ln 1 = 0 puts the integrand at its limit, 0, where W = 0
+        np.equal(block, 0.0, out=zero)
+        np.abs(block, out=b)
+        np.copyto(b, 1.0, where=zero)
         np.log(b, out=b)
         b *= block
         np.matmul(b, wp, out=ent_rows[rows])
@@ -584,12 +594,15 @@ def _quadrature(field):
         raise NormalizationError(
             f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
         )
-    dq = float((wq * grid.q) @ marg_q)
-    dp = float(marg_p @ (wp * grid.p))
-    cq, cp = grid.q - dq, grid.p - dp
-    vqq = float((wq * cq * cq) @ marg_q)
-    vpp = float(marg_p @ (wp * cp * cp))
-    vqp = float((wq * cq) @ W @ (wp * cp))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        dq = float((wq * grid.q) @ marg_q)
+        dp = float(marg_p @ (wp * grid.p))
+        cq, cp = grid.q - dq, grid.p - dp
+        vqq = float((wq * cq * cq) @ marg_q)
+        vpp = float(marg_p @ (wp * cp * cp))
+        vqp = float((wq * cq) @ W @ (wp * cp))
+    if not np.all(np.isfinite([dq, dp, vqq, vqp, vpp])):
+        raise NumericalError("the field's moments overflow the float range")
     m = GaussianMoments([dq, dp], [[vqq, vqp], [vqp, vpp]])
     # 0.0 - x, not -x: an all-zero negative part must come out +0.0
     return m, -float(wq @ ent_rows), 0.0 - float(wq @ neg_rows)
@@ -600,13 +613,18 @@ def moments(field):
     return _quadrature(field)[0].validate(physical=True)
 
 
-def _covariance_det(V):
-    """det V, which must be positive (a NaN determinant is not)."""
-    with np.errstate(invalid="ignore"):
+def _covariance_logdet(V):
+    """ln det V, which must be positive (a NaN determinant is not): ln(det V)
+    where det V is a normal float (slogdet's sum of logs differs in the last
+    bit for a quarter of 2x2 matrices), else slogdet's, with the sign +1."""
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         det = np.linalg.det(V)
-    if not det > 0.0:
+        if np.finfo(float).tiny <= det < np.inf:
+            return np.log(det)
+        sign, logdet = np.linalg.slogdet(V)
+    if not (sign == 1.0 and np.isfinite(logdet)):
         raise np.linalg.LinAlgError("covariance matrix is singular")
-    return det
+    return logdet
 
 
 def negative_volume(field):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ngm import channels, wigner
-from ngm.errors import CapacityError, TruncationRiskError
+from ngm.errors import CapacityError, ConsistencyError, TruncationRiskError
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
@@ -411,6 +411,41 @@ def output_grid(rho, spec, points=513):
     noise = (1.0 - spec.tau) * (spec.n_bar + 0.5)
     return PhaseSpaceGrid.for_moments(np.sqrt(spec.tau) * mean,
                                       spec.tau * cov + noise * np.eye(2), points=points)
+
+
+def lossy_qudit():
+    return thermal_loss_fock(random_qudit(5, seed=3), ThermalLossSpec(0.7, 0.01))
+
+
+@pytest.mark.parametrize("tau,n_bar", [(0.7, 0.0), (0.3, 3.0)])
+@pytest.mark.parametrize("make", [lambda: cat(1.5).to_density(), lossy_qudit],
+                         ids=["cat", "lossy-qudit"])
+def test_output_moments_match_the_kraus_output(monkeypatch, make, tau, n_bar):
+    # at the default deficit (1e-6 of the trace, dropped at n ~ 50) the
+    # Kraus output's covariance is off by 3.3e-5 at n_bar = 3
+    monkeypatch.setattr(channels, "TRACE_DEFICIT_TOL", 1e-13)
+    rho = make()
+    spec = ThermalLossSpec(tau, n_bar)
+    mean, cov = spec.output_moments(*state_moments(rho))
+    want_mean, want_cov = state_moments(thermal_loss_fock(rho, spec))
+    assert np.max(np.abs(mean - want_mean)) < 1e-8
+    assert np.max(np.abs(cov - want_cov)) < 1e-8
+
+
+def test_phase_space_rejects_an_anti_hermitian_input():
+    # the engine once synthesized the Hermitian part alone and returned
+    # mu = 0.383 + 0.084i for this input, which both other routes reject
+    c = cat(1.5).to_density().entries
+    x = np.random.default_rng(0).standard_normal(c.shape)
+    bad = FockDensityMatrix(c + 1e-3 * (x - x.T))
+    spec = ThermalLossSpec(0.5, 0.0)
+    grid = output_grid(cat(1.5).to_density(), spec)
+    with pytest.raises(ConsistencyError, match="phase-space channel output"):
+        thermal_loss_phase_space(bad, spec, grid)
+    with pytest.raises(ConsistencyError):
+        wigner_from_fock(bad)
+    with pytest.raises(ConsistencyError):
+        ngm(thermal_loss_fock(bad, spec))
 
 
 def test_phase_space_identity_at_unit_tau():

@@ -8,6 +8,7 @@ error, 3 numerical precondition failure, 4 cross-engine inconsistency.
 
 import ast
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -190,6 +191,39 @@ def test_sweep_requires_preset_flag():
     assert err.value.code == 2
 
 
+def test_sweep_has_no_seed_option():
+    # no computation read it; it only wrote a "# seed=0" metadata line
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--preset", "one-photon", "--seed", "3"])
+    assert err.value.code == 2
+
+
+def perfbench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_benchmark_argvs_parse_and_validate(tmp_path, monkeypatch, quick):
+    # every argv the cli-commands workload sends is a valid run: a CLI
+    # change that drops an option it passes fails here, not in the benchmark
+    sent = []
+    monkeypatch.setattr(cli, "main", lambda argv: sent.append(argv) or 0)
+    group = next(perfbench_workloads().cli_commands(1, quick=quick, workdir=str(tmp_path)))
+    for item in group.items:
+        item.compute()
+    assert sorted({argv[0] for argv in sent}) == ["channel", "fisher", "measure", "sweep"]
+    for argv in sent:
+        cli._validate(cli.build_parser().parse_args(argv))
+    sweep = ["sweep", "--preset", "qubit-hemisphere"]
+    if quick:
+        sweep += ["--grid-points", "65", "--cutoff", "20"]
+    assert any(argv[:-2] == sweep and argv[-2] == "--out" for argv in sent)
+
+
 def test_fisher_vacuum_traces_and_cramer_rao(tmp_path, capsys):
     out = tmp_path / "fisher.json"
     assert main(["fisher", "--preset", "vacuum", "--out", str(out)]) == 0
@@ -357,6 +391,30 @@ def test_channel_rejects_non_finite_nbar(capsys, nbar, engine):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "ConfigError"
     assert "--nbar" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("nbar", ["1e30", "1e160"])
+def test_channel_output_of_huge_occupancy_is_gaussian(tmp_path, capsys, nbar):
+    # a floor on |W| once zeroed the entropy integrand of the wide output
+    # (Re mu 71.2 at 1e30), and det V overflowed (Re mu inf at 1e160)
+    path = tmp_path / "channel.json"
+    argv = ["channel", "--cat", "1.5", "--tau", "0.5", "--nbar", nbar,
+            "--engine", "phasespace", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert 0.0 <= doc["after_phasespace"]["re_mu"] < 1e-7
+    assert doc["warnings"] == []
+
+
+def test_channel_moments_past_the_float_range_exit_three(capsys):
+    # n_bar = 1e250: the output's variances overflow the moment integrals
+    argv = ["channel", "--cat", "1.5", "--tau", "0.5", "--nbar", "1e250",
+            "--engine", "phasespace"]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    assert doc["error"]["type"] == "NumericalError"
 
 
 def child_env():

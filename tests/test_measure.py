@@ -30,7 +30,6 @@ from ngm.fock import (
     state_moments,
 )
 from ngm.measure import (
-    ENTROPY_FLOOR,
     MeasureValue,
     _gaussian_cross,
     entropy_upper_bound_check,
@@ -124,8 +123,8 @@ def two_d_weight_quadrature(field):
     """Moments, entropy and negative volume by explicit 2-D weights.
 
     These are the formulas the one-pass quadrature replaced: a field-sized
-    weight array, the entropy integrand with its floor mask, and the
-    negative part as half of |W| - W.
+    weight array, the entropy integrand with its limit 0 where W = 0, and
+    the negative part as half of |W| - W.
     """
     g = field.grid
     w = np.outer(axis_weights(g.n_q, g.dq), axis_weights(g.n_p, g.dp))
@@ -136,8 +135,7 @@ def two_d_weight_quadrature(field):
     vpp = np.sum(w * (P - dp) ** 2 * W)
     vqp = np.sum(w * (Q - dq) * (P - dp) * W)
     mag = np.abs(W)
-    integrand = W * np.log(np.maximum(mag, ENTROPY_FLOOR))
-    integrand[mag < ENTROPY_FLOOR] = 0.0
+    integrand = W * np.log(np.where(mag == 0.0, 1.0, mag))
     return (
         np.array([dq, dp]),
         np.array([[vqq, vqp], [vqp, vpp]]),
@@ -192,11 +190,9 @@ def whole_field_quadrature(field):
     vpp = float(marg_p @ (wp * cp * cp))
     vqp = float((wq * cq) @ W @ (wp * cp))
     buf = np.abs(W)
-    tiny = buf < ENTROPY_FLOOR
-    np.maximum(buf, ENTROPY_FLOOR, out=buf)
+    buf[buf == 0.0] = 1.0
     np.log(buf, out=buf)
     buf *= W
-    buf[tiny] = 0.0
     entropy = -float(wq @ buf @ wp)
     np.minimum(W, 0.0, out=buf)
     neg = 0.0 - float(wq @ buf @ wp)
@@ -516,3 +512,48 @@ def test_entropy_bound_negative_field_requires_re_form():
     assert rep["form"] == "re"
     assert rep["holds"]
     assert rep["bound"] == pytest.approx(np.log(2 * np.pi * np.e * 1.5), abs=1e-6)
+
+
+# ------------------------------------------------------- scale and overflow
+
+
+@pytest.mark.parametrize("variance", [0.5, 1e30, 1e100])
+def test_entropy_of_a_wide_gaussian_field(variance):
+    # a wide field lies below any fixed floor on |W|: one at 1e-30 zeroed
+    # the whole integrand of this one from a variance of about 1e29 on
+    s = math.sqrt(variance)
+    grid = PhaseSpaceGrid(-8.0 * s, 8.0 * s, -8.0 * s, 8.0 * s, 257, 257)
+    Q, P = grid.meshes()
+    W = np.exp(-(Q**2 + P**2) / (2.0 * variance)) / (2.0 * np.pi * variance)
+    want = np.log(2.0 * np.pi * np.e * variance)
+    assert wigner_entropy_real(WignerField(grid, W)) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("variance", [1e-160, 1e160])
+def test_gaussian_entropies_past_the_float_range_of_det(variance):
+    # det V is 1e-320 (subnormal) or 1e320 (past the float range)
+    wide = GaussianMoments([0.0, 0.0], variance * np.eye(2))
+    want = np.log(2.0 * np.pi * np.e) + np.log(variance)
+    assert gaussian_associate_entropy(wide) == pytest.approx(want, rel=1e-15)
+    # -int W_G ln W_G is the Gaussian's own entropy
+    assert _gaussian_cross(wide, wide) == pytest.approx(want, rel=1e-15)
+
+
+def test_gaussian_entropy_takes_ln_det_where_det_is_a_float():
+    # the values the measure has always printed, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        a = rng.standard_normal((2, 2))
+        m = GaussianMoments([0.0, 0.0], a @ a.T + 0.5 * np.eye(2))
+        want = np.log(2.0 * np.pi * np.e) + 0.5 * np.log(np.linalg.det(m.V))
+        assert gaussian_associate_entropy(m) == want
+
+
+def test_non_finite_field_moments_are_a_numerical_error():
+    # variances of 1e250 overflow the moment integrals (weight times q^2)
+    s = 1e125
+    grid = PhaseSpaceGrid(-8.0 * s, 8.0 * s, -8.0 * s, 8.0 * s, 257, 257)
+    Q, P = grid.meshes()
+    W = np.exp(-0.5 * ((Q / s) ** 2 + (P / s) ** 2)) / (2.0 * np.pi * s * s)
+    with pytest.raises(NumericalError, match="overflow"):
+        _quadrature(WignerField(grid, W))
