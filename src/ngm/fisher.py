@@ -21,7 +21,7 @@ halves exactly, the second weight is ramp(2t) bit for bit, and Richardson
 extrapolation of the two removes the residual linear in the width.  One
 sweep of q-row blocks reduces both levels' integrands, the excluded and
 the total |W| mass to row sums against the p weights.  Fields without
-sign changes take the same sweep with the tail mask as their one weight.
+sign changes take the same sweep with W != 0 as their one weight.
 
 On top of J the module provides the drift condition Tr[G(V^-1 - J)]
 whose sign controls whether the relative-entropy measure decreases under
@@ -74,7 +74,7 @@ CONVERGENCE_LIMIT = 0.10
 #: banded estimate
 NEGATIVITY_FLOOR = -1e-8
 
-#: guard against 0/0 in far tails where W and its gradient both underflow
+#: least peak for the sign-definiteness test and least |J| for the band gap
 TAIL_FLOOR = 1e-30
 
 #: half-level excision width in mesh cells; the full level uses twice this
@@ -126,7 +126,7 @@ def fisher_from_field(field, band=BAND_DEFAULT):
     if not 0.0 < band < math.inf:
         raise ValueError("band must be positive and finite")
     W, gq, gp, grid = field.values, field.grad_q, field.grad_p, field.grid
-    # no zero crossings: integrated in full, the tail mask its one weight
+    # no zero crossings: integrated in full wherever W != 0
     definite = W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR)
     wq, wp = axis_weights(grid.n_q, grid.dq), axis_weights(grid.n_p, grid.dp)
     # rows: qq, qp, pp at the full then the half level; excluded, total |W|
@@ -136,7 +136,7 @@ def fisher_from_field(field, band=BAND_DEFAULT):
             block = W[rows]
             np.matmul(np.abs(block, out=a), wp, out=sums[7, rows])
             if definite:
-                np.copyto(full, np.greater_equal(a, TAIL_FLOOR, out=mask))
+                np.copyto(full, np.not_equal(block, 0.0, out=mask))
                 kernels = (full,)
             else:
                 # t = |W| / max(band/pi, width |grad W|) at the full level;

@@ -218,9 +218,10 @@ def gkp_logical(logical, delta, t_max=None, n_c=60):
     Weighted sum of squeezed peaks displaced along q: logical 0 over even
     lattice sites 2t√π, logical 1 over odd sites (2t+1)√π, envelope weight
     exp(-(π/2)Δ²s²) at site s, squeezing ξ = −ln Δ.  Every peak's
-    amplitudes come from one recurrence over all sites at once, and the
-    state is their weighted row sum, renormalised.  When t_max is omitted
-    it grows until the first dropped envelope weight is below 1e-10.
+    amplitudes come from one recurrence over the sites s ≥ 0 at once; as
+    the peak at −s is (−1)^n times the one at s, the state is their weighted
+    row sum (site 0 at half weight) times 1 + (−1)^n, renormalised.  When
+    t_max is omitted it grows until the first dropped envelope weight is below 1e-10.
     """
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
@@ -235,10 +236,11 @@ def gkp_logical(logical, delta, t_max=None, n_c=60):
     t_max = int(t_max)
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    sites = 2 * np.arange(-t_max, t_max + 1 - logical) + logical
-    w = np.exp(-(np.pi / 2) * delta**2 * sites**2)
+    sites = 2 * np.arange(t_max + 1 - logical) + logical
+    w = np.exp(-(np.pi / 2) * delta**2 * sites**2) / (1.0 + (sites == 0))
     rows = _displaced_squeezed_rows(sites * np.sqrt(np.pi), xi, int(n_c))
-    return FockVector(w @ rows, normalize=True)
+    pair = 1.0 + (-1.0) ** np.arange(rows.shape[1])
+    return FockVector((w @ rows) * pair, normalize=True)
 
 
 def qubit_rotation(theta, phi):

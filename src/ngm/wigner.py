@@ -18,13 +18,16 @@ dilated and smoothed, so a Gaussian map of W is the same product with
 other tables (``_hermite_functions``).  Grid axes centred on 0 are
 mirrored bit for bit and phi_j(-x) = (-1)^j phi_j(x), so the tables hold
 x >= 0 and each product is E + O at x, E - O at -x, with E and O the sums
-over the even and the odd orders: half the flops of a whole GEMM.  The
-rounding bound is computed on one quadrant.  The rank is 2 dim - 1 for
-any rho, pure or mixed, and nothing is sampled but the grid itself.  The
-analytic gradient uses phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2)
-phi_{n+1}, one order above D and of the opposite parity.  The
-finite-difference check samples q - h and q + h on a sub-lattice as one
-mirrored axis, with no field-sized synthesis.
+over the even and the odd orders: half the flops of a whole GEMM, with the
+rounding bound from one quadrant.  Where D's rows (q) or columns (p) of
+one order parity are exactly 0 (a real state's odd columns; a cat's, |n>'s
+or a GKP state's odd rows too), E or O is 0: the products and the rounding
+drop run on x >= 0 only, and x < 0 is their signed copy.  The rank is
+2 dim - 1 for any rho, pure or mixed, and nothing is sampled but the grid
+itself.  The analytic gradient uses phi_n' = sqrt(n/2) phi_{n-1} -
+sqrt((n+1)/2) phi_{n+1}, one order above D and of the opposite parity.
+The finite-difference check samples q - h and q + h on a sub-lattice as
+one mirrored axis, with no field-sized synthesis.
 
 The map is linear, so an anti-Hermitian part of the input gives an
 imaginary field.  It is synthesized and its residue checked, never
@@ -360,7 +363,7 @@ def _coefficients(c, anti):
     return D
 
 
-def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS):
+def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS, order=None, flip=1.0):
     """out = A^T Y for A the table on the axis x, T its columns on x[h:].
 
     x[:h] is -x[h + c:] reversed (c = n - 2h).  With E and O the sums over
@@ -368,21 +371,42 @@ def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS):
     ``odd``, for derivatives).  By blocks of x[h:], E goes into out, O and
     E - O into reused buffers; ``finish(rows, block, mirrored, first, *bufs)``
     may work on a block in cache (rows from ``first`` on have mirrors) with
-    O's buffer, now free, and two more: a float one and a bool one.
+    O's buffer, now free, and two more: a float one and a bool one.  If
+    Y's nonzero rows are all of the order parity ``order`` (0 even, 1 odd),
+    row -x is +-(row x): one product, no combine passes, and ``mirrored``
+    is None.  If Y has fewer columns than out, it gives out's last ones,
+    and out's first ones are their mirror times ``flip``, copied by blocks.
     """
-    c = out.shape[0] - 2 * h
-    base, mirror = out[h:], out[:h][::-1]
+    c, cut = out.shape[0] - 2 * h, out.shape[1] - Y.shape[1]
+    right, left = out[:, cut:], out[:, :cut][:, ::-1]
     (Te, To), (Ye, Yo) = (T[0::2].T, T[1::2].T), (Y[0::2], Y[1::2])
-    for rows, other, diff, *bufs in _row_blocks((T.shape[1], out.shape[1]), 3, cells):
-        block = base[rows]
-        np.matmul(Te[rows], Ye, out=block)
-        np.matmul(To[rows], Yo, out=other)
-        first = max(rows.start, c) - rows.start
-        np.subtract(*(block[first:], other[first:])[:: 1 - 2 * odd], out=diff[first:])
-        block += other
+    for rows, other, diff, *bufs in _row_blocks((T.shape[1], Y.shape[1]), 3, cells):
+        block, first = right[h:][rows], max(rows.start, c) - rows.start
+        if order is None:
+            np.matmul(Te[rows], Ye, out=block)
+            np.matmul(To[rows], Yo, out=other)
+            mirrored, sign = diff[first:], 1.0
+            np.subtract(*(block[first:], other[first:])[:: 1 - 2 * odd], out=mirrored)
+            block += other
+        else:
+            np.matmul((Te, To)[order][rows], (Ye, Yo)[order], out=block)
+            mirrored, sign = None, (-1.0) ** (order + odd)
         if finish:
-            finish(rows, block, diff[first:], first, other, *bufs)
-        mirror[rows.start + first - c : rows.stop - c] = diff[first:]
+            finish(rows, block, mirrored, first, other, *bufs)
+        at = slice(rows.start + first - c, rows.stop - c)
+        mirror = right[:h][::-1][at]
+        _signed_copy(block[first:] if mirrored is None else mirrored, sign, mirror)
+        if cut:
+            _signed_copy(block[:, -cut:], flip, left[h:][rows])
+            _signed_copy(mirror[:, -cut:], flip, left[:h][::-1][at])
+
+
+def _signed_copy(src, sign, out):
+    """out = sign src for sign +-1; a copy takes half the time of a product."""
+    if sign > 0:
+        out[...] = src
+    else:
+        np.negative(src, out=out)
 
 
 def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
@@ -396,43 +420,55 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
     gamma (|A_q| |D| |A_p|^T) / sqrt(pi), the products' own rounding bound
     (each entry still sums size products per product, in another order),
     carry no sign and are set to 0; ``bound``, if given, receives it.
+    On a mirrored axis where D has one order parity, x < 0 is x >= 0 signed.
     """
     size = D.shape[0]
     orders = size + 1 if with_grad else size
     # h points of an axis mirror its last h, x[i] = -x[n-1-i] bit for bit
     hq, hp = (x.size // 2 if (x == -x[::-1]).all() else 0 for x in (q, p))
     uq, cq, cp = q.size - hq, q.size - 2 * hq, p.size - 2 * hp
+    # per mirrored axis, the one order parity of D's nonzero rows (q) or
+    # columns (p), if it has one; rows 0 and 1 settle most mixed D at once
+    pq, pp = (None if not h or M[0].any() and M[1:2].any() or M[0::2].any() and M[1::2].any()
+              else int(M[1::2].any()) for h, M in ((hq, D), (hp, D.T)))
+    # W's columns from ``cols`` on are computed, the rest mirror them
+    cols, flip = (0, 1.0) if pp is None else (hp, (-1.0) ** pp)
     # one table for both axes where their maps agree
     axes = [np.concatenate((q[hq:], p[hp:]))] if maps[0] == maps[1] else (q[hq:], p[hp:])
     tables = [_hermite_functions(np.sqrt(2.0) * x, orders, *m) for x, m in zip(axes, maps)]
     table = tables[0] if len(tables) == 1 else np.hstack(tables)
     Tq, Tp = table[:size, :uq], table[:size, uq:]
     Dt = np.ascontiguousarray(D.T) / np.sqrt(np.pi)
-    # inner = D A_p^T, (2 dim - 1) x n_p, is one block
-    inner = np.empty((size, p.size))
-    _parity_product(Tp, Dt, hp, False, inner.T, cells=inner.size)
+    # inner = D A_p^T on W's computed columns is one block
+    inner = np.empty((size, p.size - cols))
+    _parity_product(Tp, Dt, hp - cols, False, inner.T, cells=inner.size, order=pp)
     n_terms = 2 * size
     gamma = n_terms * _UNIT_ROUNDOFF / (1.0 - n_terms * _UNIT_ROUNDOFF)
-    spread = np.abs(Dt).T @ np.abs(Tp)
+    # the bound's products skip the orders whose rows or columns of D are 0
+    kq, kp = (slice(None) if o is None else slice(o, None, 2) for o in (pq, pp))
+    spread = np.abs(Dt[kp, kq]).T @ np.abs(Tp[kp])
     spread *= gamma
-    abs_q = np.abs(Tq.T)
+    abs_q = np.abs(Tq[kq].T)
 
     # the bound is even in q and p: one quadrant serves the four
     def drop_rounding(rows, block, mirrored, first, mag, row_bound, mask):
-        np.matmul(abs_q[rows], spread, out=row_bound[:, hp:])
-        row_bound[:, :hp][:, ::-1] = row_bound[:, hp + cp :]
+        np.matmul(abs_q[rows], spread, out=row_bound[:, hp - cols :])
+        row_bound[:, : hp - cols][:, ::-1] = row_bound[:, p.size - hp :]
         for cells, k in ((block, 0), (mirrored, first)):
+            if cells is None:
+                continue
             np.less_equal(np.abs(cells, out=mag[k:]), row_bound[k:], out=mask[k:])
             if mask[k:].any():
                 np.copyto(cells, 0.0, where=mask[k:])
         if bound is not None:
-            bound[hq:][rows] = row_bound
+            bound[hq:][rows, cols:] = row_bound
 
     # field-sized temporaries would be faulted in and freed on every call
     W = np.empty((q.size, p.size))
-    _parity_product(Tq, inner, hq, False, W, drop_rounding)
+    _parity_product(Tq, inner, hq, False, W, drop_rounding, order=pq, flip=flip)
     if bound is not None:
         bound[:hq] = bound[hq + cq :][::-1]
+        bound[:, :cols] = bound[:, p.size - cols :][:, ::-1]
     fields = [W]
     if with_grad:
         # d/dq phi_n(sqrt2 q) = sqrt(n) phi_{n-1} - sqrt(n+1) phi_{n+1}
@@ -440,9 +476,10 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
         deriv = root[:size] * np.vstack((np.zeros_like(table[:1]), table[: size - 1]))
         deriv -= root[1:] * table[1:]
         fields += [np.empty_like(W), np.empty_like(W)]
-        _parity_product(deriv[:, :uq], inner, hq, True, fields[1])
-        _parity_product(deriv[:, uq:], Dt, hp, True, inner.T, cells=inner.size)  # D dA_p^T
-        _parity_product(Tq, inner, hq, False, fields[2])
+        _parity_product(deriv[:, :uq], inner, hq, True, fields[1], order=pq, flip=flip)
+        # D dA_p^T
+        _parity_product(deriv[:, uq:], Dt, hp - cols, True, inner.T, cells=inner.size, order=pp)
+        _parity_product(Tq, inner, hq, False, fields[2], order=pq, flip=-flip)
     return fields
 
 

@@ -182,7 +182,7 @@ def whole_field_fisher(field, band=BAND_DEFAULT):
         return entries
 
     if W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR):
-        J = weighted_integral(np.abs(W) >= TAIL_FLOOR)
+        J = weighted_integral(W != 0.0)
         return J, J, J, 0.0, 0.0, True
     step = max(grid.dq, grid.dp)
     weight_full = tube_weight(2.0 * RESOLUTION_CELLS * step, band)
@@ -193,6 +193,20 @@ def whole_field_fisher(field, band=BAND_DEFAULT):
     excluded = integrate((1.0 - weight_full) * np.abs(W), grid)
     return (J, J_full, J_half, excluded / integrate(np.abs(W), grid), rel_gap,
             rel_gap <= CONVERGENCE_LIMIT)
+
+
+@pytest.mark.parametrize("variance", [0.5, 1e20, 1e30])
+def test_sign_definite_fisher_holds_at_any_scale(variance):
+    # an analytic Gaussian field on +-8 sigma has J = I / variance; a floor
+    # on |W| would drop its tails, or, past variance 1e30, the whole field
+    s = math.sqrt(variance)
+    grid = PhaseSpaceGrid(-8.0 * s, 8.0 * s, -8.0 * s, 8.0 * s, 257, 257)
+    Q, P = grid.meshes()
+    W = np.exp(-(Q**2 + P**2) / (2.0 * variance)) / (2.0 * math.pi * variance)
+    field = WignerField(grid, W, -Q / variance * W, -P / variance * W)
+    fm = fisher_from_field(field)
+    assert fm.converged and fm.excluded_fraction == 0.0
+    assert np.max(np.abs(fm.J * variance - np.eye(2))) < 1e-12
 
 
 def lossy_qudit():

@@ -276,6 +276,21 @@ def test_gkp_norm_symmetry_and_parity():
     assert np.max(np.abs(g.amplitudes[1::2])) < 1e-12
 
 
+@pytest.mark.parametrize("logical", [0, 1])
+@pytest.mark.parametrize("db", [10, 12, 14])
+def test_gkp_odd_entries_are_exactly_zero(logical, db):
+    # the peaks at -s and s pair through 1 + (-1)^n, so the odd entries are
+    # 0.0, not the rounding of a sum over the sites in order; the even ones
+    # match that sum to rounding
+    delta = 10 ** (-db / 20)
+    g = gkp_logical(logical, delta, t_max=4, n_c=60).amplitudes
+    assert np.all(g[1::2] == 0.0) and np.all(g[0::2] != 0.0)
+    sites = 2 * np.arange(-4, 5 - logical) + logical
+    rows = _displaced_squeezed_rows(sites * np.sqrt(np.pi), -np.log(delta), 60)
+    summed = np.exp(-(np.pi / 2) * delta**2 * sites**2) @ rows
+    assert np.max(np.abs(g - summed / np.linalg.norm(summed))) < 1e-15
+
+
 def test_gkp_auto_lattice_range():
     g = gkp_logical(0, 1.0, n_c=40)  # t_max grows until weights drop below 1e-10
     assert fidelity(g, coherent(0.0, 40)) > 0.99

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from ngm import wigner
+from ngm import fock, wigner
 from ngm.channels import ThermalLossSpec, thermal_loss_fock
 from ngm.errors import NormalizationError
 from ngm.fock import FockVector, as_density, cat, displaced_squeezed, gkp_logical, random_qudit
@@ -170,6 +170,8 @@ def assert_fields_close(got, want, tol=1e-12):
 STATES = {
     "cat": lambda: cat(1.5, "even", 40),
     "displaced-squeezed": lambda: displaced_squeezed(1.2 * np.exp(0.9j), 0.4, 50),
+    "real-displaced-squeezed": lambda: displaced_squeezed(1.2, -0.4, 50),
+    "fock": lambda: number_state(9),
     "qudit": lambda: random_qudit(5, [0, 2, 3, 5, 6], seed=7),
     "lossy-cat": lambda: thermal_loss_fock(
         as_density(cat(1.5, "odd", 30)), ThermalLossSpec(tau=0.7, n_bar=0.1)
@@ -409,12 +411,17 @@ UNIT = np.finfo(float).eps / 2.0
     [
         lambda: thermal_loss_fock(random_qudit(5, seed=3), ThermalLossSpec(0.7, 0.01)),
         lambda: displaced_squeezed(2.0 * np.exp(0.7j), 1.0, 160),
+        lambda: displaced_squeezed(2.0, 1.0, 160),
+        lambda: cat(1.5, "even", 40),
+        lambda: gkp_logical(1, 10 ** (-10 / 20), n_c=60),
     ],
-    ids=["lossy-qudit", "ds160"],
+    ids=["lossy-qudit", "ds160", "real-ds160", "cat", "gkp"],
 )
 def test_rounding_bound_buffers_match_whole_blocks(make, monkeypatch):
     # the parity split sums the same products in another order, so W
-    # matches the whole GEMMs within both bounds, not to the bit
+    # matches the whole GEMMs within both bounds, not to the bit; a real
+    # state's W is computed on p >= 0 (and a cat's and a GKP state's on
+    # q >= 0 too) and its bound there, and both are mirrored
     rho = as_density(make())
     grid = default_grid(rho)
     D = wigner._coefficients(rho.entries, False)[0]
@@ -464,39 +471,100 @@ KERNEL_GRIDS = {
 }
 
 
-def kernel_input(grid_name, anti):
-    """A Hermitian matrix that reaches the grid, plus an anti-Hermitian
-    part (an imaginary field) where it reaches it too, if ``anti``."""
-    if grid_name == "outer-ring":
-        c = number_state(400).to_density().entries
-        reach = slice(390, None)
-    else:
-        c = as_density(cat(1.5, "odd", 30)).entries
-        reach = slice(None)
-    if anti:
-        rng = np.random.default_rng(11)
-        part = random_matrix(rng, c.shape[0])[reach, reach]
-        c = c.copy()
-        c[reach, reach] += 1e-3 * (part - part.conj().T)
+def summed_gkp(n_c):
+    """A 10 dB GKP logical 0 as its weighted row sum over the lattice sites
+    -8 .. 8 in order: its odd entries are rounding, not 0.0."""
+    sites = 2 * np.arange(-4, 5)
+    rows = fock._displaced_squeezed_rows(sites * np.sqrt(np.pi), np.log(10.0) / 2.0, n_c)
+    return FockVector(np.exp(-(np.pi / 20.0) * sites**2) @ rows, normalize=True)
+
+
+def odd_odd_part(c):
+    """c plus 1e-3 (X - X^T), X real and nonzero only at m + n even: an
+    anti-Hermitian part whose imaginary field is odd in q and in p."""
+    m, n = np.indices(c.shape)
+    X = np.random.default_rng(12).normal(size=c.shape) * ((m + n) % 2 == 0)
+    return c + 1e-3 * (X - X.T)
+
+
+def random_anti_part(c, reach=slice(None)):
+    """c plus a random anti-Hermitian part (an imaginary field) where it
+    reaches the grid."""
+    part = random_matrix(np.random.default_rng(11), c.shape[0])[reach, reach]
+    c = c.copy()
+    c[reach, reach] += 1e-3 * (part - part.conj().T)
     return c
 
 
-@pytest.mark.parametrize("anti", [False, True], ids=["hermitian", "complex"])
-@pytest.mark.parametrize("grid_name", sorted(KERNEL_GRIDS))
-def test_parity_kernel_matches_whole_gemms(grid_name, anti):
+#: per input, a Fock matrix that reaches the mirrored grids and, per
+#: coefficient set, the order parities along q and p that _fields finds
+#: (None: both parities)
+KERNEL_INPUTS = {
+    # even in q and in p
+    "hermitian": (lambda: as_density(cat(1.5, "odd", 30)).entries, [(0, 0)]),
+    "fock": (lambda: number_state(12).to_density().entries, [(0, 0)]),
+    # even in p only
+    "real-ds": (lambda: as_density(displaced_squeezed(1.2, 0.3, 40)).entries, [(None, 0)]),
+    "summed-gkp": (lambda: as_density(summed_gkp(40)).entries, [(None, 0)]),
+    # neither
+    "complex-ds": (lambda: as_density(displaced_squeezed(1.2 * np.exp(0.9j), 0.4, 40)).entries,
+                   [(None, None)]),
+    # the cat with an imaginary field of no parity, and one odd in q and in p
+    "complex": (lambda: random_anti_part(as_density(cat(1.5, "odd", 30)).entries),
+                [(0, 0), (None, None)]),
+    "odd-anti": (lambda: odd_odd_part(as_density(cat(1.5, "odd", 30)).entries),
+                 [(0, 0), (1, 1)]),
+}
+
+#: q is not mirrored on the outer ring, so its products take the general path
+RING_INPUTS = {
+    "hermitian": (lambda: number_state(400).to_density().entries, [(None, 0)]),
+    "complex": (lambda: random_anti_part(number_state(400).to_density().entries,
+                                         slice(390, None)), [(None, 0), (None, None)]),
+}
+
+
+@pytest.mark.parametrize(
+    "grid_name, kind",
+    [(grid, kind) for grid in ("mirrored-65", "mirrored-1025") for kind in KERNEL_INPUTS]
+    + [("outer-ring", kind) for kind in RING_INPUTS],
+    ids=lambda value: value,
+)
+def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
     # W and both gradients, each within the two computations' bounds of
     # each other; a cell of W that the kernel zeroed was within its own
-    # bound of 0, so it is within three bounds of the whole GEMM
+    # bound of 0, so it is within three bounds of the whole GEMM.  Along
+    # an axis of definite parity the fields mirror bit for bit, the
+    # derivative along it with the opposite sign
     grid = KERNEL_GRIDS[grid_name]()
-    sets = wigner._coefficients(kernel_input(grid_name, anti), anti)
-    assert len(sets) == 1 + anti
-    for D in sets:
+    make, parities = (RING_INPUTS if grid_name == "outer-ring" else KERNEL_INPUTS)[kind]
+    c = make()
+    anti = kind in ("complex", "odd-anti")
+    sets = wigner._coefficients(c, anti)
+    assert len(sets) == len(parities) == 1 + anti
+    orders = []
+    product = wigner._parity_product
+
+    def spy(T, Y, h, odd, out, *args, order=None, **kwargs):
+        orders.append((out.shape == grid.shape, order))
+        return product(T, Y, h, odd, out, *args, order=order, **kwargs)
+
+    monkeypatch.setattr(wigner, "_parity_product", spy)
+    for D, (pq, pp) in zip(sets, parities):
+        orders.clear()
         got = wigner._fields(D, grid.q, grid.p, True)
+        # D A_p^T, W, dW/dq, D dA_p^T, dW/dp: the inner products run along p
+        assert orders == [(False, pp), (True, pq), (True, pq), (False, pp), (True, pq)]
         want = whole_gemm_fields(D, grid.q, grid.p)
         assert np.max(np.abs(want[0][0])) > 1e-4
         for i, (field, (oracle, bound)) in enumerate(zip(got, want)):
             assert field.shape == grid.shape
             assert np.all(np.abs(field - oracle) <= (3.0 if i == 0 else 2.0) * bound)
+        for axis, parity in enumerate((pq, pp)):
+            if parity is not None:
+                for i, field in enumerate(got):
+                    sign = (-1.0) ** (parity + (i == axis + 1))
+                    assert np.array_equal(np.flip(field, axis), sign * field)
 
 
 def number_state(n):
