@@ -6,18 +6,19 @@ followed by a quantum-limited amplifier of gain G = 1 + (1-tau) n_bar.
 The Fock engine applies the truncated Kraus sums of both pieces.  Each
 Kraus operator of either piece has one nonzero diagonal (a scaled a^l or
 (a^dag)^k), so A rho A^dag is a shifted copy of rho scaled by the outer
-product of that diagonal with itself: O(dim^2) per order.  The orders
-come from the closed-form share of the trace each keeps (binomial for the
-loss, negative-binomial for the amplifier).  The phase-space engine
-rescales the Wigner field by sqrt(tau) and convolves it with the rescaled
-thermal Gaussian, exactly, on each Hermite-Gauss mode.  The two engines
-share no code past the input's coefficients D, which makes their
-agreement a meaningful cross-check rather than a tautology.  The spec
-owns the channel's action on moments, (d, V) -> (sqrt(tau) d, tau V +
-(1 - tau)(n_bar + 1/2) I), which sizes the phase-space engine's grid.
+product of that diagonal with itself: O(dim^2) per order.  One table per
+piece holds the diagonals, row k for order k and column n for input level
+n.  Its squared rows are the closed-form shares of the trace each order
+keeps (binomial for the loss, negative-binomial for the amplifier), so
+the same numbers pick the orders and build the operators.  The
+phase-space engine rescales the Wigner field by sqrt(tau) and convolves
+it with the rescaled thermal Gaussian, exactly, on each Hermite-Gauss
+mode.  The two engines share no code past the input's coefficients D,
+which makes their agreement a meaningful cross-check rather than a
+tautology.  The spec owns the channel's action on moments, (d, V) ->
+(sqrt(tau) d, tau V + (1 - tau)(n_bar + 1/2) I), which sizes the
+phase-space engine's grid.
 """
-
-import math
 
 import numpy as np
 
@@ -28,13 +29,11 @@ from .wigner import MASS_TOL, WignerField, _real_part, _require_finite, _synthes
 
 __all__ = [
     "ThermalLossSpec",
-    "pure_loss_kraus",
-    "amplifier_kraus",
     "thermal_loss_fock",
     "thermal_loss_phase_space",
 ]
 
-#: least per-piece Kraus order; the closed-form tails raise it where needed
+#: least per-piece Kraus order; the table's shares raise it where needed
 KRAUS_ORDER_FLOOR = 30
 
 #: largest amplifier order, whose output space has dim + order levels
@@ -70,134 +69,94 @@ class ThermalLossSpec:
         return f"ThermalLossSpec(tau={self.tau}, n_bar={self.n_bar})"
 
 
-def pure_loss_kraus(eta, l_max, dim):
-    """Kraus operators of the pure-loss channel of transmissivity eta.
-
-    The l-th operator is sqrt((1-eta)^l / l!) eta^{n/2} a^l; on the subspace
-    with at most l_max photons the family is exactly complete.  It has one
-    nonzero diagonal, l above the main one, so the l-th entry of the
-    returned list is that diagonal: the operator is ``np.diag(v[l], l)``.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity eta = {eta} must lie in (0, 1]")
-    if not 0 <= l_max <= dim:
-        raise ValueError("Kraus order must lie within the space dimension")
-    v = np.zeros((l_max + 1, dim))
-    if eta == 1.0:
-        v[0] = 1.0
-    else:
-        # cell (l, i) holds the amplitude of |n - l><n| at n = i + l
-        l, i = np.nonzero(np.add.outer(np.arange(l_max + 1), np.arange(dim)) < dim)
-        ns = i + l
-        lf = _log_factorial(dim)
-        v[l, i] = np.exp(0.5 * (
-            l * np.log(1.0 - eta) - lf[l] + (ns - l) * np.log(eta) + lf[ns] - lf[ns - l]
-        ))
-    return [v[l, : dim - l] for l in range(l_max + 1)]
-
-
-def amplifier_kraus(gain, k_max, dim):
-    """Kraus operators of the quantum-limited amplifier with the given gain.
-
-    The k-th operator is sqrt(((gain-1)/gain)^k / (k! gain)) (a^dag)^k
-    gain^{-n/2}.  It has one nonzero diagonal, k below the main one, so
-    the k-th entry of the returned list is that diagonal: the operator is
-    ``np.diag(v[k], -k)``.
-    """
-    if gain < 1.0:
-        raise ValueError(f"amplifier gain = {gain} must be >= 1")
-    if not 0 <= k_max <= dim:
-        raise ValueError("Kraus order must lie within the space dimension")
-    v = np.zeros((k_max + 1, dim))
-    if gain == 1.0:
-        v[0] = 1.0
-    else:
-        # cell (k, n) holds the amplitude of |n + k><n|
-        k, ns = np.nonzero(np.add.outer(np.arange(k_max + 1), np.arange(dim)) < dim)
-        lf = _log_factorial(dim)
-        v[k, ns] = np.exp(0.5 * (
-            k * np.log((gain - 1.0) / gain) - lf[k] - np.log(gain)
-            + lf[ns + k] - lf[ns] - ns * np.log(gain)
-        ))
-    return [v[k, : dim - k] for k in range(k_max + 1)]
-
-
-def _least_order(weights, log_shares, floor):
-    """max(floor, least k whose shares keep all but TRACE_DEFICIT_TOL / 2), else None."""
-    kept = np.cumsum(weights @ np.exp(log_shares))
-    hit = np.flatnonzero(kept >= weights.sum() - 0.5 * TRACE_DEFICIT_TOL)
-    return max(floor, int(hit[0])) if hit.size else None
-
-
-def _loss_order(p, eta):
-    """Loss order for populations p: order l keeps C(n, l) eta^(n-l) (1-eta)^l of level n."""
-    dim = p.size
-    floor = min(dim - 1, KRAUS_ORDER_FLOOR)
-    if floor == dim - 1:
-        return floor  # loss removes at most dim - 1 quanta
-    n = np.arange(dim)
+def _loss_table(eta, dim):
+    """Pure-loss amplitudes, all dim orders: row l, column n holds
+    sqrt(C(n, l) eta^(n-l) (1-eta)^l), the entry at |n - l><n| of the l-th
+    Kraus operator sqrt((1-eta)^l / l!) eta^{n/2} a^l."""
+    l, n = np.nonzero(np.arange(dim)[:, None] <= np.arange(dim))
     lf = _log_factorial(dim)
-    lost = n[:, None] - n
-    logs = lf[n][:, None] - lf[n] - lf[np.abs(lost)] + lost * np.log(eta) + n * np.log1p(-eta)
-    return _least_order(p, np.where(lost >= 0, logs, -np.inf), floor)
+    amps = np.zeros((dim, dim))
+    amps[l, n] = np.exp(0.5 * (
+        l * np.log(1.0 - eta) - lf[l] + (n - l) * np.log(eta) + lf[n] - lf[n - l]
+    ))
+    return amps
 
 
-def _amplifier_order(q, gain):
-    """Amplifier order for populations q: order k keeps C(m + k, k) gain^-(m+1)
-    (1 - 1/gain)^k of level m.  Past _KRAUS_ORDER_CEILING, CapacityError."""
-    # the top level's share past the floor bounds every level's (q sums to at
-    # most 1), and by Chernoff it is at most ((1 - x)/(1 - y))^r (x/y)^j
-    x, r, j = 1.0 - 1.0 / gain, q.size, KRAUS_ORDER_FLOOR + 1
-    y, cut = j / (j + r), math.log(0.5 * TRACE_DEFICIT_TOL)
-    if x == 0.0 or x < y and r * math.log((1 - x) / (1 - y)) + j * math.log(x / y) < cut:
-        return KRAUS_ORDER_FLOOR
-    m = np.arange(q.size)[:, None]
-    for top in (KRAUS_ORDER_FLOOR, _KRAUS_ORDER_CEILING):
-        k = np.arange(top + 1)
-        lf = _log_factorial(q.size + top)
-        logs = lf[m + k] - lf[k] - (lf[m] + (m + 1) * math.log(gain))
-        logs += k * math.log1p(-1.0 / gain)
-        order = _least_order(q, logs, KRAUS_ORDER_FLOOR)
-        if order is not None:
-            return order
+def _amplifier_table(gain, rows, dim):
+    """Amplifier amplitudes, orders 0..rows-1: row k, column m < dim holds
+    sqrt(C(m + k, k) gain^-(m+1) (1 - 1/gain)^k), the entry at |m + k><m|
+    of the k-th operator sqrt(((gain-1)/gain)^k / (k! gain)) (a^dag)^k gain^{-n/2}."""
+    if gain == 1.0:  # the identity, where the closed form reads 0 ln 0
+        return np.outer(np.arange(rows) == 0, np.ones(dim))
+    k, m = np.arange(rows)[:, None], np.arange(dim)
+    lf = _log_factorial(rows + dim)
+    return np.exp(0.5 * (
+        k * np.log((gain - 1.0) / gain) - lf[k] - np.log(gain)
+        + lf[m + k] - lf[m] - m * np.log(gain)
+    ))
+
+
+def _kept(amps, pop, floor):
+    """Rows 0..k of amps for the least k >= floor at which they keep all but
+    TRACE_DEFICIT_TOL / 2 of the populations pop, or None if no k does."""
+    kept = np.cumsum(amps**2 @ pop)
+    hit = np.flatnonzero(kept >= pop.sum() - 0.5 * TRACE_DEFICIT_TOL)
+    return amps[: max(floor, int(hit[0])) + 1] if hit.size else None
+
+
+def _amplifier_rows(q, gain):
+    """The amplifier's kept rows for populations q, of 31 or else 1025 rows
+    (it adds quanta, so dim does not bound its order); else CapacityError."""
+    for rows in (KRAUS_ORDER_FLOOR + 1, _KRAUS_ORDER_CEILING + 1):
+        amps = _kept(_amplifier_table(gain, rows, q.size), q, KRAUS_ORDER_FLOOR)
+        if amps is not None:
+            return amps
     raise CapacityError(
         f"the amplifier needs more than {_KRAUS_ORDER_CEILING} Kraus orders "
         f"to keep the trace within {TRACE_DEFICIT_TOL:.0e}"
     )
 
 
+def _kraus_sum(c, amps, up):
+    """sum_k A_k c A_k^dag, where A_k takes |n> to v_n |n + k> (up) or to
+    v_n |n - k> for row k, v, of amps.  Each term is a shifted copy of c
+    scaled as (v_i c_ij) v_j, the expression the dense op @ c @ op.T
+    evaluates per element, so the sums match it bit for bit."""
+    dim = len(c)
+    out = np.zeros((dim + len(amps) - 1,) * 2 if up else c.shape, dtype=complex)
+    if up:
+        for k, v in enumerate(amps):
+            out[k : k + dim, k : k + dim] += v[:, None] * c * v
+    else:
+        for l, v in enumerate(amps):
+            out[: dim - l, : dim - l] += v[l:, None] * c[l:, l:] * v[l:]
+    return out
+
+
 def thermal_loss_fock(rho, spec):
     """Loss-then-amplifier Kraus evolution in the truncated Fock basis.
 
-    Each piece takes the least order whose closed-form shares keep all but
-    TRACE_DEFICIT_TOL / 2 of its input's trace, at least min(dim - 1, 30) for
-    the loss and 30 for the amplifier; a deficit beyond TRACE_DEFICIT_TOL
-    after the sums raises.  The output is renormalized and trimmed.
+    Each piece takes the least order whose table rows keep all but
+    TRACE_DEFICIT_TOL / 2 of its input's trace, at least min(dim - 1, 30)
+    for the loss and 30 for the amplifier (past 1024, CapacityError).  A
+    deficit beyond TRACE_DEFICIT_TOL after the sums raises; the output is
+    renormalized and trimmed.  A non-finite rho raises, also at tau = 1.
     """
     rho = as_density(rho)
-    dim = rho.dim
-    if spec.tau == 1.0:
-        return rho
     c = rho.entries
     _require_finite(c, "density matrix")
-    l_max = _loss_order(np.diagonal(c).real, spec.eta)
-    # (v_i rho_ij) v_j is the expression the dense op @ rho @ op.T
-    # evaluates per element, so the sums match it bit for bit
-    lost = np.zeros((dim, dim), dtype=complex)
-    for l, v in enumerate(pure_loss_kraus(spec.eta, l_max, dim)):
-        lost[: dim - l, : dim - l] += v[:, None] * c[l:, l:] * v
-    # the amplifier adds quanta into fresh headroom, so its order is not
-    # bounded by the input dimension
-    k_max = _amplifier_order(np.diagonal(lost).real, spec.gain)
-    out_dim = dim + k_max
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-    for k, v in enumerate(amplifier_kraus(spec.gain, k_max, out_dim)):
-        out[k : k + dim, k : k + dim] += v[:dim, None] * lost * v[:dim]
+    if spec.tau == 1.0:
+        return rho
+    floor = min(rho.dim - 1, KRAUS_ORDER_FLOOR)
+    loss = _kept(_loss_table(spec.eta, rho.dim), np.diagonal(c).real, floor)
+    lost = _kraus_sum(c, loss, up=False)
+    amps = _amplifier_rows(np.diagonal(lost).real, spec.gain)
+    out = _kraus_sum(lost, amps, up=True)
     trace = float(np.trace(out).real)
     if not trace >= 1.0 - TRACE_DEFICIT_TOL:
         raise TruncationRiskError(
             f"channel output keeps trace {trace:.8f} < 1 - {TRACE_DEFICIT_TOL:.0e} "
-            f"at l_max={l_max}, k_max={k_max}",
+            f"at l_max={len(loss) - 1}, k_max={len(amps) - 1}",
             magnitude=1.0 - trace,
         )
     out /= trace

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ngm import channels, wigner
-from ngm.errors import CapacityError, ConsistencyError, TruncationRiskError
+from ngm.errors import CapacityError, ConsistencyError, NumericalError, TruncationRiskError
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
@@ -26,14 +26,13 @@ from ngm.channels import (
     KRAUS_ORDER_FLOOR,
     TRACE_DEFICIT_TOL,
     ThermalLossSpec,
-    amplifier_kraus,
-    pure_loss_kraus,
     thermal_loss_fock,
     thermal_loss_phase_space,
 )
+from ngm.catalog import preset_random_qudits
 from ngm.measure import measure_from_field, ngm, wigner_entropy_real
 from ngm.wigner import WignerField, default_grid, moments, wigner_from_fock
-from ngm.numerics import PhaseSpaceGrid
+from ngm.numerics import PhaseSpaceGrid, _log_factorial
 
 
 def fock_density(n):
@@ -70,20 +69,34 @@ def test_spec_domain_errors(tau, n_bar):
 
 
 def loss_matrices(eta, l_max, dim):
-    """The pure-loss operators as dense matrices, from their diagonals."""
-    return [np.diag(v, l) for l, v in enumerate(pure_loss_kraus(eta, l_max, dim))]
+    """The pure-loss operators of orders 0..l_max as dense matrices, from
+    the rows of the library's table (row l, column n: |n - l><n|)."""
+    rows = channels._loss_table(eta, dim)[: l_max + 1]
+    return [np.diag(v[l:], l) for l, v in enumerate(rows)]
 
 
 def amplifier_matrices(gain, k_max, dim):
-    """The amplifier operators as dense matrices, from their diagonals."""
-    return [np.diag(v, -k) for k, v in enumerate(amplifier_kraus(gain, k_max, dim))]
+    """The amplifier operators of orders 0..k_max <= dim on dim levels as
+    dense matrices, from the rows of the library's table (row k, column m:
+    |m + k><m|)."""
+    rows = channels._amplifier_table(gain, k_max + 1, dim)
+    return [np.diag(v[: dim - k], -k) for k, v in enumerate(rows)]
 
 
-def test_pure_loss_identity_at_unit_eta():
-    ops = loss_matrices(1.0, 4, 6)
-    assert np.allclose(ops[0], np.eye(6))
-    for op in ops[1:]:
-        assert np.allclose(op, 0.0)
+def test_pure_loss_identity_at_unit_eta(monkeypatch):
+    # eta = 1 only at tau = 1 (the gain is then 1), and there the engine
+    # returns its input before building any table, whose closed form
+    # would read 0 ln 0
+    def no_tables(*args):
+        raise AssertionError("Kraus table built at unit transmissivity")
+
+    monkeypatch.setattr(channels, "_loss_table", no_tables)
+    monkeypatch.setattr(channels, "_amplifier_table", no_tables)
+    rho = cat(1.5, "even").to_density()
+    for n_bar in (0.0, 0.3, 1e30):
+        spec = ThermalLossSpec(1.0, n_bar)
+        assert spec.eta == 1.0
+        assert thermal_loss_fock(rho, spec) is rho
 
 
 def test_pure_loss_completeness():
@@ -158,12 +171,26 @@ def test_loss_composition():
 
 STRONG_NOISE = ThermalLossSpec(0.05, 20.0)
 
+# the library's table builders and sum, for spies that wrap them
+loss_table = channels._loss_table
+amplifier_table = channels._amplifier_table
+kraus_sum = channels._kraus_sum
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_non_finite_density_raises_at_every_tau(tau):
+    # tau = 1 once returned its input before the check, NaN and all
+    c = cat(1.5).to_density().entries.copy()
+    c[2, 3] = np.nan
+    with pytest.raises(NumericalError, match="density matrix has non-finite"):
+        thermal_loss_fock(FockDensityMatrix(c), ThermalLossSpec(tau, 0.0))
+
 
 def test_truncation_deficit_reported(monkeypatch):
     # thermal noise spreads the output far past the floor orders (30 / 30):
     # held there, the sums miss a fifth of the trace and say so
     rho = cat(1.5, n_c=40).to_density()
-    monkeypatch.setattr(channels, "_amplifier_order", lambda q, gain: KRAUS_ORDER_FLOOR)
+    monkeypatch.setattr(channels, "_kept", lambda amps, pop, floor: amps[: floor + 1])
     with pytest.raises(TruncationRiskError) as got:
         thermal_loss_fock(rho, STRONG_NOISE)
     assert "trace 0.79435543" in str(got.value)
@@ -187,12 +214,26 @@ def amplifier_order_by_recurrence(q, gain):
     return max(KRAUS_ORDER_FLOOR, k)
 
 
-def test_strong_noise_orders_from_closed_form_tails():
+def amplifier_order(q, gain):
+    """The amplifier order the library takes for populations q."""
+    return len(channels._amplifier_rows(q, gain)) - 1
+
+
+def test_strong_noise_orders_from_closed_form_tails(monkeypatch):
     # the amplifier (gain 20) needs far more than 30 orders: the closed-form
-    # negative-binomial tail sizes it, and the sums keep the trace
+    # negative-binomial shares of its 1025-row table size it, after the
+    # 31-row table falls short, and the sums keep the trace
     rho = cat(1.5, n_c=40).to_density()
     q = np.diagonal(dense_loss(rho, STRONG_NOISE)[0]).real
-    k_max = channels._amplifier_order(q, STRONG_NOISE.gain)
+    builds = []
+
+    def spy(gain, rows, dim):
+        builds.append(rows)
+        return amplifier_table(gain, rows, dim)
+
+    monkeypatch.setattr(channels, "_amplifier_table", spy)
+    k_max = amplifier_order(q, STRONG_NOISE.gain)
+    assert builds == [KRAUS_ORDER_FLOOR + 1, 1025]
     assert 250 < k_max < 300
     assert k_max == amplifier_order_by_recurrence(q, STRONG_NOISE.gain)
     out = thermal_loss_fock(rho, STRONG_NOISE)
@@ -203,56 +244,84 @@ def test_strong_noise_orders_from_closed_form_tails():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_amplifier_order_matches_the_pmf_recurrence(seed):
-    # across the Chernoff shortcut (weak noise, no sums) and the sums
+    # weak noise, where the 31-row table holds the order, and strong noise,
+    # where the 1025-row table does; at gain 1 the floor holds exactly
     rng = np.random.default_rng(seed)
     for _ in range(50):
         q = rng.dirichlet(np.ones(int(rng.integers(1, 60))))
         gain = 1.0 + 10.0 ** rng.uniform(-4.0, 1.0)
-        assert channels._amplifier_order(q, gain) == amplifier_order_by_recurrence(q, gain)
+        assert amplifier_order(q, gain) == amplifier_order_by_recurrence(q, gain)
+    assert amplifier_order(q, 1.0) == amplifier_order_by_recurrence(q, 1.0) == KRAUS_ORDER_FLOOR
 
 
-def test_amplifier_order_past_the_ceiling_raises_before_allocating(monkeypatch):
-    def no_sums(*args):
-        raise AssertionError("Kraus operators built past the ceiling")
+def test_amplifier_order_past_the_ceiling_raises_before_any_sum(monkeypatch):
+    # the 1025-row table is built and falls short: the loss sum has run,
+    # no amplifier sum does
+    ups = []
 
-    monkeypatch.setattr(channels, "amplifier_kraus", no_sums)
+    def spy(c, amps, up):
+        ups.append(up)
+        return kraus_sum(c, amps, up)
+
+    monkeypatch.setattr(channels, "_kraus_sum", spy)
     with pytest.raises(CapacityError, match="1024 Kraus orders"):
         thermal_loss_fock(cat(1.5, n_c=40).to_density(), ThermalLossSpec(0.5, 1e4))
+    assert ups == [False]
 
 
 # ln(n!) for n = 0..256, the fixed table the Kraus builders once indexed
 FIXED_LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 257.0)))))
 
 
-def fixed_table_kraus(eta, gain, order, dim):
-    """Both Kraus families from the fixed table, element for element as
-    the builders computed them while they indexed it (dim <= 256)."""
-    lf = FIXED_LOG_FACTORIAL
-    loss, amp = [], []
-    for l in range(order + 1):
+def fixed_log_factorial(n):
+    """ln(k!) for k = 0..n: the fixed table, extended past 256 by the
+    library's own, which it matches where both reach."""
+    return FIXED_LOG_FACTORIAL if n <= 256 else _log_factorial(n)
+
+
+def loss_operators(eta, l_max, dim):
+    """The pure-loss operators of orders 0..l_max on dim levels, element
+    for element as the builders computed them while they indexed the
+    fixed table."""
+    lf = fixed_log_factorial(dim)
+    ops = []
+    for l in range(l_max + 1):
         A = np.zeros((dim, dim))
         ns = np.arange(l, dim)
         A[ns - l, ns] = np.exp(0.5 * (
             l * np.log(1.0 - eta) - lf[l] + (ns - l) * np.log(eta) + lf[ns] - lf[ns - l]
         ))
-        loss.append(A)
+        ops.append(A)
+    return ops
+
+
+def amplifier_operators(gain, k_max, dim):
+    """The amplifier operators of orders 0..k_max on dim levels, likewise;
+    at gain 1 the identity and zeros, where the closed form reads 0 ln 0."""
+    if gain == 1.0:
+        return [np.eye(dim)] + [np.zeros((dim, dim))] * k_max
+    lf = fixed_log_factorial(dim)
+    ops = []
+    for k in range(k_max + 1):
         B = np.zeros((dim, dim))
-        ns = np.arange(0, dim - l)
-        B[ns + l, ns] = np.exp(0.5 * (
-            l * np.log((gain - 1.0) / gain) - lf[l] - np.log(gain)
-            + lf[ns + l] - lf[ns] - ns * np.log(gain)
+        ns = np.arange(0, dim - k)
+        B[ns + k, ns] = np.exp(0.5 * (
+            k * np.log((gain - 1.0) / gain) - lf[k] - np.log(gain)
+            + lf[ns + k] - lf[ns] - ns * np.log(gain)
         ))
-        amp.append(B)
-    return loss, amp
+        ops.append(B)
+    return ops
 
 
 @pytest.mark.parametrize("dim", [2, 7, 61, 200])
 def test_kraus_matrices_equal_fixed_table_bitwise(dim):
-    order = min(dim, 30)
-    loss, amp = fixed_table_kraus(0.37, 1.2, order, dim)
-    for got, want in zip(loss_matrices(0.37, order, dim), loss, strict=True):
+    # the floor orders; the loss table holds orders up to dim - 1
+    order = min(dim - 1, KRAUS_ORDER_FLOOR)
+    for got, want in zip(loss_matrices(0.37, order, dim),
+                         loss_operators(0.37, order, dim), strict=True):
         assert np.array_equal(got, want)
-    for got, want in zip(amplifier_matrices(1.2, order, dim), amp, strict=True):
+    for got, want in zip(amplifier_matrices(1.2, order, dim),
+                         amplifier_operators(1.2, order, dim), strict=True):
         assert np.array_equal(got, want)
 
 
@@ -264,22 +333,29 @@ def _kraus_apply(rho, ops):
 
 
 def dense_loss(rho, spec):
-    """The loss piece as dense GEMMs, at the order the library computes."""
-    l_max = channels._loss_order(np.diagonal(rho.entries).real, spec.eta)
-    return _kraus_apply(rho.entries, loss_matrices(spec.eta, l_max, rho.dim)), l_max
+    """The loss piece as dense GEMMs of the test-side operators, at the
+    order the library computes."""
+    floor = min(rho.dim - 1, KRAUS_ORDER_FLOOR)
+    rows = channels._kept(channels._loss_table(spec.eta, rho.dim),
+                          np.diagonal(rho.entries).real, floor)
+    l_max = len(rows) - 1
+    return _kraus_apply(rho.entries, loss_operators(spec.eta, l_max, rho.dim)), l_max
 
 
 def dense_thermal_loss(rho, spec):
     """thermal_loss_fock with each Kraus order applied as two dense GEMMs,
-    op @ rho @ op^dag, the amplifier acting on rho zero-padded to the
-    output dimension.  Same computed orders, same error."""
+    op @ rho @ op^dag, of the test-side operators, the amplifier acting on
+    rho zero-padded to the output dimension.  Same computed orders, same
+    error."""
+    if spec.tau == 1.0:
+        return rho
     dim = rho.dim
     lost, l_max = dense_loss(rho, spec)
-    k_max = channels._amplifier_order(np.diagonal(lost).real, spec.gain)
+    k_max = amplifier_order(np.diagonal(lost).real, spec.gain)
     out_dim = dim + k_max
     mid = np.zeros((out_dim, out_dim), dtype=complex)
     mid[:dim, :dim] = lost
-    out = _kraus_apply(mid, amplifier_matrices(spec.gain, k_max, out_dim))
+    out = _kraus_apply(mid, amplifier_operators(spec.gain, k_max, out_dim))
     trace = float(np.trace(out).real)
     if not trace >= 1.0 - TRACE_DEFICIT_TOL:
         raise TruncationRiskError(
@@ -318,6 +394,21 @@ def test_thermal_loss_equals_dense_route_bitwise(dim, n_bar):
     assert np.array_equal(got.entries, dense_thermal_loss(rho, spec).entries)
 
 
+MIXED_LOSS = preset_random_qudits()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_weak_noise_equals_dense_route_bitwise(d):
+    # the benchmark's channel regime: qudits at n_bar = 1e-3 and each of
+    # the preset's ten transmissivities, where the amplifier's 31-row
+    # table holds its order
+    rho = random_qudit(d, seed=d)
+    for tau in MIXED_LOSS.loss_taus:
+        spec = ThermalLossSpec(tau, MIXED_LOSS.loss_nbar)
+        got = thermal_loss_fock(rho, spec)
+        assert np.array_equal(got.entries, dense_thermal_loss(rho, spec).entries)
+
+
 @pytest.mark.parametrize(
     "make,spec",
     [(lambda: cat(5.0, n_c=100).to_density(), ThermalLossSpec(0.1, 0.0)),
@@ -329,7 +420,7 @@ def test_orders_past_the_floor_equal_dense_route_bitwise(make, spec):
     # routes take it, with no warning
     rho = make()
     lost, l_max = dense_loss(rho, spec)
-    k_max = channels._amplifier_order(np.diagonal(lost).real, spec.gain)
+    k_max = amplifier_order(np.diagonal(lost).real, spec.gain)
     assert max(l_max, k_max) > KRAUS_ORDER_FLOOR
     got, got_warnings = recorded(thermal_loss_fock, rho, spec)
     want, want_warnings = recorded(dense_thermal_loss, rho, spec)
@@ -343,19 +434,23 @@ def test_orders_past_the_floor_equal_dense_route_bitwise(make, spec):
     ids=["one-pass", "past-the-floor"],
 )
 def test_one_pure_loss_build_per_kraus_pass(monkeypatch, rho, tau):
-    # the orders are known before any sum, so the loss operators are
-    # built once, with no warning, even where they pass the floor
-    calls = []
+    # each order comes from the same table as its operators, so each
+    # piece builds its table once, with no warning, even where the loss
+    # order passes the floor
+    builds = []
 
-    def spy(*args):
-        calls.append(args)
-        return pure_loss_kraus(*args)
+    def spy(build):
+        def counted(*args):
+            builds.append(build.__name__)
+            return build(*args)
+        return counted
 
-    monkeypatch.setattr(channels, "pure_loss_kraus", spy)
+    monkeypatch.setattr(channels, "_loss_table", spy(loss_table))
+    monkeypatch.setattr(channels, "_amplifier_table", spy(amplifier_table))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         thermal_loss_fock(rho, ThermalLossSpec(tau, 0.0))
-    assert len(calls) == 1
+    assert builds == ["_loss_table", "_amplifier_table"]
     assert caught == []
 
 
