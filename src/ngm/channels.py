@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
 from .numerics import _log_factorial, integrate
-from .wigner import MASS_TOL, WignerField, _real_part, _require_finite, _synthesize_mapped
+from .wigner import MASS_TOL, WignerField, _require_finite, _synthesize_mapped
 
 __all__ = [
     "ThermalLossSpec",
@@ -140,11 +140,15 @@ def thermal_loss_fock(rho, spec):
     TRACE_DEFICIT_TOL / 2 of its input's trace, at least min(dim - 1, 30)
     for the loss and 30 for the amplifier (past 1024, CapacityError).  A
     deficit beyond TRACE_DEFICIT_TOL after the sums raises; the output is
-    renormalized and trimmed.  A non-finite rho raises, also at tau = 1.
+    renormalized and trimmed.  At tau = 1 too, a non-finite rho raises
+    NumericalError, and a trace or a least eigenvalue of the Hermitian part
+    past ``FockDensityMatrix.validate``'s bounds NormalizationError; an
+    anti-Hermitian part is left to the synthesis's residue check.
     """
     rho = as_density(rho)
     c = rho.entries
     _require_finite(c, "density matrix")
+    rho.validate(herm_tol=np.inf)
     if spec.tau == 1.0:
         return rho
     floor = min(rho.dim - 1, KRAUS_ORDER_FLOOR)
@@ -178,8 +182,8 @@ def thermal_loss_phase_space(rho, spec, grid):
     the grid is too coarse to integrate it.
     """
     maps = ((spec.tau, 2.0 * spec.noise),) * 2
-    (values,) = _synthesize_mapped(as_density(rho).entries, grid, False, maps)
-    values = _real_part(values, "phase-space channel output")
+    (values,) = _synthesize_mapped(as_density(rho).entries, grid, False, maps,
+                                   "phase-space channel output")
     mass = integrate(values, grid)
     if not abs(mass - 1.0) <= MASS_TOL:
         if mass > 1.0:

@@ -45,7 +45,7 @@ from .errors import NumericalError
 from .fock import FockVector, as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
 from .numerics import _ordered_map, _row_blocks, axis_weights
-from .wigner import WignerField, _real_part, _synthesize_mapped, moments, wigner_gradient
+from .wigner import WignerField, _synthesize_mapped, moments, wigner_gradient
 
 __all__ = [
     "BAND_DEFAULT",
@@ -304,8 +304,7 @@ def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
 
     def quadrature(v):
         maps = ((1.0, v[0]), (1.0, v[1]))
-        (values,) = _synthesize_mapped(turned, field.grid, False, maps)
-        values = _real_part(values, "smoothed Wigner field")
+        (values,) = _synthesize_mapped(turned, field.grid, False, maps, "smoothed Wigner field")
         return _physical_quadrature(WignerField(field.grid, values))
 
     m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)

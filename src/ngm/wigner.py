@@ -29,10 +29,11 @@ sqrt((n+1)/2) phi_{n+1}, one order above D and of the opposite parity.
 The finite-difference check samples q - h and q + h on a sub-lattice as
 one mirrored axis, with no field-sized synthesis.
 
-The map is linear, so an anti-Hermitian part of the input gives an
-imaginary field.  It is synthesized and its residue checked, never
-silently discarded, unless a bound from the entries proves it below
-the residue tolerance.
+Every field is real.  The map is linear, so a non-Hermitian input c has
+W[c] = W[h] + i W[a] for the Hermitian h = (c + c^+)/2 and a = (c - c^+)/2i:
+D is h's, and the imaginary field is the real synthesis of a, run and its
+residue checked, never silently discarded, unless a bound from the entries
+proves it below the residue tolerance.
 
 Every integral of a sampled field -- the mass check, the moments,
 -int W ln|W| and the negative volume -- comes from one quadrature pass
@@ -46,8 +47,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NormalizationError, NumericalError
 from .fock import as_density, state_moments
-from .numerics import (_BLOCK_CELLS, PhaseSpaceGrid, _row_blocks, _three_term,
-                       axis_weights, integrate)
+from .numerics import _BLOCK_CELLS, PhaseSpaceGrid, _row_blocks, _three_term, axis_weights
 
 __all__ = [
     "WignerField",
@@ -100,6 +100,8 @@ class WignerField:
     """Sampled Wigner function, optionally with analytic gradient fields."""
 
     def __init__(self, grid, values, grad_q=None, grad_p=None):
+        if np.iscomplexobj(values):
+            raise ValueError("field values must be real")
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError("field values do not match the grid shape")
@@ -107,9 +109,6 @@ class WignerField:
         self.values = values
         self.grad_q = grad_q
         self.grad_p = grad_p
-
-    def integral(self):
-        return integrate(self.values, self.grid)
 
     @property
     def has_gradient(self):
@@ -305,12 +304,14 @@ def _block_stacks(dim):
     return stacks, cached[2][:size, :size]
 
 
-def _coefficients(c, anti):
-    """Hermite-Gauss coefficients D of the Fock-basis matrix c.
+def _coefficients(c):
+    """Hermite-Gauss coefficients D of the Hermitian part of the Fock-basis
+    matrix c, one real plane.
 
-    W(q, p) = pi^-1/2 sum_jk D_jk phi_j(sqrt2 q) phi_k(sqrt2 p), with D
-    real for the Hermitian part of c; with ``anti`` the anti-Hermitian
-    part's D (its imaginary field) is returned too, as D[1].
+    W(q, p) = pi^-1/2 sum_jk D_jk phi_j(sqrt2 q) phi_k(sqrt2 p).  D reads
+    only Re(c + c^T) and Im(c - c^T), which the anti-Hermitian part of c
+    leaves out: the imaginary field of c is the real field of
+    (c - c^+) / 2i, itself Hermitian (see ``_synthesize_mapped``).
 
     At s = sqrt2 q and t = sqrt2 y the kernel <q-y|c|q+y> is
     sum c_mn phi_m((s-t)/sqrt2) phi_n((s+t)/sqrt2): the two-mode state
@@ -322,7 +323,7 @@ def _coefficients(c, anti):
     through c_mn + c_nm at even k and c_mn - c_nm at odd k, and by
     B^N[(m, n), N - j] = (-1)^m B^N[(m, n), j] the same weights times (-1)^m
     give the columns past N/2 (the mirror): a level is one real product of
-    those weight sets with the rows m <= n over j <= N/2, and a bucket of
+    those 4 weight sets with the rows m <= n over j <= N/2, and a bucket of
     levels one batched product over its zero-padded stack, a padded row
     taking zero weights.  D is gathered from the products in one pass.
     """
@@ -331,33 +332,30 @@ def _coefficients(c, anti):
     even = c + c.T
     even[np.diag_indices(dim)] *= 0.5
     odd = c - c.T
-    parts = (even.real, odd.imag) + ((even.imag, odd.real) if anti else ())
-    # per plane of D, weight sets even, odd, then both times (-1)^m (for
-    # the mirror); a last row of zeros for padded rows
-    table = np.zeros((dim * dim + 1, 2 * len(parts)))
-    cells = table[:-1].reshape(dim, dim, -1)
-    for i, part in enumerate(parts):
-        cells[..., i + i // 2 * 2] = part
-        np.multiply(part, (-1.0) ** np.arange(dim)[:, None], out=cells[..., i + i // 2 * 2 + 2])
+    # weight sets even, odd, then both times (-1)^m (for the mirror); a
+    # last row of zeros for padded rows
+    table = np.zeros((dim * dim + 1, 4))
+    cells = table[:-1].reshape(dim, dim, 4)
+    for i, part in enumerate((even.real, odd.imag)):
+        cells[..., i] = part
+        np.multiply(part, (-1.0) ** np.arange(dim)[:, None], out=cells[..., i + 2])
     shapes, pick, first, start = _bucket_maps(dim)
-    planes, (stacks, order) = len(parts) // 2, _block_stacks(dim)
+    stacks, order = _block_stacks(dim)
     weights = np.take(table, pick, axis=0)
-    # per plane, level and column j <= N/2, the 4 sets' products
-    out = np.empty((planes, first[-1]))
-    out[:, : first[0]] = slot = 0
+    # per level and column j <= N/2, the 4 sets' products
+    out = np.empty(first[-1])
+    out[: first[0]] = slot = 0
     for (n, rows, cols), stack, at in zip(shapes, stacks, first):
-        w = weights[slot : slot + n * rows].reshape(n, rows, planes, 4).transpose(2, 0, 1, 3)
-        products = out[:, at : at + n * cols * 4].reshape(planes, n, cols, 4)
+        w = weights[slot : slot + n * rows].reshape(n, rows, 4)
+        products = out[at : at + n * cols * 4].reshape(n, cols, 4)
         np.matmul(stack.transpose(0, 2, 1), w, out=products)
         slot += n * rows
     spots = np.add(np.lib.stride_tricks.sliding_window_view(start, size), order)
-    D = np.take(out, spots, axis=1)
-    # D_jk = i^k C_jk: Re and Im of i^k cycle through the odd and even
-    # weight sets, whose products with B^N are real
+    D = np.take(out, spots)
+    # D_jk = i^k C_jk: Re i^k cycles through the even and odd weight sets'
+    # products with B^N, which are real
     quarter = np.arange(size) % 4
-    D[0] *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
-    if anti:
-        D[1] *= np.where(quarter >= 2, -1.0, 1.0)
+    D *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
     # a zero weight times a cached row of another dim may leave -0.0
     D += 0.0
     return D
@@ -487,46 +485,42 @@ def _synthesize(c, grid, with_grad):
     """[W] or [W, dW/dq, dW/dp] of the Fock-basis matrix c on the grid's axes:
     ``_synthesize_mapped`` at the identity maps, under the three arguments
     perfbench's tracer reads."""
-    return _synthesize_mapped(c, grid, with_grad, ((1.0, 0.0), (1.0, 0.0)))
+    return _synthesize_mapped(c, grid, with_grad, ((1.0, 0.0), (1.0, 0.0)), "Wigner field")
 
 
-def _synthesize_mapped(c, grid, with_grad, maps):
-    """The fields of ``_fields`` for the Fock-basis matrix c at the table
-    ``maps``, each checked finite.
+def _synthesize_mapped(c, grid, with_grad, maps, label):
+    """The real fields of ``_fields`` for the Fock-basis matrix c at the
+    table ``maps``, each checked finite.
 
-    The map is linear, so an anti-Hermitian part of c gives the imaginary
-    part of each field; it is synthesized, for the caller's residue check
-    (``_real_part``), unless its trace norm, which bounds pi |W| pointwise,
-    already proves the residue below IMAG_RESIDUE_HARD.  The maps a caller
-    takes (dilation by sqrt(tau) with thermal noise, Gaussian smoothing)
-    are channels, which do not raise the trace norm, so the bound holds
-    for their fields too.
+    The map is linear, so W[c] = W[h] + i W[a] for the Hermitian matrices
+    h = (c + c^+)/2 and a = (c - c^+)/2i; ``_coefficients(c)`` is h's.
+    The imaginary fields W[a] are synthesized and checked, finite and
+    within IMAG_RESIDUE_HARD (else ConsistencyError naming ``label``),
+    unless the trace norm of a, which bounds pi |W[a]| pointwise (not its
+    gradients), already proves W[a] within it.  The maps a caller takes
+    (dilation by sqrt(tau) with thermal noise, Gaussian smoothing) are
+    channels, which do not raise the trace norm, so the bound holds for
+    their fields too.
     """
     _require_finite(c, "density matrix")
     q = np.asarray(grid.q, dtype=float)
     p = np.asarray(grid.p, dtype=float)
-    # |W_a| <= ||a||_1 / pi <= sum |a_mn| / pi for a = (c - c^+) / 2i
-    anti = np.sum(np.abs(c - c.conj().T)) / (2.0 * np.pi) > IMAG_RESIDUE_HARD
-    D = _coefficients(c, anti)
-    fields = _fields(D[0], q, p, with_grad, maps=maps)
-    if anti:
-        imag = _fields(D[1], q, p, with_grad, maps=maps)
-        fields = [re + 1j * im for re, im in zip(fields, imag)]
+    fields = _fields(_coefficients(c), q, p, with_grad, maps=maps)
     for f in fields:
         _require_finite(f, "synthesized Wigner field")
+    # |W[a]| <= ||a||_1 / pi <= sum |a_mn| / pi, a = anti / 2i
+    anti = c - c.conj().T
+    if not np.sum(np.abs(anti)) / (2.0 * np.pi) <= IMAG_RESIDUE_HARD:
+        imag = _fields(_coefficients(anti / 2j), q, p, with_grad, maps=maps)
+        for f in imag:
+            _require_finite(f, "synthesized Wigner field")
+        residue = max(np.max(np.abs(f)) for f in imag)
+        if residue > IMAG_RESIDUE_HARD:
+            raise ConsistencyError(
+                f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
+                "the input is effectively non-Hermitian"
+            )
     return fields
-
-
-def _real_part(field, label):
-    if not np.iscomplexobj(field):
-        return field
-    residue = np.max(np.abs(field.imag))
-    if not residue <= IMAG_RESIDUE_HARD:
-        raise ConsistencyError(
-            f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
-            "the input is effectively non-Hermitian"
-        )
-    return field.real
 
 
 def default_grid(state, points=513, sigmas=5.5):
@@ -541,30 +535,23 @@ def wigner_from_fock(rho, grid=None, points=513):
     if grid is None:
         grid = default_grid(rho, points=points)
     (W,) = _synthesize(rho.entries, grid, with_grad=False)
-    return WignerField(grid, _real_part(W, "Wigner field"))
+    return WignerField(grid, W)
 
 
-def wigner_gradient(rho, grid=None, points=513, check=True):
+def wigner_gradient(rho, grid=None, points=513):
     """Wigner field with analytic (dW/dq, dW/dp), finite-difference checked.
 
     The check evaluates W's Hermite-Gauss expansion on a coarse sub-lattice
     shifted by ±h and compares central differences with the analytic
     gradient; disagreement beyond 1e-5 relative, plus the synthesis
-    rounding bound over 2h, where |W| > 1e-6 raises.  `check=False` skips it
-    (the formula is unchanged; useful inside tight sweeps).
+    rounding bound over 2h, where |W| > 1e-6 raises.
     """
     rho = as_density(rho)
     if grid is None:
         grid = default_grid(rho, points=points)
     W, gq, gp = _synthesize(rho.entries, grid, with_grad=True)
-    field = WignerField(
-        grid,
-        _real_part(W, "Wigner field"),
-        grad_q=_real_part(gq, "gradient (q)"),
-        grad_p=_real_part(gp, "gradient (p)"),
-    )
-    if check:
-        _check_gradient(rho, field)
+    field = WignerField(grid, W, grad_q=gq, grad_p=gp)
+    _check_gradient(rho, field)
     return field
 
 
@@ -575,7 +562,7 @@ def _check_gradient(rho, field):
     mask = np.abs(field.values[::stride, ::stride]) > 1e-6
     if not np.any(mask):
         return
-    D = _coefficients(rho.entries, False)[0]
+    D = _coefficients(rho.entries)
     fd, dev = [], []
     # W(q, p) from D is W(p, q) from D^T: the shifted axis goes first, as
     # xs -+ h interleaved, which is mirrored if xs is: -(x_i + h) = x_{m-i} - h

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from ngm import channels, wigner
-from ngm.errors import CapacityError, ConsistencyError, NumericalError, TruncationRiskError
+from ngm.errors import (
+    CapacityError,
+    ConsistencyError,
+    NormalizationError,
+    NumericalError,
+    TruncationRiskError,
+)
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
@@ -32,7 +38,7 @@ from ngm.channels import (
 from ngm.catalog import preset_random_qudits
 from ngm.measure import measure_from_field, ngm, wigner_entropy_real
 from ngm.wigner import WignerField, default_grid, moments, wigner_from_fock
-from ngm.numerics import PhaseSpaceGrid, _log_factorial
+from ngm.numerics import PhaseSpaceGrid, _log_factorial, integrate
 
 
 def fock_density(n):
@@ -184,6 +190,36 @@ def test_non_finite_density_raises_at_every_tau(tau):
     c[2, 3] = np.nan
     with pytest.raises(NumericalError, match="density matrix has non-finite"):
         thermal_loss_fock(FockDensityMatrix(c), ThermalLossSpec(tau, 0.0))
+
+
+def negative_population():
+    """A dim-40 "state" of trace 1 with population -1e9 + 1 at |3>."""
+    pop = np.zeros(40)
+    pop[1], pop[3] = 1e9, 1.0 - 1e9
+    return np.diag(pop)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.37])
+def test_negative_population_raises(tau):
+    # the negative population once cancelled the trace, and the renormalised,
+    # trimmed output was the vacuum [[1]]
+    with pytest.raises(NormalizationError, match="minimum eigenvalue"):
+        thermal_loss_fock(FockDensityMatrix(negative_population()), ThermalLossSpec(tau, 0.0))
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_indefinite_input_raises(tau):
+    # eigenvalues 1.4 and -0.4; the output once kept an eigenvalue -0.18
+    bad = FockDensityMatrix(np.array([[0.5, 0.9], [0.9, 0.5]]))
+    with pytest.raises(NormalizationError, match="minimum eigenvalue"):
+        thermal_loss_fock(bad, ThermalLossSpec(tau, 0.0))
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_trace_off_one_raises(tau):
+    # the output was once silently renormalised to trace 1
+    with pytest.raises(NormalizationError, match="trace 2.0 deviates"):
+        thermal_loss_fock(FockDensityMatrix(np.diag([2.0, 0.0])), ThermalLossSpec(tau, 0.0))
 
 
 def test_truncation_deficit_reported(monkeypatch):
@@ -469,7 +505,7 @@ def test_thermal_loss_past_dim_257(n_bar):
 
 def dilated(rho, s, grid):
     """(1/s^2) W(r/s) of rho on the grid, exactly: the table map (s^2, 0)."""
-    D = wigner._coefficients(as_density(rho).entries, False)[0]
+    D = wigner._coefficients(as_density(rho).entries)
     (values,) = wigner._fields(D, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
     return WignerField(grid, values)
 
@@ -483,7 +519,8 @@ def test_rescale_identity():
 @pytest.mark.parametrize("s", [0.7, 1.3])
 def test_rescale_mass(s):
     grid = default_grid(fock_density(0), points=257)
-    assert dilated(fock_density(0), s, grid).integral() == pytest.approx(1.0, abs=1e-6)
+    out = dilated(fock_density(0), s, grid)
+    assert integrate(out.values, grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rescale_moments_scaling():

@@ -421,7 +421,7 @@ def test_axis_weights_even_count_falls_back_to_trapezoid():
 def smoothed(state, grid, cov):
     """W of the state convolved with N(0, cov), cov diagonal: the table
     maps (1, 2 cov_qq) and (1, 2 cov_pp) on the state's coefficients."""
-    D = wigner._coefficients(as_density(state).entries, False)[0]
+    D = wigner._coefficients(as_density(state).entries)
     maps = tuple((1.0, 2.0 * c) for c in np.diag(cov))
     (values,) = wigner._fields(D, grid.q, grid.p, False, maps=maps)
     return values

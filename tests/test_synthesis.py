@@ -28,7 +28,7 @@ from ngm.channels import ThermalLossSpec, thermal_loss_fock
 from ngm.errors import NormalizationError
 from ngm.fock import FockVector, as_density, cat, displaced_squeezed, gkp_logical, random_qudit
 from ngm.measure import ngm
-from ngm.numerics import PhaseSpaceGrid
+from ngm.numerics import PhaseSpaceGrid, integrate
 from ngm.wigner import _synthesize, default_grid, wigner_from_fock
 
 # ln(n!) for n = 0..256
@@ -221,15 +221,15 @@ def test_beam_splitter_block_is_orthogonal():
     assert np.max(np.abs(B @ B.T - np.eye(N + 1))) <= 1e-13
 
 
-def streamed_coefficients(c, anti):
+def streamed_coefficients(c):
     """_coefficients of c with every bucket fresh from the recurrence."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wigner, "_blocks", (0, ()))
         patch.setattr(wigner, "_BLOCK_CACHE_CELLS", 0)
-        return wigner._coefficients(c, anti)
+        return wigner._coefficients(c)
 
 
-def per_level_coefficients(c, anti):
+def per_level_coefficients(c):
     """D by one product per beam-splitter level, written level by level
     into D's antidiagonals: the loop the batched buckets replaced."""
     dim = c.shape[0]
@@ -237,36 +237,37 @@ def per_level_coefficients(c, anti):
     even = c + c.T
     even[np.diag_indices(dim)] *= 0.5
     odd = c - c.T
-    parts = (even.real, odd.imag) + ((even.imag, odd.real) if anti else ())
     # pair weights in level order: N = m + n, then m
     m, n = np.triu_indices(dim)
     order = np.lexsort((m, m + n))
-    weights = np.stack([part.ravel()[(m * dim + n)[order]] for part in parts])
+    weights = np.stack([part.ravel()[(m * dim + n)[order]] for part in (even.real, odd.imag)])
     weights = np.vstack((weights, weights * (-1.0) ** m[order]))
     start = np.concatenate(([0], np.cumsum(np.bincount(m + n, minlength=size))))
-    D = np.zeros((len(parts) // 2, size, size))
-    flat = D.reshape(len(D), -1)
-    sets = len(parts)
+    D = np.zeros((size, size))
+    flat = D.ravel()
     for N, rows in wigner._beam_splitter_rows(dim):
         vals = weights[:, start[N] : start[N + 1]] @ rows
         cols = rows.shape[1]
         # antidiagonal N, D[j, N - j], and its mirror D[N - j, j]
-        line = flat[:, N : N * size + 1 : max(size - 1, 1)]
-        mirror = line[:, ::-1]
-        line[:, N % 2 : cols : 2] = vals[0:sets:2, N % 2 :: 2]
-        line[:, 1 - N % 2 : cols : 2] = vals[1:sets:2, 1 - N % 2 :: 2]
-        mirror[:, 0:cols:2] = vals[sets::2, 0::2]
-        mirror[:, 1:cols:2] = vals[sets + 1 :: 2, 1::2]
+        line = flat[N : N * size + 1 : max(size - 1, 1)]
+        mirror = line[::-1]
+        line[N % 2 : cols : 2] = vals[0, N % 2 :: 2]
+        line[1 - N % 2 : cols : 2] = vals[1, 1 - N % 2 :: 2]
+        mirror[0:cols:2] = vals[2, 0::2]
+        mirror[1:cols:2] = vals[3, 1::2]
     quarter = np.arange(size) % 4
-    D[0] *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
-    if anti:
-        D[1] *= np.where(quarter >= 2, -1.0, 1.0)
+    D *= np.where((quarter == 1) | (quarter == 2), -1.0, 1.0)
     return D
 
 
 def random_matrix(rng, dim):
-    # neither Hermitian nor anti-Hermitian, so both coefficient sets are live
+    # neither Hermitian nor anti-Hermitian
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def hermitian_parts(c):
+    """h = (c + c^+)/2 and a = (c - c^+)/2i, both Hermitian: W[c] = W[h] + i W[a]."""
+    return 0.5 * (c + c.conj().T), (c - c.conj().T) / 2j
 
 
 @pytest.mark.parametrize("dims", [(2, 19, 61, 161), (161, 61, 19, 2)], ids=["growing", "shrinking"])
@@ -274,10 +275,10 @@ def test_cached_blocks_give_the_recurrence_coefficients(monkeypatch, dims):
     monkeypatch.setattr(wigner, "_blocks", (0, ()))
     rng = np.random.default_rng(5)
     for dim in dims:
-        c = random_matrix(rng, dim)
-        want = streamed_coefficients(c, True)
-        got = wigner._coefficients(c, True)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for c in hermitian_parts(random_matrix(rng, dim)):
+            want = streamed_coefficients(c)
+            got = wigner._coefficients(c)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert wigner._blocks[0] == 161
 
 
@@ -294,7 +295,7 @@ def test_block_cache_stays_under_its_ceiling(monkeypatch):
     monkeypatch.setattr(wigner, "_blocks", (0, ()))
     top = CACHE_TOP
     assert padded_cells(top) <= wigner._BLOCK_CACHE_CELLS < padded_cells(top + 1)
-    wigner._coefficients(np.eye(top) / top, False)
+    wigner._coefficients(np.eye(top) / top)
     dim, stacks = wigner._blocks[:2]
     assert dim == top
     assert [stack.shape for stack in stacks] == list(wigner._bucket_maps(top)[0])
@@ -303,14 +304,15 @@ def test_block_cache_stays_under_its_ceiling(monkeypatch):
     # a dim past the ceiling streams and leaves the cache as it was
     rng = np.random.default_rng(6)
     c = random_matrix(rng, top + 1)
-    D = wigner._coefficients(c, False)
+    D = wigner._coefficients(c)
     assert wigner._blocks[0] == top and wigner._blocks[1] is stacks
-    assert np.array_equal(D, streamed_coefficients(c, False))
+    assert np.array_equal(D, streamed_coefficients(c))
 
 
 COEFFICIENT_INPUTS = {
     "hermitian": lambda rng, dim: (lambda a: a + a.conj().T)(random_matrix(rng, dim)),
-    "complex": random_matrix,
+    # the Hermitian a whose field is the imaginary field of a random matrix
+    "complex": lambda rng, dim: hermitian_parts(random_matrix(rng, dim))[1],
     "cat": lambda rng, dim: as_density(cat(1.5, "odd", max(dim - 1, 40))).entries[:dim, :dim],
     "fock": lambda rng, dim: number_state(dim - 1).to_density().entries,
 }
@@ -322,12 +324,11 @@ def test_batched_coefficients_match_the_per_level_loop(monkeypatch, kind, dim):
     # the cache is built for 161 first, so a smaller dim reads the last rows
     # of its stacks; CACHE_TOP + 1 streams its buckets
     monkeypatch.setattr(wigner, "_blocks", (0, ()))
-    wigner._coefficients(np.eye(161), False)
+    wigner._coefficients(np.eye(161))
     c = COEFFICIENT_INPUTS[kind](np.random.default_rng(dim), dim)
-    anti = kind == "complex"
-    got = wigner._coefficients(c, anti)
-    want = per_level_coefficients(c, anti)
-    assert got.shape == want.shape == (1 + anti, 2 * dim - 1, 2 * dim - 1)
+    got = wigner._coefficients(c)
+    want = per_level_coefficients(c)
+    assert got.shape == want.shape == (2 * dim - 1, 2 * dim - 1)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     # exact zeros (past level 2 dim - 2, and whole levels of a cat or a
     # number state) carry no sign
@@ -337,7 +338,12 @@ def test_batched_coefficients_match_the_per_level_loop(monkeypatch, kind, dim):
 
 def test_threads_synthesizing_mixed_dims_match_serial_runs(monkeypatch):
     rng = np.random.default_rng(7)
-    mats = [random_matrix(rng, dim) for dim in (41, 3, 161, 19, 2, 61, 141, 7, 101, 33)]
+    dims = (41, 3, 161, 19, 2, 61, 141, 7, 101, 33)
+    mats = [hermitian_parts(random_matrix(rng, dim))[0] for dim in dims]
+    # an anti-Hermitian part whose entrywise bound (3.2e-9) sends its fields
+    # through synthesis and whose residue (4.1e-10) passes
+    x = np.random.default_rng(8).standard_normal((41, 41))
+    mats.append(mats[0] + 5e-12j * (x + x.T))
     grid = PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, 65, 65)
     serial = []
     for c in mats:
@@ -366,14 +372,14 @@ def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
     calls = []
     coefficients = wigner._coefficients
 
-    def spy(c, anti):
-        calls.append(anti)
-        return coefficients(c, anti)
+    def spy(c):
+        calls.append(c)
+        return coefficients(c)
 
     monkeypatch.setattr(wigner, "_coefficients", spy)
     rho = as_density(displaced_squeezed(2.0 * np.exp(0.7j), (n_c - 60) / 100, n_c))
     fields = _synthesize(rho.entries, default_grid(rho, points=65), with_grad=False)
-    assert calls == [False]
+    assert len(calls) == 1
     assert not np.iscomplexobj(fields[0])
 
 
@@ -424,7 +430,7 @@ def test_rounding_bound_buffers_match_whole_blocks(make, monkeypatch):
     # q >= 0 too) and its bound there, and both are mirrored
     rho = as_density(make())
     grid = default_grid(rho)
-    D = wigner._coefficients(rho.entries, False)[0]
+    D = wigner._coefficients(rho.entries)
     bound = np.empty(grid.shape)
     (W,) = wigner._fields(D, grid.q, grid.p, False, bound)
     want_W, want_bound = fields_by_whole_blocks(D, grid.q, grid.p)
@@ -479,48 +485,45 @@ def summed_gkp(n_c):
     return FockVector(np.exp(-(np.pi / 20.0) * sites**2) @ rows, normalize=True)
 
 
-def odd_odd_part(c):
-    """c plus 1e-3 (X - X^T), X real and nonzero only at m + n even: an
-    anti-Hermitian part whose imaginary field is odd in q and in p."""
+def odd_odd_imaginary(c):
+    """The a of c plus 1e-3 (X - X^T), X real and nonzero only at m + n
+    even: an imaginary field odd in q and in p."""
     m, n = np.indices(c.shape)
     X = np.random.default_rng(12).normal(size=c.shape) * ((m + n) % 2 == 0)
-    return c + 1e-3 * (X - X.T)
+    return hermitian_parts(c + 1e-3 * (X - X.T))[1]
 
 
-def random_anti_part(c, reach=slice(None)):
-    """c plus a random anti-Hermitian part (an imaginary field) where it
-    reaches the grid."""
+def random_imaginary(c, reach=slice(None)):
+    """The a of c plus a random anti-Hermitian part where it reaches the
+    grid: an imaginary field of no parity."""
     part = random_matrix(np.random.default_rng(11), c.shape[0])[reach, reach]
     c = c.copy()
     c[reach, reach] += 1e-3 * (part - part.conj().T)
-    return c
+    return hermitian_parts(c)[1]
 
 
-#: per input, a Fock matrix that reaches the mirrored grids and, per
-#: coefficient set, the order parities along q and p that _fields finds
-#: (None: both parities)
+#: per input, a Hermitian Fock matrix that reaches the mirrored grids and
+#: the order parities along q and p that _fields finds (None: both parities)
 KERNEL_INPUTS = {
     # even in q and in p
-    "hermitian": (lambda: as_density(cat(1.5, "odd", 30)).entries, [(0, 0)]),
-    "fock": (lambda: number_state(12).to_density().entries, [(0, 0)]),
+    "hermitian": (lambda: as_density(cat(1.5, "odd", 30)).entries, (0, 0)),
+    "fock": (lambda: number_state(12).to_density().entries, (0, 0)),
     # even in p only
-    "real-ds": (lambda: as_density(displaced_squeezed(1.2, 0.3, 40)).entries, [(None, 0)]),
-    "summed-gkp": (lambda: as_density(summed_gkp(40)).entries, [(None, 0)]),
+    "real-ds": (lambda: as_density(displaced_squeezed(1.2, 0.3, 40)).entries, (None, 0)),
+    "summed-gkp": (lambda: as_density(summed_gkp(40)).entries, (None, 0)),
     # neither
     "complex-ds": (lambda: as_density(displaced_squeezed(1.2 * np.exp(0.9j), 0.4, 40)).entries,
-                   [(None, None)]),
-    # the cat with an imaginary field of no parity, and one odd in q and in p
-    "complex": (lambda: random_anti_part(as_density(cat(1.5, "odd", 30)).entries),
-                [(0, 0), (None, None)]),
-    "odd-anti": (lambda: odd_odd_part(as_density(cat(1.5, "odd", 30)).entries),
-                 [(0, 0), (1, 1)]),
+                   (None, None)),
+    # the imaginary fields of the cat plus an anti-Hermitian part
+    "complex": (lambda: random_imaginary(as_density(cat(1.5, "odd", 30)).entries), (None, None)),
+    "odd-anti": (lambda: odd_odd_imaginary(as_density(cat(1.5, "odd", 30)).entries), (1, 1)),
 }
 
 #: q is not mirrored on the outer ring, so its products take the general path
 RING_INPUTS = {
-    "hermitian": (lambda: number_state(400).to_density().entries, [(None, 0)]),
-    "complex": (lambda: random_anti_part(number_state(400).to_density().entries,
-                                         slice(390, None)), [(None, 0), (None, None)]),
+    "hermitian": (lambda: number_state(400).to_density().entries, (None, 0)),
+    "complex": (lambda: random_imaginary(number_state(400).to_density().entries,
+                                         slice(390, None)), (None, None)),
 }
 
 
@@ -537,11 +540,8 @@ def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
     # an axis of definite parity the fields mirror bit for bit, the
     # derivative along it with the opposite sign
     grid = KERNEL_GRIDS[grid_name]()
-    make, parities = (RING_INPUTS if grid_name == "outer-ring" else KERNEL_INPUTS)[kind]
-    c = make()
-    anti = kind in ("complex", "odd-anti")
-    sets = wigner._coefficients(c, anti)
-    assert len(sets) == len(parities) == 1 + anti
+    make, (pq, pp) = (RING_INPUTS if grid_name == "outer-ring" else KERNEL_INPUTS)[kind]
+    D = wigner._coefficients(make())
     orders = []
     product = wigner._parity_product
 
@@ -550,21 +550,19 @@ def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
         return product(T, Y, h, odd, out, *args, order=order, **kwargs)
 
     monkeypatch.setattr(wigner, "_parity_product", spy)
-    for D, (pq, pp) in zip(sets, parities):
-        orders.clear()
-        got = wigner._fields(D, grid.q, grid.p, True)
-        # D A_p^T, W, dW/dq, D dA_p^T, dW/dp: the inner products run along p
-        assert orders == [(False, pp), (True, pq), (True, pq), (False, pp), (True, pq)]
-        want = whole_gemm_fields(D, grid.q, grid.p)
-        assert np.max(np.abs(want[0][0])) > 1e-4
-        for i, (field, (oracle, bound)) in enumerate(zip(got, want)):
-            assert field.shape == grid.shape
-            assert np.all(np.abs(field - oracle) <= (3.0 if i == 0 else 2.0) * bound)
-        for axis, parity in enumerate((pq, pp)):
-            if parity is not None:
-                for i, field in enumerate(got):
-                    sign = (-1.0) ** (parity + (i == axis + 1))
-                    assert np.array_equal(np.flip(field, axis), sign * field)
+    got = wigner._fields(D, grid.q, grid.p, True)
+    # D A_p^T, W, dW/dq, D dA_p^T, dW/dp: the inner products run along p
+    assert orders == [(False, pp), (True, pq), (True, pq), (False, pp), (True, pq)]
+    want = whole_gemm_fields(D, grid.q, grid.p)
+    assert np.max(np.abs(want[0][0])) > 1e-4
+    for i, (field, (oracle, bound)) in enumerate(zip(got, want)):
+        assert field.shape == grid.shape
+        assert np.all(np.abs(field - oracle) <= (3.0 if i == 0 else 2.0) * bound)
+    for axis, parity in enumerate((pq, pp)):
+        if parity is not None:
+            for i, field in enumerate(got):
+                sign = (-1.0) ** (parity + (i == axis + 1))
+                assert np.array_equal(np.flip(field, axis), sign * field)
 
 
 def number_state(n):
@@ -600,7 +598,8 @@ def test_number_state_400_outer_ring_matches_closed_form():
 
 def test_number_state_140_mass():
     state = number_state(140)
-    assert wigner_from_fock(state, points=2049).integral() == pytest.approx(1.0, abs=1e-9)
+    field = wigner_from_fock(state, points=2049)
+    assert integrate(field.values, field.grid) == pytest.approx(1.0, abs=1e-9)
     # 513 points space the rings of |140> ~0.19 apart, below dq = 0.25:
     # the quadrature loses mass, which must raise rather than pass as nan
     with pytest.raises(NormalizationError):
