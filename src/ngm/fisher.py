@@ -104,15 +104,6 @@ class FisherMatrix:
     rel_gap: float
     converged: bool
 
-    def validate(self, positive=False):
-        if not np.all(np.isfinite(self.J)):
-            raise NumericalError("Fisher matrix has non-finite entries")
-        if np.max(np.abs(self.J - self.J.T)) > 1e-10:
-            raise NumericalError("Fisher matrix lost symmetry")
-        if positive and np.linalg.eigvalsh(self.J)[0] < -1e-8:
-            raise NumericalError("Fisher matrix of a nonnegative field is not PSD")
-        return self
-
     @property
     def trace(self):
         return float(np.trace(self.J))

@@ -119,17 +119,6 @@ class PhaseSpaceGrid:
         """Return (Q, P) meshes with values[i, j] <-> (q_i, p_j) layout."""
         return np.meshgrid(self.q, self.p, indexing="ij")
 
-    def __eq__(self, other):
-        if not isinstance(other, PhaseSpaceGrid):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.q_min == other.q_min
-            and self.q_max == other.q_max
-            and self.p_min == other.p_min
-            and self.p_max == other.p_max
-        )
-
     def __repr__(self):
         return (
             f"PhaseSpaceGrid(q=[{self.q_min:g}, {self.q_max:g}]x{self.n_q}, "
@@ -217,11 +206,6 @@ def _row_blocks(shape, floats, cells=_BLOCK_CELLS):
     for i in range(0, shape[0], step):
         n = min(step, shape[0] - i)
         yield (slice(i, i + n), *(b[:n] for b in bufs))
-
-
-def grid_weights(grid):
-    """Tensor-product quadrature weights, shape (n_q, n_p)."""
-    return np.outer(axis_weights(grid.n_q, grid.dq), axis_weights(grid.n_p, grid.dp))
 
 
 def integrate(values, grid):

@@ -496,10 +496,13 @@ def _synthesize_mapped(c, grid, with_grad, maps, label):
     h = (c + c^+)/2 and a = (c - c^+)/2i; ``_coefficients(c)`` is h's.
     The imaginary fields W[a] are synthesized and checked, finite and
     within IMAG_RESIDUE_HARD (else ConsistencyError naming ``label``),
-    unless the trace norm of a, which bounds pi |W[a]| pointwise (not its
-    gradients), already proves W[a] within it.  The maps a caller takes
-    (dilation by sqrt(tau) with thermal noise, Gaussian smoothing) are
-    channels, which do not raise the trace norm, so the bound holds for
+    unless a bound already proves them within it.  The trace norm of a
+    bounds pi |W[a]| pointwise; with gradients, dW[a]/dq = W[i[p, a]] (and
+    dW/dp likewise with q), and ||[p, a]||_1 <= 2 ||p P_dim|| ||a||_1
+    <= 2 sqrt(2 dim) ||a||_1 on the dim-level space a lives in, so that
+    factor multiplies the bound.  The maps a caller takes (dilation by
+    sqrt(tau) with thermal noise, Gaussian smoothing; never with gradients)
+    are channels, which do not raise the trace norm, so the bound holds for
     their fields too.
     """
     _require_finite(c, "density matrix")
@@ -510,7 +513,10 @@ def _synthesize_mapped(c, grid, with_grad, maps, label):
         _require_finite(f, "synthesized Wigner field")
     # |W[a]| <= ||a||_1 / pi <= sum |a_mn| / pi, a = anti / 2i
     anti = c - c.conj().T
-    if not np.sum(np.abs(anti)) / (2.0 * np.pi) <= IMAG_RESIDUE_HARD:
+    bound = np.sum(np.abs(anti)) / (2.0 * np.pi)
+    if with_grad:
+        bound *= 2.0 * np.sqrt(2.0 * c.shape[0])
+    if not bound <= IMAG_RESIDUE_HARD:
         imag = _fields(_coefficients(anti / 2j), q, p, with_grad, maps=maps)
         for f in imag:
             _require_finite(f, "synthesized Wigner field")

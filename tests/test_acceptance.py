@@ -376,7 +376,8 @@ def test_criterion_13_product_additivity():
         worst = max(worst, abs(check["re_gap"]))
         parts.append(f"{name}: re gap {check['re_gap']:.2e}")
     report(13, "product-additivity", worst < 1e-2,
-           f"4D joint vs sum of parts at 97^4 cells (tol 1e-2); "
+           "joint (factored from the per-factor passes, 97 points) vs sum of parts "
+           "(tol 1e-2); "
            + "; ".join(parts))
 
 

@@ -475,11 +475,74 @@ def test_product_cat_vacuum_additivity():
     assert abs(rep["re_gap"]) < 1e-2
 
 
-def test_product_capacity_cap():
-    from ngm.errors import CapacityError
+def product_sweep_oracle(rho_a, rho_b, points):
+    """``product_measure_check``'s report from a sweep of the 4-D joint grid.
 
-    with pytest.raises(CapacityError):
-        product_measure_check(fock_density(0), fock_density(0), points=257)
+    The joint entropy and negative volume are summed cell by cell over
+    W_A(q1,p1) * W_B(q2,p2) with the product weights, one q1 row at a time,
+    instead of being factored into the per-factor integrals.
+    """
+    fields = [wigner_from_fock(r, points=points) for r in (rho_a, rho_b)]
+    (ma, ha, neg_a), (mb, hb, neg_b) = (
+        measure_module._physical_quadrature(f) for f in fields
+    )
+    (WA, wa), (WB, wb) = (
+        (f.values, np.outer(axis_weights(f.grid.n_q, f.grid.dq),
+                            axis_weights(f.grid.n_p, f.grid.dp)))
+        for f in fields
+    )
+    # ln 1 = 0 where a factor is 0: the integrand is 0 wherever the product is
+    log_a = np.log(np.where(WA == 0.0, 1.0, np.abs(WA)))
+    log_b = np.log(np.where(WB == 0.0, 1.0, np.abs(WB)))
+    entropy = 0.0
+    neg = 0.0
+    for i in range(WA.shape[0]):
+        block = WA[i][:, None, None] * WB[None, :, :]
+        wblock = wa[i][:, None, None] * wb[None, :, :]
+        weighted = wblock * block
+        entropy -= float(np.sum(weighted * (log_a[i][:, None, None] + log_b[None, :, :])))
+        neg += 0.5 * float(np.sum(wblock * np.abs(block) - weighted))
+    v4 = np.zeros((4, 4))
+    v4[:2, :2] = ma.V
+    v4[2:, 2:] = mb.V
+    h_g4 = gaussian_associate_entropy(GaussianMoments(np.concatenate((ma.d, mb.d)), v4))
+    re_joint = h_g4 - entropy
+    re_sum = gaussian_associate_entropy(ma) - ha + gaussian_associate_entropy(mb) - hb
+    pos_a, pos_b = (float(W.min()) >= -1e-9 for W in (WA, WB))
+    im_expected = np.pi * neg_b if pos_a else (np.pi * neg_a if pos_b else None)
+    return {
+        "re_mu_joint": re_joint,
+        "re_mu_sum": re_sum,
+        "re_gap": re_joint - re_sum,
+        "im_mu_joint": np.pi * neg,
+        "im_mu_expected": im_expected,
+        "im_gap": None if im_expected is None else np.pi * neg - im_expected,
+        "points": points,
+        "cells": WA.size * WB.size,
+    }
+
+
+@pytest.mark.parametrize("pair", [
+    (cat(1.5, "even"), fock_density(0)),
+    (fock_density(1), fock_density(0)),
+    (cat(1.5, "odd"), fock_density(1)),
+], ids=["cat-vacuum", "one-photon-vacuum", "odd-cat-one-photon"])
+def test_product_check_matches_the_joint_sweep(pair):
+    rep = product_measure_check(*pair, points=65)
+    want = product_sweep_oracle(*pair, points=65)
+    assert rep.keys() == want.keys()
+    for key, value in want.items():
+        if value is None:
+            assert rep[key] is None, key
+        else:
+            assert abs(rep[key] - value) <= 1e-12, key
+
+
+def test_product_check_runs_past_the_old_cell_cap():
+    # 257^4 = 4.4e9 joint cells: the factored sums never form the joint grid
+    rep = product_measure_check(fock_density(0), fock_density(0), points=257)
+    assert all(np.isfinite(v) for v in rep.values() if v is not None)
+    assert abs(rep["re_gap"]) < 1e-2
 
 
 # ------------------------------------------------------------ entropy bound

@@ -196,6 +196,23 @@ def test_field_values_must_be_real():
         WignerField(GRID, np.zeros(GRID.shape, dtype=complex))
 
 
+@pytest.mark.parametrize("eps, accepted", [(1e-10, True), (2e-10, False),
+                                            (2.5e-10, False), (3e-10, False)])
+def test_gradient_residue_skip_bounds_the_imaginary_gradients(eps, accepted):
+    # the trace norm bounds the imaginary W, not its gradients: at 2e-10 the
+    # entrywise bound on W is below 1e-9, but the imaginary |dW| reaches
+    # 1.05e-9, so the skip must take the sqrt(2 dim) commutator factor
+    rho = random_qudit(4, [0, 1, 2, 3], seed=5).entries
+    herm = 0.5 * (rho + rho.conj().T)
+    x = np.random.default_rng(5).standard_normal(rho.shape)
+    state = FockDensityMatrix(herm + eps * 1j * (x + x.T))
+    if accepted:
+        wigner_gradient(state, GRID)
+    else:
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            wigner_gradient(state, GRID)
+
+
 def test_non_hermitian_input_raises_at_1e_6():
     rho = random_qudit(4, [0, 1, 2, 3], seed=5).entries
     bad = rho.copy()
