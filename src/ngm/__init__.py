@@ -69,7 +69,6 @@ from .fisher import (
     debruijn_check,
     fisher_from_field,
     fisher_matrix,
-    fock_fisher_sweep,
     measure_derivative_check,
     monotonicity_condition,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "fidelity",
     "fisher_from_field",
     "fisher_matrix",
-    "fock_fisher_sweep",
     "gaussian_associate_entropy",
     "gkp_logical",
     "integrate",

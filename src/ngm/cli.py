@@ -14,13 +14,15 @@ Exit codes: 0 success (warnings allowed), 2 configuration error,
 The parser is the one place options and their defaults are declared.
 ``main`` parses once, checks the namespace (``_validate``) before anything
 is computed, and hands it to the command.  Each subcommand reads the
-options it accepts, except that ``sweep`` accepts ``--extent-sigmas`` and
-``--cutoff`` from the common set without reading them.
+options it accepts, except that ``--cutoff`` and ``--parity`` are read
+only with ``--cat``, and ``sweep`` does not read ``--extent-sigmas`` or
+``--cutoff``.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 
@@ -29,10 +31,10 @@ import numpy as np
 from .catalog import build_state, named_preset, preset_names, run_preset
 from .channels import ThermalLossSpec, thermal_loss_fock, thermal_loss_phase_space
 from .errors import NumericalError
-from .fisher import _smoothing_reports, cramer_rao_check, fisher_from_field, fock_fisher_sweep
+from .fisher import BAND_DEFAULT, _smoothing_reports, cramer_rao_check, fisher_from_field
 from .fock import as_density, cat, load_state, state_moments
 from .measure import _physical_quadrature, measure_from_field, ngm
-from .numerics import MIN_POINTS, PhaseSpaceGrid
+from .numerics import MIN_POINTS, PhaseSpaceGrid, _ordered_map
 from .wigner import default_grid, wigner_gradient
 
 __all__ = [
@@ -68,6 +70,8 @@ def _validate(ns):
         raise ConfigError("--extent-sigmas must be positive and finite")
     if ns.cutoff < 1:
         raise ConfigError("--cutoff must be at least 1")
+    if ns.out is not None and not os.path.isdir(os.path.dirname(ns.out) or "."):
+        raise ConfigError(f"--out directory {os.path.dirname(ns.out)!r} does not exist")
     # options that only some subcommands have
     tau, nbar, fock_sweep = (getattr(ns, key, None) for key in ("tau", "nbar", "fock_sweep"))
     if tau is not None and not 0.0 < tau <= 1.0:
@@ -80,6 +84,8 @@ def _validate(ns):
     if fock_sweep is not None:
         if sources:
             raise ConfigError("--fock-sweep does not combine with a state source")
+        if ns.debruijn or ns.derivative:
+            raise ConfigError("--fock-sweep does not combine with --debruijn or --derivative")
     elif sources != 1:  # sweep's required --preset is its one source
         raise ConfigError("choose exactly one state source: --preset, --fock-file, or --cat")
 
@@ -188,16 +194,17 @@ def cmd_sweep(ns):
     return EXIT_OK
 
 
+def _fisher_fields(rho, ns):
+    """The gradient field of ``rho`` on the options' grid, its Fisher matrix
+    and its quadrature pass (V, and the base of the smoothing checks)."""
+    grid = default_grid(rho, points=ns.grid_points, sigmas=ns.extent_sigmas)
+    field = wigner_gradient(rho, grid=grid)
+    return field, fisher_from_field(field), _physical_quadrature(field)
+
+
 def _fisher_report(ns):
     label, rho = _resolve_state(ns)
-    grid = default_grid(rho, points=ns.grid_points, sigmas=ns.extent_sigmas)
-
-    def compute():
-        field = wigner_gradient(rho, grid=grid)
-        return field, fisher_from_field(field)
-
-    (field, fisher), warns = _collect(compute)
-    base = _physical_quadrature(field)  # V and the smoothing checks
+    (field, fisher, base), warns = _collect(lambda: _fisher_fields(rho, ns))
     V = base[0].V
     doc = {
         "command": "fisher",
@@ -206,7 +213,7 @@ def _fisher_report(ns):
         "J": fisher.J.tolist(),
         "trace_J": fisher.trace,
         "trace_Vinv": float(np.trace(np.linalg.inv(V))),
-        "band": fisher.band,
+        "band": BAND_DEFAULT,
         "rel_gap": fisher.rel_gap,
         "excluded_fraction": fisher.excluded_fraction,
         "converged": fisher.converged,
@@ -241,7 +248,16 @@ def _fisher_report(ns):
 def cmd_fisher(ns):
     if ns.fock_sweep is None:
         return _fisher_report(ns)
-    rows, warns = _collect(lambda: fock_fisher_sweep(n_max=ns.fock_sweep, points=ns.grid_points))
+
+    def row(n):
+        """Tr J against Tr V^-1 for the number state |n>."""
+        _, fisher, base = _fisher_fields(build_state("fock", {"n": n}), ns)
+        return {"n": n, "trace_J": fisher.trace,
+                "trace_Vinv": float(np.trace(np.linalg.inv(base[0].V))),
+                "excluded_fraction": fisher.excluded_fraction, "band": BAND_DEFAULT}
+
+    # on a thread pool sized by NGM_WORKERS, rows in order of n
+    rows, warns = _collect(lambda: _ordered_map(row, range(ns.fock_sweep + 1)))
     path = ns.out or "fock_fisher_sweep.csv"
     _write_rows_csv(path, rows, [("warning", text) for text in warns])
     for text in warns:

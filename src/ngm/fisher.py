@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .fock import FockVector, as_density
+from .fock import as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
-from .numerics import _ordered_map, _row_blocks, axis_weights
-from .wigner import WignerField, _synthesize_mapped, moments, wigner_gradient
+from .numerics import _row_blocks, axis_weights
+from .wigner import WignerField, _synthesize_mapped, wigner_gradient
 
 __all__ = [
     "BAND_DEFAULT",
@@ -57,10 +57,9 @@ __all__ = [
     "cramer_rao_check",
     "debruijn_check",
     "measure_derivative_check",
-    "fock_fisher_sweep",
 ]
 
-#: default half-width of the excision band, in units of the Wigner bound 1/pi
+#: half-width of the excision band, in units of the Wigner bound 1/pi
 BAND_DEFAULT = 1e-4
 
 #: relative gap between the two band widths above which the estimate is
@@ -80,8 +79,8 @@ TAIL_FLOOR = 1e-30
 #: half-level excision width in mesh cells; the full level uses twice this
 RESOLUTION_CELLS = 3.0
 
-#: default smoothing strengths for the finite-difference identities;
-#: successive entries must halve (the Richardson ladder assumes it)
+#: smoothing strengths of the finite-difference identities, each half the
+#: one before (the ratio ``_slope_report`` extrapolates with)
 SMOOTHING_EPSILONS = (1e-3, 5e-4, 2.5e-4)
 
 
@@ -89,8 +88,9 @@ SMOOTHING_EPSILONS = (1e-3, 5e-4, 2.5e-4)
 class FisherMatrix:
     """Extrapolated Fisher matrix with its band-convergence diagnostics.
 
-    ``J`` is the Richardson estimate ``2 J(band/2) - J(band)``; the two
-    raw values are kept so callers can judge the extrapolation.
+    ``J`` is the Richardson estimate ``2 J(band/2) - J(band)``, band
+    ``BAND_DEFAULT``; the two raw values are kept so callers can judge the
+    extrapolation.
     ``excluded_fraction`` is the share of the total |W| mass removed by
     the band at its full width, and ``converged`` records whether the
     two raw values agree to within ``CONVERGENCE_LIMIT``.
@@ -99,7 +99,6 @@ class FisherMatrix:
     J: np.ndarray
     J_band: np.ndarray
     J_half_band: np.ndarray
-    band: float
     excluded_fraction: float
     rel_gap: float
     converged: bool
@@ -109,13 +108,11 @@ class FisherMatrix:
         return float(np.trace(self.J))
 
 
-def fisher_from_field(field, band=BAND_DEFAULT):
+def fisher_from_field(field):
     """Fisher matrix of an already-synthesized field with gradients."""
     if not field.has_gradient:
         raise ValueError("fisher_from_field needs analytic gradients; "
                          "synthesize with wigner_gradient")
-    if not 0.0 < band < math.inf:
-        raise ValueError("band must be positive and finite")
     W, gq, gp, grid = field.values, field.grad_q, field.grad_p, field.grid
     # no zero crossings: integrated in full wherever W != 0
     definite = W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR)
@@ -136,7 +133,7 @@ def fisher_from_field(field, band=BAND_DEFAULT):
                 t += np.square(gp[rows], out=half)
                 np.sqrt(t, out=t)
                 t *= 2.0 * RESOLUTION_CELLS * max(grid.dq, grid.dp)
-                np.divide(a, np.maximum(t, band / math.pi, out=t), out=t)
+                np.divide(a, np.maximum(t, BAND_DEFAULT / math.pi, out=t), out=t)
                 kernels = (full, half)
                 for k in kernels:
                     # the C^2 smoothstep t^3 (10 - 15 t + 6 t^2) of min(t, 1)
@@ -165,21 +162,21 @@ def fisher_from_field(field, band=BAND_DEFAULT):
                              "gradient has non-finite entries")
     J_full, J_half = (totals[[k, k + 1, k + 1, k + 2]].reshape(2, 2) for k in (0, 3))
     if definite:
-        return FisherMatrix(J_full, J_full.copy(), J_full.copy(), band, 0.0, 0.0, True)
+        return FisherMatrix(J_full, J_full.copy(), J_full.copy(), 0.0, 0.0, True)
     J = 2.0 * J_half - J_full
     rel_gap = float(np.linalg.norm(J_full - J_half) / max(np.linalg.norm(J), TAIL_FLOOR))
-    return FisherMatrix(J, J_full, J_half, band, float(totals[6] / totals[7]),
+    return FisherMatrix(J, J_full, J_half, float(totals[6] / totals[7]),
                         rel_gap, rel_gap <= CONVERGENCE_LIMIT)
 
 
-def fisher_matrix(rho, grid=None, band=BAND_DEFAULT, points=513):
+def fisher_matrix(rho, grid=None, points=513):
     """Fisher matrix of the Wigner function of ``rho``.
 
     Synthesizes the field with analytic gradients on ``grid`` (or the
     moment-adapted default) and delegates to :func:`fisher_from_field`.
     """
     field = wigner_gradient(rho, grid=grid, points=points)
-    return fisher_from_field(field, band=band)
+    return fisher_from_field(field)
 
 
 def monotonicity_condition(V, J, G):
@@ -218,35 +215,24 @@ def cramer_rao_check(V, J):
     }
 
 
-def _validate_epsilons(epsilons):
-    eps = [float(e) for e in epsilons]
-    if len(eps) < 2 or not all(0.0 < e < math.inf for e in eps):
-        raise ValueError("need at least two positive, finite epsilons")
-    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ValueError("epsilons must decrease")
-    return eps
-
-
-def _slope_report(epsilons, keys, base, values, reference, fisher):
-    """The epsilon -> 0 slope of ``values`` about ``base`` against
-    ``reference``; ``keys`` name the base, the values and the slope.
+def _slope_report(keys, base, values, reference, fisher):
+    """The epsilon -> 0 slope of ``values``, taken at ``SMOOTHING_EPSILONS``,
+    about ``base`` against ``reference``; ``keys`` name the base, the values
+    and the slope.
 
     Forward-difference slopes carry an error series in integer powers of
-    epsilon; each Richardson level cancels the leading power using the
-    measured ratio of successive epsilons (the default halves it).
+    epsilon; with epsilon halving, Richardson level k cancels the power k
+    by weighting the smaller epsilon's slope 2^k.
     """
-    raw_slopes = [(v - base) / e for v, e in zip(values, epsilons)]
-    level, scale, power = raw_slopes, epsilons, 1
+    raw_slopes = [(v - base) / e for v, e in zip(values, SMOOTHING_EPSILONS)]
+    level, ratio = raw_slopes, 2.0
     while len(level) > 1:
-        ratios = [(a / b) ** power for a, b in zip(scale, scale[1:])]
-        level = [(r * hi - lo) / (r - 1.0)
-                 for r, lo, hi in zip(ratios, level, level[1:])]
-        scale = scale[1:]
-        power += 1
+        level = [(ratio * hi - lo) / (ratio - 1.0) for lo, hi in zip(level, level[1:])]
+        ratio *= 2.0
     slope = float(level[0])
     abs_error = abs(slope - reference)
     return {
-        "epsilons": list(epsilons),
+        "epsilons": list(SMOOTHING_EPSILONS),
         keys[0]: base,
         keys[1]: values,
         "raw_slopes": raw_slopes,
@@ -273,7 +259,7 @@ def _principal_axes(G):
     return np.maximum(lam, 0.0), math.atan2(U[1, 0], U[0, 0])
 
 
-def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
+def _smoothing_reports(rho, field, fisher, G, base=None):
     """The de Bruijn and measure-derivative reports of one smoothing pass.
 
     ``fisher`` is the Fisher matrix of ``field``, the gradient field of
@@ -286,7 +272,6 @@ def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
     if the caller has it, saves that pass when G is diagonal (for another G
     the turned field's own pass is the base).
     """
-    epsilons = _validate_epsilons(SMOOTHING_EPSILONS if epsilons is None else epsilons)
     lam, theta = _principal_axes(G)
     G = np.asarray(G, dtype=float)
     entries = as_density(rho).entries
@@ -299,10 +284,10 @@ def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
         return _physical_quadrature(WignerField(field.grid, values))
 
     m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)
-    passes = [quadrature(2.0 * eps * lam) for eps in epsilons]
+    passes = [quadrature(2.0 * eps * lam) for eps in SMOOTHING_EPSILONS]
     entropies = [h for _, h, _ in passes]
     debruijn = _slope_report(
-        epsilons, ("base_entropy", "entropies", "slope"), entropy, entropies,
+        ("base_entropy", "entropies", "slope"), entropy, entropies,
         0.5 * float(np.trace(G @ fisher.J)), fisher,
     )
     # the moments are re-measured on each smoothed field, so the
@@ -310,7 +295,7 @@ def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
     values = [gaussian_associate_entropy(mf) - h for mf, h, _ in passes]
     R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     report = _slope_report(
-        epsilons, ("base_re_mu", "values", "derivative"),
+        ("base_re_mu", "values", "derivative"),
         gaussian_associate_entropy(m) - entropy, values,
         0.5 * monotonicity_condition(R @ m.V @ R.T, fisher.J, G), fisher,
     )
@@ -323,8 +308,7 @@ def _smoothing_reports(rho, field, fisher, G, epsilons=None, base=None):
     return debruijn, report
 
 
-def debruijn_check(rho, G, epsilons=None, grid=None, points=513,
-                   band=BAND_DEFAULT):
+def debruijn_check(rho, G, grid=None, points=513):
     """Differential-entropy growth under smoothing versus (1/2)Tr[G J].
 
     Convolving W with a centered Gaussian of covariance epsilon*G raises
@@ -333,12 +317,10 @@ def debruijn_check(rho, G, epsilons=None, grid=None, points=513,
     the right side from the principal-value Fisher matrix.
     """
     field = wigner_gradient(rho, grid=grid, points=points)
-    fisher = fisher_from_field(field, band=band)
-    return _smoothing_reports(rho, field, fisher, G, epsilons)[0]
+    return _smoothing_reports(rho, field, fisher_from_field(field), G)[0]
 
 
-def measure_derivative_check(rho, G, epsilons=None, grid=None, points=513,
-                             band=BAND_DEFAULT):
+def measure_derivative_check(rho, G, grid=None, points=513):
     """Measure derivative under smoothing versus (1/2)Tr[G(V^-1 - J)].
 
     The real part of the measure is evaluated on the epsilon-smoothed
@@ -347,34 +329,5 @@ def measure_derivative_check(rho, G, epsilons=None, grid=None, points=513,
     coefficient from :func:`monotonicity_condition`.
     """
     field = wigner_gradient(rho, grid=grid, points=points)
-    fisher = fisher_from_field(field, band=band)
-    return _smoothing_reports(rho, field, fisher, G, epsilons)[1]
+    return _smoothing_reports(rho, field, fisher_from_field(field), G)[1]
 
-
-def fock_fisher_sweep(n_max=10, points=513, band=BAND_DEFAULT, workers=None):
-    """Tr J versus Tr V^-1 for the number states n = 0..n_max.
-
-    Returns one dict per state with keys ``n``, ``trace_J``,
-    ``trace_Vinv``, ``excluded_fraction``, ``band``.  The sweep runs on
-    a thread pool sized by ``workers`` (or the NGM_WORKERS environment
-    variable) and the output order is deterministic in ``n``.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-
-    def one(n):
-        amps = np.zeros(n + 1)
-        amps[n] = 1.0
-        rho = as_density(FockVector(amps))
-        field = wigner_gradient(rho, points=points)
-        fisher = fisher_from_field(field, band=band)
-        V = moments(field).V
-        return {
-            "n": n,
-            "trace_J": fisher.trace,
-            "trace_Vinv": float(np.trace(np.linalg.inv(V))),
-            "excluded_fraction": fisher.excluded_fraction,
-            "band": band,
-        }
-
-    return _ordered_map(one, range(n_max + 1), workers)

@@ -153,6 +153,9 @@ def cat(alpha, parity="even", n_c=40):
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
+    n_c = int(n_c)
+    if n_c < 1:
+        raise ValueError("cat needs n_c >= 1")
     alpha = float(alpha)
     sign = 1.0 if parity == "even" else -1.0
     if alpha == 0.0 and parity == "odd":
@@ -287,6 +290,8 @@ def random_qudit(d, logical_fock_levels=None, seed=0):
 
 
 def _embed_levels(small, levels):
+    if min(levels) < 0:  # numpy would read a negative level from the top
+        raise ValueError(f"Fock levels must be non-negative, got {levels}")
     dim = max(levels) + 1
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.asarray(levels)

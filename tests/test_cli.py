@@ -254,13 +254,15 @@ def test_fisher_fock_sweep_csv(tmp_path, capsys):
 
 
 def test_fisher_fock_sweep_csv_records_warnings(tmp_path, monkeypatch, capsys):
-    sweep = cli.fock_fisher_sweep
+    # a warning raised in any row's single-state path lands in the CSV
+    fields = cli._fisher_fields
 
-    def warning_sweep(**kwargs):
-        warnings.warn("band gap above the limit", RuntimeWarning)
-        return sweep(**kwargs)
+    def warning_fields(rho, ns):
+        if rho.dim == 2:
+            warnings.warn("band gap above the limit", RuntimeWarning)
+        return fields(rho, ns)
 
-    monkeypatch.setattr(cli, "fock_fisher_sweep", warning_sweep)
+    monkeypatch.setattr(cli, "_fisher_fields", warning_fields)
     out = tmp_path / "sweep.csv"
     assert main(["fisher", "--fock-sweep", "1", "--grid-points", "257",
                  "--out", str(out)]) == 0
@@ -274,6 +276,84 @@ def test_fisher_fock_sweep_csv_records_warnings(tmp_path, monkeypatch, capsys):
 def test_fisher_fock_sweep_rejects_state_source(capsys):
     assert main(["fisher", "--fock-sweep", "2", "--preset", "vacuum"]) == 2
     capsys.readouterr()
+
+
+def test_fisher_fock_sweep_reads_extent_sigmas(tmp_path, capsys):
+    paths = [tmp_path / "default.csv", tmp_path / "wide.csv"]
+    for path, extra in zip(paths, ([], ["--extent-sigmas", "9"])):
+        assert main(["fisher", "--fock-sweep", "1", "--grid-points", "129", *extra,
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert paths[0].read_bytes() != paths[1].read_bytes()
+    # each row is the single-state report's on the same grid
+    for path, extra in zip(paths, ([], ["--extent-sigmas", "9"])):
+        single = tmp_path / "single.json"
+        assert main(["fisher", "--preset", "one-photon", "--grid-points", "129", *extra,
+                     "--out", str(single)]) == 0
+        capsys.readouterr()
+        doc = json.loads(single.read_text())
+        row = read_rows(path)[1]
+        assert float(row["trace_J"]) == doc["trace_J"]
+        assert float(row["trace_Vinv"]) == doc["trace_Vinv"]
+
+
+def test_out_into_a_missing_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    # rejected before the state is measured, not after with a traceback
+    monkeypatch.setattr(cli, "ngm", lambda *args, **kwargs: pytest.fail("computed"))
+    out = tmp_path / "absent" / "x.json"
+    assert main(["measure", "--cat", "1", "--grid-points", "65", "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ConfigError"
+    assert "--out" in doc["error"]["message"]
+    assert not out.parent.exists()
+
+
+#: (argv, option, value, effect) on 65-point grids: a non-default value of
+#: an option a command accepts changes the written document ("read") or
+#: exits 2 ("rejected"); the documented unread options leave the document
+#: byte-identical ("unread"), and making one of them read moves its row
+OPTION_CASES = [
+    *((argv, option, value, "read")
+      for argv in (["measure", "--cat", "1.5"], ["fisher", "--cat", "1.5"],
+                   ["channel", "--cat", "1.5", "--tau", "0.7"])
+      for option, value in (("--extent-sigmas", "7"), ("--cutoff", "30"),
+                            ("--parity", "odd"))),
+    (["fisher", "--fock-sweep", "1"], "--grid-points", "129", "read"),
+    (["fisher", "--fock-sweep", "1"], "--extent-sigmas", "7", "read"),
+    # the sweep writes no smoothing report, so asking for one is an error
+    (["fisher", "--fock-sweep", "1"], "--debruijn", None, "rejected"),
+    (["fisher", "--fock-sweep", "1"], "--derivative", None, "rejected"),
+    # sweep accepts the common options: perfbench sends it --cutoff 20
+    (["sweep", "--preset", "one-photon"], "--extent-sigmas", "7", "unread"),
+    (["sweep", "--preset", "one-photon"], "--cutoff", "30", "unread"),
+    # --cutoff and --parity shape only the --cat state
+    (["fisher", "--fock-sweep", "1"], "--cutoff", "30", "unread"),
+    (["fisher", "--fock-sweep", "1"], "--parity", "odd", "unread"),
+    *((argv, option, value, "unread")
+      for argv in (["measure", "--preset", "one-photon"], ["fisher", "--preset", "one-photon"],
+                   ["channel", "--preset", "one-photon", "--tau", "0.7"])
+      for option, value in (("--cutoff", "30"), ("--parity", "odd"))),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, effect", OPTION_CASES,
+    ids=[f"{argv[0]}-{argv[1][2:]}-{option[2:]}" for argv, option, _, _ in OPTION_CASES],
+)
+def test_every_accepted_option_is_read_or_rejected(tmp_path, capsys, argv, option, value, effect):
+    base = argv + ["--grid-points", "65"]
+    default, changed = tmp_path / "default.out", tmp_path / "changed.out"
+    assert main(base + ["--out", str(default)]) == 0
+    capsys.readouterr()
+    extra = [option] if value is None else [option, value]
+    code = main(base + extra + ["--out", str(changed)])
+    if effect == "rejected":
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and error["type"] == "ConfigError" and option in error["message"]
+        assert not changed.exists()
+        return
+    assert code == 0
+    assert (changed.read_bytes() != default.read_bytes()) == (effect == "read")
 
 
 def test_fisher_debruijn_agreement_one_photon(tmp_path, capsys):

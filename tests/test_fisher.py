@@ -40,7 +40,6 @@ from ngm.fisher import (
     debruijn_check,
     fisher_from_field,
     fisher_matrix,
-    fock_fisher_sweep,
     measure_derivative_check,
     monotonicity_condition,
 )
@@ -129,19 +128,6 @@ def test_fisher_requires_gradient_field():
     field = wigner_from_fock(fock_density(0))
     with pytest.raises(ValueError):
         fisher_from_field(field)
-
-
-def test_fisher_rejects_nonpositive_band():
-    field = wigner_gradient(fock_density(0))
-    with pytest.raises(ValueError):
-        fisher_from_field(field, band=0.0)
-
-
-@pytest.mark.parametrize("band", [np.nan, np.inf], ids=["nan", "inf"])
-def test_fisher_rejects_non_finite_band(band):
-    field = wigner_gradient(fock_density(0), points=129)
-    with pytest.raises(ValueError, match="finite"):
-        fisher_from_field(field, band=band)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -338,6 +324,9 @@ def test_monotonicity_condition_rejects_nan(which):
 
 def test_debruijn_vacuum_slope_two():
     report = debruijn_check(fock_density(0), np.eye(2))
+    # the Richardson weights 2^k hold for a halving ladder only
+    eps = report["epsilons"]
+    assert len(eps) >= 2 and all(a == 2.0 * b for a, b in zip(eps, eps[1:]))
     assert report["slope"] == pytest.approx(2.0, rel=1e-2)
     assert report["reference"] == pytest.approx(2.0, abs=1e-4)
 
@@ -358,23 +347,15 @@ def test_debruijn_zero_direction():
     assert report["reference"] == 0.0
 
 
-def test_debruijn_rejects_bad_epsilons():
-    with pytest.raises(ValueError):
-        debruijn_check(fock_density(0), np.eye(2), epsilons=[1e-3])
-    with pytest.raises(ValueError):
-        debruijn_check(fock_density(0), np.eye(2), epsilons=[1e-4, 1e-3])
-
-
 @pytest.mark.parametrize("check", [debruijn_check, measure_derivative_check])
 @pytest.mark.parametrize(
-    "G, epsilons",
-    [(np.eye(2), [np.nan, 1e-4]), (np.eye(2), [np.inf, 1e-3]),
-     (np.array([[1.0, 0.0], [0.0, np.nan]]), None), (np.array([[np.inf, 0.0], [0.0, 1.0]]), None)],
-    ids=["nan-epsilon", "inf-epsilon", "nan-G", "inf-G"],
+    "G",
+    [np.array([[1.0, 0.0], [0.0, np.nan]]), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+    ids=["nan-G", "inf-G"],
 )
-def test_smoothing_checks_reject_non_finite_arguments(check, G, epsilons):
+def test_smoothing_checks_reject_non_finite_arguments(check, G):
     with pytest.raises(ValueError, match="finite"):
-        check(fock_density(0), G, epsilons=epsilons, points=129)
+        check(fock_density(0), G, points=129)
 
 
 @pytest.mark.parametrize("check", [debruijn_check, measure_derivative_check])
@@ -475,30 +456,68 @@ def test_rotation_invariance_qudit():
     assert np.max(np.abs(J1 - R @ J0 @ R.T)) < 1e-2
 
 
-def test_fock_sweep_trend_and_format():
-    rows = fock_fisher_sweep(n_max=5, points=1025)
+def fock_fisher_sweep(n_max, points):
+    """Tr J against Tr V^-1 for |0>..|n_max> by library calls, as an oracle.
+
+    Each number state takes ``wigner_gradient``'s default grid, which is the
+    CLI's at its default ``--extent-sigmas``; the rows are the CLI's CSV rows.
+    """
+
+    def one(n):
+        field = wigner_gradient(fock_density(n), points=points)
+        fisher = fisher_from_field(field)
+        return {
+            "n": n,
+            "trace_J": fisher.trace,
+            "trace_Vinv": float(np.trace(np.linalg.inv(moments(field).V))),
+            "excluded_fraction": fisher.excluded_fraction,
+            "band": BAND_DEFAULT,
+        }
+
+    return [one(n) for n in range(n_max + 1)]
+
+
+def cli_fock_sweep(tmp_path, capsys, n_max, points):
+    """``ngm fisher --fock-sweep n_max``'s CSV text and its rows as floats."""
+    path = tmp_path / f"sweep-{n_max}-{points}.csv"
+    assert main(["fisher", "--fock-sweep", str(n_max), "--grid-points", str(points),
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    keys = lines[0].split(",")
+    rows = [dict(zip(keys, (float(x) for x in line.split(",")), strict=True))
+            for line in lines[1:]]
+    return text, rows
+
+
+def test_fock_sweep_trend_and_format(tmp_path, capsys):
+    _, rows = cli_fock_sweep(tmp_path, capsys, 5, 1025)
     assert [row["n"] for row in rows] == list(range(6))
     for row in rows:
         # equality holds for the vacuum, so allow quadrature slack
         assert row["trace_J"] >= row["trace_Vinv"] - 1e-6
         assert 0.0 <= row["excluded_fraction"] < 1.0
-        assert row["band"] == pytest.approx(1e-4)
+        assert row["band"] == BAND_DEFAULT == 1e-4
 
 
-def test_fock_sweep_threaded_matches_serial():
-    serial = fock_fisher_sweep(n_max=3, points=257)
-    threaded = fock_fisher_sweep(n_max=3, points=257, workers=3)
-    assert serial == threaded
+def test_fock_sweep_threaded_matches_serial(tmp_path, capsys, monkeypatch):
+    # the CLI's rows are the oracle's bit for bit, on one thread and on three
+    want = fock_fisher_sweep(n_max=3, points=257)
+    texts = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("NGM_WORKERS", workers)
+        text, rows = cli_fock_sweep(tmp_path, capsys, 3, 257)
+        assert rows == want
+        texts.append(text)
+    assert texts[0] == texts[1]
 
 
 def test_write_fisher_csv_roundtrip(tmp_path, capsys):
-    # the sweep CSV is written by the CLI; it holds the library's rows
+    # the sweep CSV is written by the CLI; it holds the oracle's rows
     rows = fock_fisher_sweep(n_max=2, points=257)
-    path = tmp_path / "sweep.csv"
-    assert main(["fisher", "--fock-sweep", "2", "--grid-points", "257",
-                 "--out", str(path)]) == 0
-    capsys.readouterr()
-    lines = path.read_text().strip().splitlines()
+    text, _ = cli_fock_sweep(tmp_path, capsys, 2, 257)
+    lines = text.strip().splitlines()
     assert lines[0] == "n,trace_J,trace_Vinv,excluded_fraction,band"
     assert len(lines) == 4
     for line, row in zip(lines[1:], rows, strict=True):

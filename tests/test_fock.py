@@ -129,6 +129,15 @@ def test_cat_matches_closed_form_normalization():
     assert np.max(np.abs(v.amplitudes - want)) < 1e-10
 
 
+def test_cat_checks_its_cutoff_as_coherent_does():
+    # cat once built 42 levels at 40.7, raised a leakage CutoffError below
+    # 1 and a TypeError on a numeric string
+    assert cat(1.0, n_c=40.7).dim == coherent(1.0, n_c=40.7).dim == 41
+    with pytest.raises(ValueError, match="n_c"):
+        cat(1.0, n_c=-3)
+    assert np.array_equal(cat(1.0, n_c="12").amplitudes, cat(1.0, n_c=12).amplitudes)
+
+
 def test_displaced_squeezed_identity_and_coherent_limits():
     v = displaced_squeezed(0.0, 0.0, 40)
     assert v.amplitudes[0] == pytest.approx(1.0)
@@ -367,6 +376,17 @@ def test_random_qudit_embedding_support():
     assert rho.dim == 6
     assert abs(rho.entries[1, 1]) == 0.0 and abs(rho.entries[3, 3]) == 0.0
     rho.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_qudit(2, [-1, 1], seed=3),
+    lambda: apply_qubit_state(0.9, 0.3, 0.0, logical_levels=(-1, 1)),
+], ids=["random_qudit", "apply_qubit_state"])
+def test_negative_fock_levels_raise(make):
+    # numpy's negative indexing once wrote level -1 onto the top level,
+    # leaving a dim-2 matrix of trace 0.497 (0.118 for the qubit)
+    with pytest.raises(ValueError, match="non-negative"):
+        make()
 
 
 def test_apply_qubit_state_cases():
