@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
 from .numerics import _log_factorial, integrate
-from .wigner import MASS_TOL, WignerField, _require_finite, _synthesize_mapped
+from .wigner import MASS_TOL, _require_finite, _synthesize_mapped
 
 __all__ = [
     "ThermalLossSpec",
@@ -182,9 +182,9 @@ def thermal_loss_phase_space(rho, spec, grid):
     the grid is too coarse to integrate it.
     """
     maps = ((spec.tau, 2.0 * spec.noise),) * 2
-    (values,) = _synthesize_mapped(as_density(rho).entries, grid, False, maps,
-                                   "phase-space channel output")
-    mass = integrate(values, grid)
+    field = _synthesize_mapped(as_density(rho).entries, grid, False, maps,
+                               "phase-space channel output")
+    mass = integrate(field.values, grid)
     if not abs(mass - 1.0) <= MASS_TOL:
         if mass > 1.0:
             cause = "the grid is too coarse for the output field (--grid-points)"
@@ -196,4 +196,5 @@ def thermal_loss_phase_space(rho, spec, grid):
             f"{MASS_TOL:.0e} of 1: {cause}",
             magnitude=abs(mass - 1.0),
         )
-    return WignerField(grid, values / mass)
+    field.values /= mass
+    return field

@@ -72,6 +72,8 @@ def _validate(ns):
         raise ConfigError("--cutoff must be at least 1")
     if ns.out is not None and not os.path.isdir(os.path.dirname(ns.out) or "."):
         raise ConfigError(f"--out directory {os.path.dirname(ns.out)!r} does not exist")
+    if ns.out is not None and os.path.isdir(ns.out):
+        raise ConfigError(f"--out {ns.out!r} is a directory, not a file")
     # options that only some subcommands have
     tau, nbar, fock_sweep = (getattr(ns, key, None) for key in ("tau", "nbar", "fock_sweep"))
     if tau is not None and not 0.0 < tau <= 1.0:
@@ -202,6 +204,10 @@ def _fisher_fields(rho, ns):
     return field, fisher_from_field(field), _physical_quadrature(field)
 
 
+def _band_warning(rel_gap):
+    return f"band extrapolation relative gap {rel_gap:.3e} exceeds the convergence limit"
+
+
 def _fisher_report(ns):
     label, rho = _resolve_state(ns)
     (field, fisher, base), warns = _collect(lambda: _fisher_fields(rho, ns))
@@ -220,10 +226,7 @@ def _fisher_report(ns):
         "cramer_rao": cramer_rao_check(V, fisher.J),
     }
     if not fisher.converged:
-        warns.append(
-            f"band extrapolation relative gap {fisher.rel_gap:.3e} "
-            "exceeds the convergence limit"
-        )
+        warns.append(_band_warning(fisher.rel_gap))
     if ns.debruijn or ns.derivative:
         # the library checks on this field and its Fisher matrix, smoothed
         # once for both
@@ -254,10 +257,13 @@ def cmd_fisher(ns):
         _, fisher, base = _fisher_fields(build_state("fock", {"n": n}), ns)
         return {"n": n, "trace_J": fisher.trace,
                 "trace_Vinv": float(np.trace(np.linalg.inv(base[0].V))),
-                "excluded_fraction": fisher.excluded_fraction, "band": BAND_DEFAULT}
+                "excluded_fraction": fisher.excluded_fraction, "rel_gap": fisher.rel_gap,
+                "converged": fisher.converged, "band": BAND_DEFAULT}
 
     # on a thread pool sized by NGM_WORKERS, rows in order of n
     rows, warns = _collect(lambda: _ordered_map(row, range(ns.fock_sweep + 1)))
+    warns.extend(f"n = {row['n']}: {_band_warning(row['rel_gap'])}"
+                 for row in rows if not row["converged"])
     path = ns.out or "fock_fisher_sweep.csv"
     _write_rows_csv(path, rows, [("warning", text) for text in warns])
     for text in warns:

@@ -21,7 +21,10 @@ halves exactly, the second weight is ramp(2t) bit for bit, and Richardson
 extrapolation of the two removes the residual linear in the width.  One
 sweep of q-row blocks reduces both levels' integrands, the excluded and
 the total |W| mass to row sums against the p weights.  Fields without
-sign changes take the same sweep with W != 0 as their one weight.
+sign changes take the same sweep with W != 0 as their one weight.  A field
+even along an axis is swept on the half (or quadrant) the quadrature pass
+reads, with its folded weights; there dW/dq dW/dp is odd, so J_qp is 0
+exactly and its products are skipped.
 
 On top of J the module provides the drift condition Tr[G(V^-1 - J)]
 whose sign controls whether the relative-entropy measure decreases under
@@ -44,8 +47,8 @@ import numpy as np
 from .errors import NumericalError
 from .fock import as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
-from .numerics import _row_blocks, axis_weights
-from .wigner import WignerField, _synthesize_mapped, wigner_gradient
+from .numerics import _row_blocks
+from .wigner import _independent_cells, _synthesize_mapped, wigner_gradient
 
 __all__ = [
     "BAND_DEFAULT",
@@ -113,12 +116,16 @@ def fisher_from_field(field):
     if not field.has_gradient:
         raise ValueError("fisher_from_field needs analytic gradients; "
                          "synthesize with wigner_gradient")
-    W, gq, gp, grid = field.values, field.grad_q, field.grad_p, field.grid
+    cells, wq, wp = _independent_cells(field)
+    W, gq, gp, grid = field.values[cells], field.grad_q[cells], field.grad_p[cells], field.grid
     # no zero crossings: integrated in full wherever W != 0
     definite = W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR)
-    wq, wp = axis_weights(grid.n_q, grid.dq), axis_weights(grid.n_p, grid.dp)
+    pairs = ((0, gq, gq), (1, gq, gp), (2, gp, gp))
+    if any(field._even):
+        # along an axis W is even along, dW/dq dW/dp is odd: J_qp is 0 exactly
+        pairs = pairs[::2]
     # rows: qq, qp, pp at the full then the half level; excluded, total |W|
-    sums = np.zeros((8, grid.n_q))
+    sums = np.zeros((8, W.shape[0]))
     with np.errstate(invalid="ignore", over="ignore"):  # checked on the sums
         for rows, a, t, full, half, mask in _row_blocks(W.shape, 4):
             block = W[rows]
@@ -152,7 +159,7 @@ def fisher_from_field(field):
             np.copyto(t, 1.0, where=np.equal(block, 0.0, out=mask))
             for k in kernels:
                 k /= t
-            for n, (gi, gj) in enumerate(((gq, gq), (gq, gp), (gp, gp))):
+            for n, gi, gj in pairs:
                 np.multiply(gi[rows], gj[rows], out=a)
                 for level, k in enumerate(kernels):
                     np.matmul(np.multiply(a, k, out=t), wp, out=sums[3 * level + n, rows])
@@ -280,8 +287,8 @@ def _smoothing_reports(rho, field, fisher, G, base=None):
 
     def quadrature(v):
         maps = ((1.0, v[0]), (1.0, v[1]))
-        (values,) = _synthesize_mapped(turned, field.grid, False, maps, "smoothed Wigner field")
-        return _physical_quadrature(WignerField(field.grid, values))
+        return _physical_quadrature(
+            _synthesize_mapped(turned, field.grid, False, maps, "smoothed Wigner field"))
 
     m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)
     passes = [quadrature(2.0 * eps * lam) for eps in SMOOTHING_EPSILONS]

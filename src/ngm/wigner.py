@@ -37,7 +37,11 @@ proves it below the residue tolerance.
 
 Every integral of a sampled field -- the mass check, the moments,
 -int W ln|W| and the negative volume -- comes from one quadrature pass
-(``_quadrature``).
+(``_quadrature``).  A synthesized field carries the axes it is even along,
+known from D's order parity; the pass reads it on x >= 0 along those axes
+with the folded Simpson weights (a quarter of the grid for a cat, |n> or a
+GKP state, half for a real state), and there the mean and the cross moment
+are 0 exactly.  Any other field takes the whole grid with the same body.
 """
 
 import functools
@@ -98,6 +102,10 @@ class GaussianMoments:
 
 class WignerField:
     """Sampled Wigner function, optionally with analytic gradient fields."""
+
+    #: (q, p): whether W is even along each axis, W(-q, p) = W(q, p) bit for
+    #: bit (likewise in p); set by the synthesis, which knows it from D
+    _even = (False, False)
 
     def __init__(self, grid, values, grad_q=None, grad_p=None):
         if np.iscomplexobj(values):
@@ -419,6 +427,8 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
     (each entry still sums size products per product, in another order),
     carry no sign and are set to 0; ``bound``, if given, receives it.
     On a mirrored axis where D has one order parity, x < 0 is x >= 0 signed.
+    Returns the fields and, per axis, whether W is even along it (mirrored,
+    and D's nonzero rows (q) or columns (p) all of even order).
     """
     size = D.shape[0]
     orders = size + 1 if with_grad else size
@@ -478,19 +488,20 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
         # D dA_p^T
         _parity_product(deriv[:, uq:], Dt, hp - cols, True, inner.T, cells=inner.size, order=pp)
         _parity_product(Tq, inner, hq, False, fields[2], order=pq, flip=-flip)
-    return fields
+    return fields, (pq == 0, pp == 0)
 
 
 def _synthesize(c, grid, with_grad):
-    """[W] or [W, dW/dq, dW/dp] of the Fock-basis matrix c on the grid's axes:
-    ``_synthesize_mapped`` at the identity maps, under the three arguments
-    perfbench's tracer reads."""
+    """The field of the Fock-basis matrix c on the grid, with gradients if
+    ``with_grad``: ``_synthesize_mapped`` at the identity maps, under the
+    three arguments perfbench's tracer reads."""
     return _synthesize_mapped(c, grid, with_grad, ((1.0, 0.0), (1.0, 0.0)), "Wigner field")
 
 
 def _synthesize_mapped(c, grid, with_grad, maps, label):
-    """The real fields of ``_fields`` for the Fock-basis matrix c at the
-    table ``maps``, each checked finite.
+    """The ``WignerField`` of ``_fields`` for the Fock-basis matrix c at the
+    table ``maps``, each array checked finite, carrying the axes W is even
+    along.
 
     The map is linear, so W[c] = W[h] + i W[a] for the Hermitian matrices
     h = (c + c^+)/2 and a = (c - c^+)/2i; ``_coefficients(c)`` is h's.
@@ -508,7 +519,7 @@ def _synthesize_mapped(c, grid, with_grad, maps, label):
     _require_finite(c, "density matrix")
     q = np.asarray(grid.q, dtype=float)
     p = np.asarray(grid.p, dtype=float)
-    fields = _fields(_coefficients(c), q, p, with_grad, maps=maps)
+    fields, even = _fields(_coefficients(c), q, p, with_grad, maps=maps)
     for f in fields:
         _require_finite(f, "synthesized Wigner field")
     # |W[a]| <= ||a||_1 / pi <= sum |a_mn| / pi, a = anti / 2i
@@ -517,7 +528,7 @@ def _synthesize_mapped(c, grid, with_grad, maps, label):
     if with_grad:
         bound *= 2.0 * np.sqrt(2.0 * c.shape[0])
     if not bound <= IMAG_RESIDUE_HARD:
-        imag = _fields(_coefficients(anti / 2j), q, p, with_grad, maps=maps)
+        imag, _ = _fields(_coefficients(anti / 2j), q, p, with_grad, maps=maps)
         for f in imag:
             _require_finite(f, "synthesized Wigner field")
         residue = max(np.max(np.abs(f)) for f in imag)
@@ -526,7 +537,9 @@ def _synthesize_mapped(c, grid, with_grad, maps, label):
                 f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
                 "the input is effectively non-Hermitian"
             )
-    return fields
+    field = WignerField(grid, *fields)
+    field._even = even
+    return field
 
 
 def default_grid(state, points=513, sigmas=5.5):
@@ -540,8 +553,7 @@ def wigner_from_fock(rho, grid=None, points=513):
     rho = as_density(rho)
     if grid is None:
         grid = default_grid(rho, points=points)
-    (W,) = _synthesize(rho.entries, grid, with_grad=False)
-    return WignerField(grid, W)
+    return _synthesize(rho.entries, grid, with_grad=False)
 
 
 def wigner_gradient(rho, grid=None, points=513):
@@ -555,8 +567,7 @@ def wigner_gradient(rho, grid=None, points=513):
     rho = as_density(rho)
     if grid is None:
         grid = default_grid(rho, points=points)
-    W, gq, gp = _synthesize(rho.entries, grid, with_grad=True)
-    field = WignerField(grid, W, grad_q=gq, grad_p=gp)
+    field = _synthesize(rho.entries, grid, with_grad=True)
     _check_gradient(rho, field)
     return field
 
@@ -575,7 +586,7 @@ def _check_gradient(rho, field):
     for grad, C, xs, ys in ((field.grad_q, D, qs, ps), (field.grad_p.T, D.T, ps, qs)):
         shifted = np.column_stack((xs - h, xs + h)).ravel()
         bounds = np.empty((shifted.size, ys.size))
-        (W,) = _fields(C, shifted, ys, False, bounds)
+        (W,), _ = _fields(C, shifted, ys, False, bounds)
         fd.append((W[1::2] - W[0::2]) / (2.0 * h))
         # both samples are within their rounding bounds, so the central
         # difference is within their sum over 2h
@@ -591,6 +602,23 @@ def _check_gradient(rho, field):
         )
 
 
+def _independent_cells(field):
+    """(cells, wq, wp): the part of the field a pass reads and its Simpson
+    weights.  Along an axis W is even along (``WignerField._even``; grids
+    have odd point counts) the indices from the centre h on, weighted w_h,
+    2 w_{h+1}, ... (w is symmetric); along any other axis all of it, the
+    weights unfolded."""
+    grid, cells, weights = field.grid, [], []
+    for n, step, even in zip(grid.shape, (grid.dq, grid.dp), field._even):
+        h = n // 2 if even else 0
+        w = axis_weights(n, step)[h:]
+        if even:
+            w[1:] *= 2.0
+        cells.append(slice(h, None))
+        weights.append(w)
+    return tuple(cells), *weights
+
+
 def _quadrature(field):
     """(moments, -int W ln|W|, int max(-W, 0)) of a field, in one pass.
 
@@ -598,15 +626,16 @@ def _quadrature(field):
     mass and the marginals are matvecs and each integral is wq @ f @ wp:
     one sweep of q-row blocks through reused buffers takes the marginals
     and the row integrals of the entropy integrand and the negative part
-    (the cross moment reads the field again).  A mass off 1 by more than
-    MASS_TOL (or NaN) raises NormalizationError, and moments past the float
-    range NumericalError; the callers validate the moments.
+    (the cross moment reads the field again).  A field even along an axis
+    is read on its half x >= 0 there (``_independent_cells``); its mean
+    along that axis and its cross moment are 0 exactly.  A mass off 1 by
+    more than MASS_TOL (or NaN) raises NormalizationError, and moments past
+    the float range NumericalError; the callers validate the moments.
     """
-    W, grid = field.values, field.grid
-    wq = axis_weights(grid.n_q, grid.dq)
-    wp = axis_weights(grid.n_p, grid.dp)
-    marg_q, ent_rows, neg_rows = np.empty((3, grid.n_q))
-    marg_p = np.zeros(grid.n_p)
+    cells, wq, wp = _independent_cells(field)
+    W, q, p = field.values[cells], field.grid.q[cells[0]], field.grid.p[cells[1]]
+    marg_q, ent_rows, neg_rows = np.empty((3, W.shape[0]))
+    marg_p = np.zeros(W.shape[1])
     for rows, b, zero in _row_blocks(W.shape, 1):
         block = W[rows]
         np.matmul(block, wp, out=marg_q[rows])
@@ -624,13 +653,14 @@ def _quadrature(field):
         raise NormalizationError(
             f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
         )
+    even_q, even_p = field._even
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        dq = float((wq * grid.q) @ marg_q)
-        dp = float(marg_p @ (wp * grid.p))
-        cq, cp = grid.q - dq, grid.p - dp
+        dq = 0.0 if even_q else float((wq * q) @ marg_q)
+        dp = 0.0 if even_p else float(marg_p @ (wp * p))
+        cq, cp = q - dq, p - dp
         vqq = float((wq * cq * cq) @ marg_q)
         vpp = float(marg_p @ (wp * cp * cp))
-        vqp = float((wq * cq) @ W @ (wp * cp))
+        vqp = 0.0 if even_q or even_p else float((wq * cq) @ W @ (wp * cp))
     if not np.all(np.isfinite([dq, dp, vqq, vqp, vpp])):
         raise NumericalError("the field's moments overflow the float range")
     m = GaussianMoments([dq, dp], [[vqq, vqp], [vqp, vpp]])

@@ -506,7 +506,7 @@ def test_thermal_loss_past_dim_257(n_bar):
 def dilated(rho, s, grid):
     """(1/s^2) W(r/s) of rho on the grid, exactly: the table map (s^2, 0)."""
     D = wigner._coefficients(as_density(rho).entries)
-    (values,) = wigner._fields(D, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
+    (values,), _ = wigner._fields(D, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
     return WignerField(grid, values)
 
 

@@ -243,7 +243,7 @@ def test_fisher_fock_sweep_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     body = [line for line in lines if not line.startswith("#")]
-    assert body[0] == "n,trace_J,trace_Vinv,excluded_fraction,band"
+    assert body[0] == "n,trace_J,trace_Vinv,excluded_fraction,rel_gap,converged,band"
     # the one CSV writer: metadata lines, here warnings only, come first
     assert all(line.startswith("# warning=") for line in lines[: len(lines) - len(body)])
     rows = read_rows(out)
@@ -269,7 +269,7 @@ def test_fisher_fock_sweep_csv_records_warnings(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     lines = out.read_text().splitlines()
     assert lines[:2] == ["# warning=band gap above the limit",
-                         "n,trace_J,trace_Vinv,excluded_fraction,band"]
+                         "n,trace_J,trace_Vinv,excluded_fraction,rel_gap,converged,band"]
     assert read_metadata(out) == {"warning": "band gap above the limit"}
 
 
@@ -306,6 +306,40 @@ def test_out_into_a_missing_directory_is_config_error(tmp_path, monkeypatch, cap
     assert doc["error"]["type"] == "ConfigError"
     assert "--out" in doc["error"]["message"]
     assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    # rejected before anything is computed, not with an IsADirectoryError
+    monkeypatch.setattr(cli, "ngm", lambda *args, **kwargs: pytest.fail("computed"))
+    monkeypatch.setattr(cli, "run_preset", lambda *args, **kwargs: pytest.fail("computed"))
+    for argv in (["measure", "--cat", "1", "--grid-points", "65"],
+                 ["sweep", "--preset", "vacuum", "--grid-points", "65"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["type"] == "ConfigError"
+        assert "--out" in doc["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fisher_fock_sweep_warns_on_unconverged_rows(tmp_path, capsys):
+    # each unconverged row carries its gap and is named in the metadata and
+    # on stdout, as the single-state report warns
+    out = tmp_path / "sweep.csv"
+    assert main(["fisher", "--fock-sweep", "3", "--grid-points", "65",
+                 "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    rows = read_rows(out)
+    lines = out.read_text().splitlines()
+    warned = [line for line in lines if line.startswith("# warning=")]
+    unconverged = [row for row in rows if row["converged"] == "False"]
+    assert unconverged and rows[0]["converged"] == "True"
+    for row in rows:
+        assert (float(row["rel_gap"]) <= 0.1) == (row["converged"] == "True")
+    want = [f"n = {row['n']}: band extrapolation relative gap "
+            f"{float(row['rel_gap']):.3e} exceeds the convergence limit" for row in unconverged]
+    assert warned == [f"# warning={text}" for text in want]
+    for text in want:
+        assert f"warning: {text}" in stdout
 
 
 #: (argv, option, value, effect) on 65-point grids: a non-default value of

@@ -471,6 +471,8 @@ def fock_fisher_sweep(n_max, points):
             "trace_J": fisher.trace,
             "trace_Vinv": float(np.trace(np.linalg.inv(moments(field).V))),
             "excluded_fraction": fisher.excluded_fraction,
+            "rel_gap": fisher.rel_gap,
+            "converged": fisher.converged,
             "band": BAND_DEFAULT,
         }
 
@@ -486,7 +488,8 @@ def cli_fock_sweep(tmp_path, capsys, n_max, points):
     text = path.read_text()
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     keys = lines[0].split(",")
-    rows = [dict(zip(keys, (float(x) for x in line.split(",")), strict=True))
+    rows = [dict(zip(keys, (x == "True" if x in ("True", "False") else float(x)
+                            for x in line.split(",")), strict=True))
             for line in lines[1:]]
     return text, rows
 
@@ -518,7 +521,12 @@ def test_write_fisher_csv_roundtrip(tmp_path, capsys):
     rows = fock_fisher_sweep(n_max=2, points=257)
     text, _ = cli_fock_sweep(tmp_path, capsys, 2, 257)
     lines = text.strip().splitlines()
-    assert lines[0] == "n,trace_J,trace_Vinv,excluded_fraction,band"
+    # an unconverged row is named in a warning line before the header
+    assert lines[0] == (f"# warning=n = 2: band extrapolation relative gap "
+                        f"{rows[2]['rel_gap']:.3e} exceeds the convergence limit")
+    assert [row["converged"] for row in rows] == [True, True, False]
+    lines = lines[1:]
+    assert lines[0] == "n,trace_J,trace_Vinv,excluded_fraction,rel_gap,converged,band"
     assert len(lines) == 4
     for line, row in zip(lines[1:], rows, strict=True):
         assert line.split(",") == [repr(row[key]) for key in row]

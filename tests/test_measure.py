@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 import ngm.measure as measure_module
 import ngm.wigner as wigner_module
-from ngm.channels import ThermalLossSpec, thermal_loss_fock
+from ngm.catalog import named_preset, run_preset
+from ngm.channels import ThermalLossSpec, thermal_loss_fock, thermal_loss_phase_space
 from ngm.errors import ConsistencyError, NormalizationError, NumericalError
 from ngm.fisher import SMOOTHING_EPSILONS, _smoothing_reports, fisher_from_field
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
+    apply_qubit_state,
+    as_density,
     cat,
     coherent,
     displaced_squeezed,
@@ -46,6 +49,7 @@ from ngm.wigner import (
     GaussianMoments,
     WignerField,
     _quadrature,
+    default_grid,
     moments,
     negative_volume,
     wigner_from_fock,
@@ -285,6 +289,102 @@ def test_entropy_checks_the_mass():
     for integral in (wigner_entropy_real, negative_volume, measure_from_field):
         with pytest.raises(NormalizationError):
             integral(scaled)
+
+
+# --------------------------------------------------- parity-definite fields
+
+#: state and the axes (q, p) its field is even along: cats, |n>, GKP and
+#: diagonal states in both, real states in p, complex ones in neither
+PARITY_STATES = {
+    "cat": (lambda: cat(1.5, "even"), (True, True)),
+    "fock-3": (lambda: fock_density(3), (True, True)),
+    "gkp": (lambda: gkp_logical(0, 10 ** (-6 / 20), n_c=30), (True, True)),
+    "real-ds": (lambda: displaced_squeezed(1.2, -0.4, 50), (False, True)),
+    "qubit-0": (lambda: apply_qubit_state(0.75, 0.0, 0.0), (True, True)),
+    "qubit-pi/2": (lambda: apply_qubit_state(0.75, np.pi / 2, 0.0), (False, True)),
+    "complex-qudit": (lambda: random_qudit(4, seed=3), (False, False)),
+    "complex-ds60": (lambda: displaced_squeezed(2.0 * np.exp(0.7j), 0.0, 60), (False, False)),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_STATES))
+def test_synthesized_fields_carry_their_even_axes(name):
+    make, want = PARITY_STATES[name]
+    rho = as_density(make())
+    grid = default_grid(rho, points=129)
+    field = wigner_gradient(rho, grid=grid)
+    assert wigner_from_fock(rho, grid=grid)._even == field._even == want
+    # a field built by hand carries none
+    assert WignerField(grid, field.values)._even == (False, False)
+
+
+@pytest.mark.parametrize("G, want", [(np.eye(2), (True, True)),
+                                     ([[1.0, 0.5], [0.5, 1.0]], (False, False))],
+                         ids=["diagonal", "turned"])
+def test_smoothed_fields_carry_their_even_axes(monkeypatch, G, want):
+    rho = cat(1.2, "even", 30)
+    field = wigner_gradient(rho, points=129)
+    fisher = fisher_from_field(field)
+    calls = spy_on_quadrature(monkeypatch)
+    _smoothing_reports(rho, field, fisher, G)
+    assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
+    assert [f._even for f in calls] == [want] * len(calls)
+
+
+def test_phase_space_channel_output_carries_its_even_axes():
+    spec = ThermalLossSpec(0.7, 0.2)
+    for rho, want in ((cat(1.5, "even", 30), (True, True)),
+                      (random_qudit(3, seed=5), (False, False))):
+        grid = PhaseSpaceGrid.for_moments(*spec.output_moments(*state_moments(rho)), points=129)
+        assert thermal_loss_phase_space(rho, spec, grid)._even == want
+
+
+def test_preset_fields_carry_their_even_axes(monkeypatch):
+    # the CLI sweep's preset: every state is real, so every field is even in p;
+    # the theta = 0 rows are diagonal, and the pure and r = 3/4 rows at
+    # theta = pi/2 have real coherences, odd in q
+    calls = spy_on_quadrature(monkeypatch)
+    preset = named_preset("qubit-hemisphere")
+    run_preset(preset, points=65, workers=1)
+    assert len(calls) == len(preset.parameters)
+    for params, field in zip(preset.parameters, calls):
+        assert field._even[1]
+        if params["theta"] == 0.0:
+            assert field._even == (True, True)
+        if params["theta"] == np.pi / 2 and params["r"] != 0.5:
+            assert field._even == (False, True)
+
+
+def by_hand(field):
+    """The same arrays in a field that carries no parity: the full pass."""
+    return WignerField(field.grid, field.values, field.grad_q, field.grad_p)
+
+
+@pytest.mark.parametrize("name", ["cat", "fock-3", "gkp", "real-ds", "qubit-pi/2"])
+def test_half_and_quadrant_passes_match_the_full_pass(name):
+    make, even = PARITY_STATES[name]
+    field = wigner_gradient(make(), points=257)
+    assert field._even == even
+    (m, entropy, neg), (mf, want_entropy, want_neg) = _quadrature(field), _quadrature(by_hand(field))
+    for axis in (0, 1):
+        if even[axis]:
+            assert m.d[axis] == 0.0
+        else:
+            assert abs(m.d[axis] - mf.d[axis]) <= 1e-14 * max(abs(mf.d[axis]), 1.0)
+    assert m.V[0, 1] == m.V[1, 0] == 0.0
+    assert np.all(np.abs(m.V - mf.V) <= 1e-14 * np.abs(mf.V).max())
+    assert abs(entropy - want_entropy) <= 1e-14
+    assert abs(neg - want_neg) <= 1e-14
+    if want_neg == 0.0:
+        assert math.copysign(1.0, neg) == 1.0 and neg == 0.0
+    fisher, want = fisher_from_field(field), fisher_from_field(by_hand(field))
+    for key in ("J", "J_band", "J_half_band"):
+        got, full = getattr(fisher, key), getattr(want, key)
+        assert got[0, 1] == got[1, 0] == 0.0
+        assert np.all(np.abs(got - full) <= 1e-14 * np.abs(full).max())
+    for key in ("excluded_fraction", "rel_gap"):
+        assert abs(getattr(fisher, key) - getattr(want, key)) <= 1e-14 * abs(getattr(want, key))
+    assert fisher.converged == want.converged
 
 
 # ------------------------------------------------------------- MeasureValue

@@ -423,7 +423,7 @@ def smoothed(state, grid, cov):
     maps (1, 2 cov_qq) and (1, 2 cov_pp) on the state's coefficients."""
     D = wigner._coefficients(as_density(state).entries)
     maps = tuple((1.0, 2.0 * c) for c in np.diag(cov))
-    (values,) = wigner._fields(D, grid.q, grid.p, False, maps=maps)
+    (values,), _ = wigner._fields(D, grid.q, grid.p, False, maps=maps)
     return values
 
 

@@ -161,7 +161,13 @@ def laguerre_synthesize(c, grid, with_grad):
     return out
 
 
-def assert_fields_close(got, want, tol=1e-12):
+def arrays(field):
+    """[W] or [W, dW/dq, dW/dp] of a synthesized field."""
+    return [field.values] + ([field.grad_q, field.grad_p] if field.has_gradient else [])
+
+
+def assert_fields_close(field, want, tol=1e-12):
+    got = arrays(field)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < tol
@@ -348,14 +354,14 @@ def test_threads_synthesizing_mixed_dims_match_serial_runs(monkeypatch):
     serial = []
     for c in mats:
         monkeypatch.setattr(wigner, "_blocks", (0, ()))
-        serial.append(_synthesize(c, grid, with_grad=True))
+        serial.append(arrays(_synthesize(c, grid, with_grad=True)))
     monkeypatch.setattr(wigner, "_blocks", (0, ()))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(_synthesize, c, grid, True) for c in mats]
-            threaded = [future.result(timeout=60) for future in futures]
+            threaded = [arrays(future.result(timeout=60)) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     # growth under the lock only ever enlarges the cache
@@ -378,9 +384,9 @@ def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
 
     monkeypatch.setattr(wigner, "_coefficients", spy)
     rho = as_density(displaced_squeezed(2.0 * np.exp(0.7j), (n_c - 60) / 100, n_c))
-    fields = _synthesize(rho.entries, default_grid(rho, points=65), with_grad=False)
+    field = _synthesize(rho.entries, default_grid(rho, points=65), with_grad=False)
     assert len(calls) == 1
-    assert not np.iscomplexobj(fields[0])
+    assert not np.iscomplexobj(field.values)
 
 
 def fields_by_whole_blocks(D, q, p):
@@ -432,11 +438,11 @@ def test_rounding_bound_buffers_match_whole_blocks(make, monkeypatch):
     grid = default_grid(rho)
     D = wigner._coefficients(rho.entries)
     bound = np.empty(grid.shape)
-    (W,) = wigner._fields(D, grid.q, grid.p, False, bound)
+    (W,), _ = wigner._fields(D, grid.q, grid.p, False, bound)
     want_W, want_bound = fields_by_whole_blocks(D, grid.q, grid.p)
     # the same products with a zero bound: nothing but exact zeros is cut
     monkeypatch.setattr(wigner, "_UNIT_ROUNDOFF", 0.0)
-    (raw,) = wigner._fields(D, grid.q, grid.p, False)
+    (raw,), _ = wigner._fields(D, grid.q, grid.p, False)
     zeroed = np.abs(raw) <= bound
     assert np.array_equal(W == 0.0, zeroed)
     assert np.array_equal(W[~zeroed], raw[~zeroed])
@@ -550,9 +556,11 @@ def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
         return product(T, Y, h, odd, out, *args, order=order, **kwargs)
 
     monkeypatch.setattr(wigner, "_parity_product", spy)
-    got = wigner._fields(D, grid.q, grid.p, True)
+    got, even = wigner._fields(D, grid.q, grid.p, True)
     # D A_p^T, W, dW/dq, D dA_p^T, dW/dp: the inner products run along p
     assert orders == [(False, pp), (True, pq), (True, pq), (False, pp), (True, pq)]
+    # W is even along exactly the axes of even order parity
+    assert even == (pq == 0, pp == 0)
     want = whole_gemm_fields(D, grid.q, grid.p)
     assert np.max(np.abs(want[0][0])) > 1e-4
     for i, (field, (oracle, bound)) in enumerate(zip(got, want)):
@@ -575,7 +583,7 @@ def number_state(n):
 def test_number_state_origin_closed_form(n):
     # W_n(0, 0) = (-1)^n / pi, past the cutoff where the oracle overflows
     grid = PhaseSpaceGrid(-1, 1, -1, 1, 5, 5, min_points=2)
-    (W,) = _synthesize(number_state(n).to_density().entries, grid, with_grad=False)
+    W = _synthesize(number_state(n).to_density().entries, grid, with_grad=False).values
     assert abs(W[2, 2] - (-1) ** n / np.pi) < 1e-13
 
 
@@ -586,7 +594,7 @@ def test_number_state_400_outer_ring_matches_closed_form():
     # precision cannot underflow (n is even)
     n = 400
     grid = PhaseSpaceGrid(25.3, 31.3, -1, 1, 41, 3, min_points=2)
-    (W,) = _synthesize(number_state(n).to_density().entries, grid, with_grad=False)
+    W = _synthesize(number_state(n).to_density().entries, grid, with_grad=False).values
     with mp.workdps(40):
         want = [
             float(mp.exp(-mpf(q) ** 2) * mp.laguerre(n, 0, 2 * mpf(q) ** 2) / mp.pi)

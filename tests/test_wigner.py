@@ -121,11 +121,11 @@ def test_hermitian_realness_residue():
     rng = np.random.default_rng(0)
     for _ in range(50):
         rho = random_qudit(4, [0, 1, 2, 3], seed=int(rng.integers(1 << 30)))
-        (W,) = _synthesize(rho.entries, GRID, with_grad=False)
+        W = _synthesize(rho.entries, GRID, with_grad=False).values
         assert W.dtype == np.float64
         # the imaginary field, the real field of (c - c^+)/2i
         a = (rho.entries - rho.entries.conj().T) / 2j
-        (imag,) = wigner._fields(wigner._coefficients(a), GRID.q, GRID.p, False)
+        (imag,), _ = wigner._fields(wigner._coefficients(a), GRID.q, GRID.p, False)
         assert np.max(np.abs(imag)) < 1e-12
 
 
