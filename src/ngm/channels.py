@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
 from .numerics import _log_factorial, integrate
-from .wigner import MASS_TOL, _require_finite, _synthesize_mapped
+from .wigner import MASS_TOL, _expand, _require_finite, _synthesize_mapped
 
 __all__ = [
     "ThermalLossSpec",
@@ -174,16 +174,19 @@ def thermal_loss_phase_space(rho, spec, grid):
     dilated by sqrt(tau) and convolved with the Gaussian of covariance
     spec.noise I is chi_q D chi_p^T / sqrt(pi) exactly for the tables of
     ``_hermite_functions`` at (tau, 2 spec.noise).  A grid for the output's
-    moments (``spec.output_moments``) holds it.  The field of an
-    anti-Hermitian part of rho is synthesized too, and a residue past
-    IMAG_RESIDUE_HARD raises ConsistencyError.  The output is renormalized
-    on the grid; a mass off 1 by more than MASS_TOL (or NaN) raises
-    TruncationRiskError: below 1 the output spreads past the grid, above 1
-    the grid is too coarse to integrate it.
+    moments (``spec.output_moments``) holds it.  rho is checked as in
+    ``thermal_loss_fock``; the field of an anti-Hermitian part of rho is
+    synthesized too, and a residue past IMAG_RESIDUE_HARD raises
+    ConsistencyError.  The output is renormalized on the grid; a mass off 1
+    by more than MASS_TOL (or NaN) raises TruncationRiskError: below 1 the
+    output spreads past the grid, above 1 the grid is too coarse to
+    integrate it.
     """
+    rho = as_density(rho)
+    expansion = _expand(rho.entries)  # a non-finite rho raises here first
+    rho.validate(herm_tol=np.inf)
     maps = ((spec.tau, 2.0 * spec.noise),) * 2
-    field = _synthesize_mapped(as_density(rho).entries, grid, False, maps,
-                               "phase-space channel output")
+    field = _synthesize_mapped(expansion, grid, False, maps, "phase-space channel output")
     mass = integrate(field.values, grid)
     if not abs(mass - 1.0) <= MASS_TOL:
         if mass > 1.0:

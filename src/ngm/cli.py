@@ -34,7 +34,7 @@ from .errors import NumericalError
 from .fisher import BAND_DEFAULT, _smoothing_reports, cramer_rao_check, fisher_from_field
 from .fock import as_density, cat, load_state, state_moments
 from .measure import _physical_quadrature, measure_from_field, ngm
-from .numerics import MIN_POINTS, PhaseSpaceGrid, _ordered_map
+from .numerics import MIN_POINTS, PhaseSpaceGrid, _ordered_map, worker_count
 from .wigner import default_grid, wigner_gradient
 
 __all__ = [
@@ -82,6 +82,11 @@ def _validate(ns):
         raise ConfigError("--nbar must be finite and non-negative")
     if fock_sweep is not None and fock_sweep < 0:
         raise ConfigError("--fock-sweep must be non-negative")
+    if ns.command == "sweep" or fock_sweep is not None:  # the thread-pool commands
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     sources = sum(getattr(ns, key, None) is not None for key in ("preset", "fock_file", "cat"))
     if fock_sweep is not None:
         if sources:
@@ -231,7 +236,7 @@ def _fisher_report(ns):
         # the library checks on this field and its Fisher matrix, smoothed
         # once for both
         reports, extra = _collect(
-            lambda: _smoothing_reports(rho, field, fisher, np.eye(2), base=base)
+            lambda: _smoothing_reports(field, fisher, np.eye(2), base=base)
         )
         for key, report, wanted in zip(
             ("debruijn", "measure_derivative"), reports,

@@ -33,8 +33,9 @@ gap V - J^-1, and two finite-difference cross-checks (differential
 entropy and measure derivative under epsilon-smoothing) that validate J
 against an independent numerical route.  Both checks share one gradient
 field, its Fisher matrix and one smoothing pass, whose fields are
-synthesized from the state's Hermite-Gauss coefficients at the smoothed
-table maps: no sampled field is convolved.
+drawn from the gradient field's own Hermite-Gauss expansion (turned and
+expanded once for a non-diagonal G) at the smoothed table maps: no
+sampled field is convolved and no coefficient is rebuilt.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .fock import as_density
 from .measure import _physical_quadrature, gaussian_associate_entropy
 from .numerics import _row_blocks
-from .wigner import _independent_cells, _synthesize_mapped, wigner_gradient
+from .wigner import _expand, _independent_cells, _synthesize_mapped, wigner_gradient
 
 __all__ = [
     "BAND_DEFAULT",
@@ -266,29 +266,30 @@ def _principal_axes(G):
     return np.maximum(lam, 0.0), math.atan2(U[1, 0], U[0, 0])
 
 
-def _smoothing_reports(rho, field, fisher, G, base=None):
+def _smoothing_reports(field, fisher, G, base=None):
     """The de Bruijn and measure-derivative reports of one smoothing pass.
 
-    ``fisher`` is the Fisher matrix of ``field``, the gradient field of
-    ``rho``.  W convolved with N(0, eps G), G = R Lambda R^T, is synthesized
-    from rho at the table maps (1, 2 eps Lambda_ii), with the finiteness and
-    residue checks of every field, after turning rho by rho_mn
-    e^{-i(m - n) theta} (field W(R r)) for a non-diagonal G; the entropy,
-    Tr(G J) and Tr(G V^-1) do not change.  One quadrature pass per field
-    serves both reports; ``base``, the field's own ``_physical_quadrature``
-    if the caller has it, saves that pass when G is diagonal (for another G
-    the turned field's own pass is the base).
+    ``fisher`` is the Fisher matrix of ``field``, a synthesized gradient
+    field.  W convolved with N(0, eps G), G = R Lambda R^T, is drawn from the
+    field's expansion at the table maps (1, 2 eps Lambda_ii), with the
+    finiteness and residue checks of every field; a non-diagonal G expands
+    once the matrix turned by c_mn e^{-i(m - n) theta} (field W(R r)), which
+    leaves the entropy, Tr(G J) and Tr(G V^-1) as they are.  One quadrature
+    pass per field serves both reports; ``base``, the field's own
+    ``_physical_quadrature`` if the caller has it, saves that pass when G is
+    diagonal (for another G the turned field's own pass is the base).
     """
     lam, theta = _principal_axes(G)
     G = np.asarray(G, dtype=float)
-    entries = as_density(rho).entries
-    turn = np.exp(-1j * theta * np.arange(entries.shape[0]))
-    turned = turn[:, None] * entries * turn.conj()
+    expansion = field._expansion
+    if theta:
+        turn = np.exp(-1j * theta * np.arange(expansion.c.shape[0]))
+        expansion = _expand(turn[:, None] * expansion.c * turn.conj())
 
     def quadrature(v):
         maps = ((1.0, v[0]), (1.0, v[1]))
         return _physical_quadrature(
-            _synthesize_mapped(turned, field.grid, False, maps, "smoothed Wigner field"))
+            _synthesize_mapped(expansion, field.grid, False, maps, "smoothed Wigner field"))
 
     m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)
     passes = [quadrature(2.0 * eps * lam) for eps in SMOOTHING_EPSILONS]
@@ -324,7 +325,7 @@ def debruijn_check(rho, G, grid=None, points=513):
     the right side from the principal-value Fisher matrix.
     """
     field = wigner_gradient(rho, grid=grid, points=points)
-    return _smoothing_reports(rho, field, fisher_from_field(field), G)[0]
+    return _smoothing_reports(field, fisher_from_field(field), G)[0]
 
 
 def measure_derivative_check(rho, G, grid=None, points=513):
@@ -336,5 +337,5 @@ def measure_derivative_check(rho, G, grid=None, points=513):
     coefficient from :func:`monotonicity_condition`.
     """
     field = wigner_gradient(rho, grid=grid, points=points)
-    return _smoothing_reports(rho, field, fisher_from_field(field), G)[1]
+    return _smoothing_reports(field, fisher_from_field(field), G)[1]
 

@@ -30,13 +30,15 @@ MIN_POINTS = 65
 
 
 def worker_count(workers=None):
-    """Thread-pool size: the argument, else NGM_WORKERS, else 1."""
+    """Thread-pool size: the argument, else NGM_WORKERS, else 1; ValueError
+    naming NGM_WORKERS if it is set to a non-integer."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("NGM_WORKERS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
+    try:
+        return max(1, int(env)) if env.strip() else 1
+    except ValueError:
+        raise ValueError(f"NGM_WORKERS must be an integer, got {env!r}") from None
 
 
 def _ordered_map(fn, items, workers=None):

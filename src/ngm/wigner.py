@@ -33,17 +33,24 @@ Every field is real.  The map is linear, so a non-Hermitian input c has
 W[c] = W[h] + i W[a] for the Hermitian h = (c + c^+)/2 and a = (c - c^+)/2i:
 D is h's, and the imaginary field is the real synthesis of a, run and its
 residue checked, never silently discarded, unless a bound from the entries
-proves it below the residue tolerance.
+proves it below the residue tolerance.  A state is expanded once
+(``_expand``) into D, the order parities of D's rows and columns (they do
+not depend on the grid; a product applies them on a mirrored axis) and the
+residue verdict, a's own expansion or none.  Every field of the state is
+drawn from that value and carries it: W, its gradients and their check,
+the smoothed fields of the Fisher checks, and the phase-space channel's.
 
 Every integral of a sampled field -- the mass check, the moments,
 -int W ln|W| and the negative volume -- comes from one quadrature pass
 (``_quadrature``).  A synthesized field carries the axes it is even along,
-known from D's order parity; the pass reads it on x >= 0 along those axes
-with the folded Simpson weights (a quarter of the grid for a cat, |n> or a
-GKP state, half for a real state), and there the mean and the cross moment
-are 0 exactly.  Any other field takes the whole grid with the same body.
+known from its expansion's parities; the pass reads it on x >= 0 along
+those axes with the folded Simpson weights (a quarter of the grid for a
+cat, |n> or a GKP state, half for a real state), and there the mean and the
+cross moment are 0 exactly.  Any other field takes the whole grid with the
+same body.
 """
 
+import collections
 import functools
 import threading
 
@@ -106,6 +113,8 @@ class WignerField:
     #: (q, p): whether W is even along each axis, W(-q, p) = W(q, p) bit for
     #: bit (likewise in p); set by the synthesis, which knows it from D
     _even = (False, False)
+    #: the ``_expand`` value the synthesis drew the field from
+    _expansion = None
 
     def __init__(self, grid, values, grad_q=None, grad_p=None):
         if np.iscomplexobj(values):
@@ -319,7 +328,7 @@ def _coefficients(c):
     W(q, p) = pi^-1/2 sum_jk D_jk phi_j(sqrt2 q) phi_k(sqrt2 p).  D reads
     only Re(c + c^T) and Im(c - c^T), which the anti-Hermitian part of c
     leaves out: the imaginary field of c is the real field of
-    (c - c^+) / 2i, itself Hermitian (see ``_synthesize_mapped``).
+    (c - c^+) / 2i, itself Hermitian (see ``_expand``).
 
     At s = sqrt2 q and t = sqrt2 y the kernel <q-y|c|q+y> is
     sum c_mn phi_m((s-t)/sqrt2) phi_n((s+t)/sqrt2): the two-mode state
@@ -415,8 +424,8 @@ def _signed_copy(src, sign, out):
         np.negative(src, out=out)
 
 
-def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
-    """[W] or [W, dW/dq, dW/dp] of the coefficients D on the q and p axes.
+def _fields(expansion, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
+    """[W] or [W, dW/dq, dW/dp] of an expansion's D on the q and p axes.
 
     W = A_q D A_p^T / sqrt(pi), A[i, j] = chi_j(sqrt2 x_i) at the (tau, v) of
     ``maps`` per axis (the field dilated by sqrt(tau) and convolved with
@@ -430,15 +439,13 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
     Returns the fields and, per axis, whether W is even along it (mirrored,
     and D's nonzero rows (q) or columns (p) all of even order).
     """
-    size = D.shape[0]
+    size = expansion.D.shape[0]
     orders = size + 1 if with_grad else size
     # h points of an axis mirror its last h, x[i] = -x[n-1-i] bit for bit
     hq, hp = (x.size // 2 if (x == -x[::-1]).all() else 0 for x in (q, p))
     uq, cq, cp = q.size - hq, q.size - 2 * hq, p.size - 2 * hp
-    # per mirrored axis, the one order parity of D's nonzero rows (q) or
-    # columns (p), if it has one; rows 0 and 1 settle most mixed D at once
-    pq, pp = (None if not h or M[0].any() and M[1:2].any() or M[0::2].any() and M[1::2].any()
-              else int(M[1::2].any()) for h, M in ((hq, D), (hp, D.T)))
+    # the expansion's order parities, on the mirrored axes
+    pq, pp = (o if h else None for o, h in zip(expansion.parity, (hq, hp)))
     # W's columns from ``cols`` on are computed, the rest mirror them
     cols, flip = (0, 1.0) if pp is None else (hp, (-1.0) ** pp)
     # one table for both axes where their maps agree
@@ -446,7 +453,7 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
     tables = [_hermite_functions(np.sqrt(2.0) * x, orders, *m) for x, m in zip(axes, maps)]
     table = tables[0] if len(tables) == 1 else np.hstack(tables)
     Tq, Tp = table[:size, :uq], table[:size, uq:]
-    Dt = np.ascontiguousarray(D.T) / np.sqrt(np.pi)
+    Dt = np.ascontiguousarray(expansion.D.T) / np.sqrt(np.pi)
     # inner = D A_p^T on W's computed columns is one block
     inner = np.empty((size, p.size - cols))
     _parity_product(Tp, Dt, hp - cols, False, inner.T, cells=inner.size, order=pp)
@@ -491,54 +498,64 @@ def _fields(D, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
     return fields, (pq == 0, pp == 0)
 
 
-def _synthesize(c, grid, with_grad):
-    """The field of the Fock-basis matrix c on the grid, with gradients if
-    ``with_grad``: ``_synthesize_mapped`` at the identity maps, under the
-    three arguments perfbench's tracer reads."""
-    return _synthesize_mapped(c, grid, with_grad, ((1.0, 0.0), (1.0, 0.0)), "Wigner field")
+#: a Fock-basis matrix c expanded once for all its fields (``_expand``): D,
+#: the order parity (0, 1, or None for both) of D's nonzero rows (q) and
+#: columns (p), and a's expansion unless W[a] is proven negligible
+_Expansion = collections.namedtuple("_Expansion", "c D parity anti")
 
 
-def _synthesize_mapped(c, grid, with_grad, maps, label):
-    """The ``WignerField`` of ``_fields`` for the Fock-basis matrix c at the
-    table ``maps``, each array checked finite, carrying the axes W is even
-    along.
+def _expand(c):
+    """The ``_Expansion`` of the Fock-basis matrix c, which must be finite.
 
-    The map is linear, so W[c] = W[h] + i W[a] for the Hermitian matrices
-    h = (c + c^+)/2 and a = (c - c^+)/2i; ``_coefficients(c)`` is h's.
-    The imaginary fields W[a] are synthesized and checked, finite and
-    within IMAG_RESIDUE_HARD (else ConsistencyError naming ``label``),
-    unless a bound already proves them within it.  The trace norm of a
-    bounds pi |W[a]| pointwise; with gradients, dW[a]/dq = W[i[p, a]] (and
-    dW/dp likewise with q), and ||[p, a]||_1 <= 2 ||p P_dim|| ||a||_1
-    <= 2 sqrt(2 dim) ||a||_1 on the dim-level space a lives in, so that
-    factor multiplies the bound.  The maps a caller takes (dilation by
-    sqrt(tau) with thermal noise, Gaussian smoothing; never with gradients)
-    are channels, which do not raise the trace norm, so the bound holds for
-    their fields too.
+    pi |W[a]| <= ||a||_1 <= sum |a_mn| pointwise, under the table maps too,
+    which are channels; dW[a]/dq = W[i[p, a]] (dW/dp likewise with q), and
+    ||[p, a]||_1 <= 2 ||p P_dim|| ||a||_1 <= 2 sqrt(2 dim) ||a||_1 on the
+    dim-level space a lives in.  a is expanded unless these bounds prove
+    W[a] and its gradients within IMAG_RESIDUE_HARD.
     """
     _require_finite(c, "density matrix")
+    anti = c - c.conj().T  # 2i a
+    bound = np.sum(np.abs(anti)) / (2.0 * np.pi) * (2.0 * np.sqrt(2.0 * c.shape[0]))
+    expansion = None
+    # a's expansion first, then c's, which holds it
+    for m in [c] if bound <= IMAG_RESIDUE_HARD else [anti / 2j, c]:
+        D = _coefficients(m)
+        D.flags.writeable = False
+        parity = tuple(None if M[0::2].any() and M[1::2].any() else int(M[1::2].any())
+                       for M in (D, D.T))
+        expansion = _Expansion(m, D, parity, expansion)
+    return expansion
+
+
+def _synthesize(c, grid, with_grad):
+    """The field of the Fock-basis matrix c on the grid, with gradients if
+    ``with_grad``: ``_synthesize_mapped`` of its expansion at the identity
+    maps, under the three arguments perfbench's tracer reads."""
+    return _synthesize_mapped(_expand(c), grid, with_grad, ((1.0, 0.0), (1.0, 0.0)),
+                              "Wigner field")
+
+
+def _synthesize_mapped(expansion, grid, with_grad, maps, label):
+    """The ``WignerField`` of ``_fields`` for an expansion at the table
+    ``maps``, carrying the axes W is even along and the expansion.  Each
+    array is checked finite, and the imaginary fields W[a], where the
+    expansion holds a, within IMAG_RESIDUE_HARD (else ConsistencyError
+    naming ``label``).
+    """
     q = np.asarray(grid.q, dtype=float)
     p = np.asarray(grid.p, dtype=float)
-    fields, even = _fields(_coefficients(c), q, p, with_grad, maps=maps)
-    for f in fields:
+    fields, even = _fields(expansion, q, p, with_grad, maps=maps)
+    imag = [] if expansion.anti is None else _fields(expansion.anti, q, p, with_grad, maps=maps)[0]
+    for f in fields + imag:
         _require_finite(f, "synthesized Wigner field")
-    # |W[a]| <= ||a||_1 / pi <= sum |a_mn| / pi, a = anti / 2i
-    anti = c - c.conj().T
-    bound = np.sum(np.abs(anti)) / (2.0 * np.pi)
-    if with_grad:
-        bound *= 2.0 * np.sqrt(2.0 * c.shape[0])
-    if not bound <= IMAG_RESIDUE_HARD:
-        imag, _ = _fields(_coefficients(anti / 2j), q, p, with_grad, maps=maps)
-        for f in imag:
-            _require_finite(f, "synthesized Wigner field")
-        residue = max(np.max(np.abs(f)) for f in imag)
-        if residue > IMAG_RESIDUE_HARD:
-            raise ConsistencyError(
-                f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
-                "the input is effectively non-Hermitian"
-            )
+    residue = max((np.max(np.abs(f)) for f in imag), default=0.0)
+    if residue > IMAG_RESIDUE_HARD:
+        raise ConsistencyError(
+            f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
+            "the input is effectively non-Hermitian"
+        )
     field = WignerField(grid, *fields)
-    field._even = even
+    field._even, field._expansion = even, expansion
     return field
 
 
@@ -568,22 +585,23 @@ def wigner_gradient(rho, grid=None, points=513):
     if grid is None:
         grid = default_grid(rho, points=points)
     field = _synthesize(rho.entries, grid, with_grad=True)
-    _check_gradient(rho, field)
+    _check_gradient(field)
     return field
 
 
-def _check_gradient(rho, field):
+def _check_gradient(field):
     stride, h = _CHECK_STRIDE, _CHECK_STEP
     qs = field.grid.q[::stride]
     ps = field.grid.p[::stride]
     mask = np.abs(field.values[::stride, ::stride]) > 1e-6
     if not np.any(mask):
         return
-    D = _coefficients(rho.entries)
+    e = field._expansion
     fd, dev = [], []
     # W(q, p) from D is W(p, q) from D^T: the shifted axis goes first, as
     # xs -+ h interleaved, which is mirrored if xs is: -(x_i + h) = x_{m-i} - h
-    for grad, C, xs, ys in ((field.grad_q, D, qs, ps), (field.grad_p.T, D.T, ps, qs)):
+    swapped = e._replace(D=e.D.T, parity=e.parity[::-1])
+    for grad, C, xs, ys in ((field.grad_q, e, qs, ps), (field.grad_p.T, swapped, ps, qs)):
         shifted = np.column_stack((xs - h, xs + h)).ravel()
         bounds = np.empty((shifted.size, ys.size))
         (W,), _ = _fields(C, shifted, ys, False, bounds)

@@ -505,8 +505,8 @@ def test_thermal_loss_past_dim_257(n_bar):
 
 def dilated(rho, s, grid):
     """(1/s^2) W(r/s) of rho on the grid, exactly: the table map (s^2, 0)."""
-    D = wigner._coefficients(as_density(rho).entries)
-    (values,), _ = wigner._fields(D, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
+    expansion = wigner._expand(as_density(rho).entries)
+    (values,), _ = wigner._fields(expansion, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
     return WignerField(grid, values)
 
 
@@ -578,6 +578,39 @@ def test_phase_space_rejects_an_anti_hermitian_input():
         wigner_from_fock(bad)
     with pytest.raises(ConsistencyError):
         ngm(thermal_loss_fock(bad, spec))
+
+
+def invalid_inputs(c):
+    """Trace 2, trace 1.00005, and trace 1 with least eigenvalue -0.2 (a
+    cat has no |1> part to cancel it)."""
+    indefinite = 1.2 * c
+    indefinite[1, 1] -= 0.2
+    return {"trace-2": 2.0 * c, "trace-1.00005": 1.00005 * c, "indefinite": indefinite}
+
+
+@pytest.mark.parametrize("name, message", [("trace-2", "deviates from 1"),
+                                           ("trace-1.00005", "deviates from 1"),
+                                           ("indefinite", "minimum eigenvalue -2.00e-01")])
+def test_phase_space_validates_its_input_as_the_kraus_engine_does(name, message):
+    # the phase-space engine once blamed the trace-2 input on a coarse grid,
+    # renormalised the 1.00005 one and ran the indefinite one
+    rho = cat(1.5, n_c=30).to_density()
+    spec = ThermalLossSpec(0.7, 0.0)
+    bad = FockDensityMatrix(invalid_inputs(rho.entries)[name])
+    grid = output_grid(rho, spec, points=257)
+    with pytest.raises(NormalizationError, match=message):
+        thermal_loss_fock(bad, spec)
+    with pytest.raises(NormalizationError, match=message):
+        thermal_loss_phase_space(bad, spec, grid)
+
+
+def test_phase_space_rejects_a_non_finite_input_first():
+    c = 2.0 * cat(1.5, n_c=30).to_density().entries
+    c[2, 3] = np.nan
+    spec = ThermalLossSpec(0.7, 0.0)
+    with pytest.raises(NumericalError, match="density matrix has non-finite") as err:
+        thermal_loss_phase_space(FockDensityMatrix(c), spec, output_grid(cat(1.5), spec))
+    assert type(err.value) is NumericalError
 
 
 def test_phase_space_identity_at_unit_tau():

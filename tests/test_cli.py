@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_synthesis import spy_on_coefficients
 
 import ngm as ngm_package
 from ngm import catalog, cli, fisher, measure, wigner
@@ -126,6 +127,20 @@ def test_missing_fock_file_is_config_error(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert main(["measure", "--fock-file", missing]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+@pytest.mark.parametrize("argv", [["sweep", "--preset", "vacuum"],
+                                  ["fisher", "--fock-sweep", "1"]], ids=["sweep", "fock-sweep"])
+def test_malformed_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, argv, value):
+    # it once ended in int()'s traceback, exit 1
+    monkeypatch.setenv("NGM_WORKERS", value)
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--grid-points", "65", "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"] == f"NGM_WORKERS must be an integer, got {value!r}"
+    assert not out.exists()
 
 
 def test_numerical_precondition_failure_exits_three(capsys):
@@ -622,6 +637,21 @@ def test_fisher_checks_equal_library_wrappers(tmp_path, capsys):
         report = check(rho, [[1.0, 0.0], [0.0, 1.0]], grid=grid)
         report.pop("fisher")
         assert doc[key] == json.loads(json.dumps(_jsonable(report)))
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["fisher", "--cat", "1.3", "--debruijn", "--derivative"], 1),
+    (["measure", "--cat", "1.5"], 1),
+    # the state twice (its measure, and the phase-space engine), the Kraus output once
+    (["channel", "--cat", "1.5", "--tau", "0.7", "--engine", "both", "--cutoff", "20"], 3),
+], ids=["fisher", "measure", "channel"])
+def test_each_state_is_expanded_once(tmp_path, monkeypatch, capsys, argv, builds):
+    # the gradient check and the smoothed fields draw on the gradient
+    # field's expansion: 5 builds of the same D before
+    calls = spy_on_coefficients(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
 
 
 def test_fisher_checks_share_one_field(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from test_numerics import padded_convolve_gaussian
+from test_synthesis import spy_on_coefficients
 
 from ngm import fisher as fisher_module
 from ngm import numerics
@@ -394,6 +395,16 @@ def test_measure_derivative_tilted_direction():
     assert abs(report["derivative"]) < 1e-3
     assert abs(report["reference"]) < 1e-3
     assert report["sign_agrees"]
+
+
+@pytest.mark.parametrize("G, builds", [(np.eye(2), 1), (TILTED_G, 2)], ids=["diagonal", "tilted"])
+def test_smoothing_expands_the_state_once_per_orientation(monkeypatch, G, builds):
+    # the gradient field's expansion serves its check and, along the axes,
+    # the smoothed fields; a tilted G expands the turned state once (6
+    # builds of D before)
+    calls = spy_on_coefficients(monkeypatch)
+    debruijn_check(cat(1.3), G, points=129)
+    assert len(calls) == builds
 
 
 def test_tilted_smoothing_matches_the_fft_oracle_on_a_gaussian():

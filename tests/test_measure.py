@@ -279,7 +279,7 @@ def test_smoothing_reports_run_one_quadrature_pass_per_field(monkeypatch):
     field = wigner_gradient(rho)
     fisher = fisher_from_field(field)
     calls = spy_on_quadrature(monkeypatch)
-    _smoothing_reports(rho, field, fisher, np.eye(2))
+    _smoothing_reports(field, fisher, np.eye(2))
     assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
 
 
@@ -326,7 +326,7 @@ def test_smoothed_fields_carry_their_even_axes(monkeypatch, G, want):
     field = wigner_gradient(rho, points=129)
     fisher = fisher_from_field(field)
     calls = spy_on_quadrature(monkeypatch)
-    _smoothing_reports(rho, field, fisher, G)
+    _smoothing_reports(field, fisher, G)
     assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
     assert [f._even for f in calls] == [want] * len(calls)
 

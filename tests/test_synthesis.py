@@ -371,10 +371,8 @@ def test_threads_synthesizing_mixed_dims_match_serial_runs(monkeypatch):
             assert np.array_equal(f.view(np.int64), g.view(np.int64))
 
 
-@pytest.mark.parametrize("n_c", [60, 160])
-def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
-    # a pure state's outer product is exactly Hermitian: no imaginary field
-    # is synthesized, so the O(dim^3) coefficient build runs once
+def spy_on_coefficients(monkeypatch):
+    """The list of matrices ``wigner._coefficients`` is called on."""
     calls = []
     coefficients = wigner._coefficients
 
@@ -383,6 +381,14 @@ def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
         return coefficients(c)
 
     monkeypatch.setattr(wigner, "_coefficients", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_c", [60, 160])
+def test_hermitian_input_builds_one_coefficient_set(monkeypatch, n_c):
+    # a pure state's outer product is exactly Hermitian: no imaginary field
+    # is synthesized, so the O(dim^3) coefficient build runs once
+    calls = spy_on_coefficients(monkeypatch)
     rho = as_density(displaced_squeezed(2.0 * np.exp(0.7j), (n_c - 60) / 100, n_c))
     field = _synthesize(rho.entries, default_grid(rho, points=65), with_grad=False)
     assert len(calls) == 1
@@ -436,13 +442,13 @@ def test_rounding_bound_buffers_match_whole_blocks(make, monkeypatch):
     # q >= 0 too) and its bound there, and both are mirrored
     rho = as_density(make())
     grid = default_grid(rho)
-    D = wigner._coefficients(rho.entries)
+    expansion = wigner._expand(rho.entries)
     bound = np.empty(grid.shape)
-    (W,), _ = wigner._fields(D, grid.q, grid.p, False, bound)
-    want_W, want_bound = fields_by_whole_blocks(D, grid.q, grid.p)
+    (W,), _ = wigner._fields(expansion, grid.q, grid.p, False, bound)
+    want_W, want_bound = fields_by_whole_blocks(expansion.D, grid.q, grid.p)
     # the same products with a zero bound: nothing but exact zeros is cut
     monkeypatch.setattr(wigner, "_UNIT_ROUNDOFF", 0.0)
-    (raw,), _ = wigner._fields(D, grid.q, grid.p, False)
+    (raw,), _ = wigner._fields(expansion, grid.q, grid.p, False)
     zeroed = np.abs(raw) <= bound
     assert np.array_equal(W == 0.0, zeroed)
     assert np.array_equal(W[~zeroed], raw[~zeroed])
@@ -509,7 +515,7 @@ def random_imaginary(c, reach=slice(None)):
 
 
 #: per input, a Hermitian Fock matrix that reaches the mirrored grids and
-#: the order parities along q and p that _fields finds (None: both parities)
+#: the order parities along q and p that _fields applies (None: both parities)
 KERNEL_INPUTS = {
     # even in q and in p
     "hermitian": (lambda: as_density(cat(1.5, "odd", 30)).entries, (0, 0)),
@@ -547,7 +553,7 @@ def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
     # derivative along it with the opposite sign
     grid = KERNEL_GRIDS[grid_name]()
     make, (pq, pp) = (RING_INPUTS if grid_name == "outer-ring" else KERNEL_INPUTS)[kind]
-    D = wigner._coefficients(make())
+    expansion = wigner._expand(make())
     orders = []
     product = wigner._parity_product
 
@@ -556,12 +562,12 @@ def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
         return product(T, Y, h, odd, out, *args, order=order, **kwargs)
 
     monkeypatch.setattr(wigner, "_parity_product", spy)
-    got, even = wigner._fields(D, grid.q, grid.p, True)
+    got, even = wigner._fields(expansion, grid.q, grid.p, True)
     # D A_p^T, W, dW/dq, D dA_p^T, dW/dp: the inner products run along p
     assert orders == [(False, pp), (True, pq), (True, pq), (False, pp), (True, pq)]
     # W is even along exactly the axes of even order parity
     assert even == (pq == 0, pp == 0)
-    want = whole_gemm_fields(D, grid.q, grid.p)
+    want = whole_gemm_fields(expansion.D, grid.q, grid.p)
     assert np.max(np.abs(want[0][0])) > 1e-4
     for i, (field, (oracle, bound)) in enumerate(zip(got, want)):
         assert field.shape == grid.shape

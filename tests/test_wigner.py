@@ -7,6 +7,8 @@ no log prefactors and no diagonal bookkeeping shared with production.
 Scipy's own Laguerre evaluation covers the diagonal branch separately.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from expm_unitaries import annihilation_matrix
@@ -20,8 +22,11 @@ from ngm.fisher import _smoothing_reports, fisher_from_field
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
+    as_density,
     cat,
     coherent,
+    displaced_squeezed,
+    gkp_logical,
     random_qudit,
     state_moments,
 )
@@ -125,7 +130,7 @@ def test_hermitian_realness_residue():
         assert W.dtype == np.float64
         # the imaginary field, the real field of (c - c^+)/2i
         a = (rho.entries - rho.entries.conj().T) / 2j
-        (imag,), _ = wigner._fields(wigner._coefficients(a), GRID.q, GRID.p, False)
+        (imag,), _ = wigner._fields(wigner._expand(a), GRID.q, GRID.p, False)
         assert np.max(np.abs(imag)) < 1e-12
 
 
@@ -178,17 +183,79 @@ def test_residue_errors_name_their_caller():
     bad = FockDensityMatrix(rho.entries + 1e-3 * (x - x.T))
     grid = default_grid(rho, points=65)
     field = wigner_gradient(rho, grid)
+    # the smoothing pass reads the state from the field's expansion
+    smoothed = wigner_gradient(rho, grid)
+    smoothed._expansion = wigner._expand(bad.entries)
     callers = [
         ("Wigner field", lambda: wigner_from_fock(bad, grid)),
         ("Wigner field", lambda: wigner_gradient(bad, grid)),
         ("phase-space channel output",
          lambda: thermal_loss_phase_space(bad, ThermalLossSpec(0.5, 0.0), grid)),
         ("smoothed Wigner field",
-         lambda: _smoothing_reports(bad, field, fisher_from_field(field), np.eye(2))),
+         lambda: _smoothing_reports(smoothed, fisher_from_field(field), np.eye(2))),
     ]
     for label, call in callers:
         with pytest.raises(ConsistencyError, match=f"^{label} has imaginary residue"):
             call()
+
+
+def near_hermitian(eps):
+    """A d = 4 qudit's Hermitian part plus eps i (X + X^T)."""
+    rho = random_qudit(4, [0, 1, 2, 3], seed=5).entries
+    x = np.random.default_rng(5).standard_normal(rho.shape)
+    return 0.5 * (rho + rho.conj().T) + eps * 1j * (x + x.T)
+
+
+def random_hermitian(dim, seed):
+    x = np.random.default_rng(seed).normal(size=(dim, dim, 2)) @ [1.0, 1j]
+    return 0.5 * (x + x.conj().T)
+
+
+#: states, Hermitian matrices, and near-Hermitian matrices either side of
+#: the residue threshold: at 1e-17 the bound proves W[a] negligible, at
+#: 1e-10 every field passes its check, at 3e-10 W passes and its gradients
+#: do not, at 1e-6 nothing passes
+SHARED_INPUTS = {
+    "cat": lambda: cat(1.5).to_density().entries,
+    "ds160": lambda: as_density(displaced_squeezed(2.0 * np.exp(0.7j), 1.0, 160)).entries,
+    "ds60": lambda: as_density(displaced_squeezed(2.0 * np.exp(0.7j), 0.0, 60)).entries,
+    "gkp": lambda: as_density(gkp_logical(0, 10 ** (-10 / 20), n_c=60)).entries,
+    "qudit": lambda: random_qudit(5, seed=3).entries,
+    "hermitian": lambda: random_hermitian(6, 4),
+    "real": lambda: random_hermitian(6, 4).real,
+    **{f"near-{eps:g}": functools.partial(near_hermitian, eps)
+       for eps in (1e-17, 1e-10, 3e-10, 1e-6)},
+}
+
+
+def outcome(fn):
+    """The arrays (as bytes) and even axes of a field, or its error."""
+    try:
+        field = fn()
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    arrays = (field.values, field.grad_q, field.grad_p)
+    return [None if a is None else a.tobytes() for a in arrays], field._even
+
+
+@pytest.mark.parametrize("name", list(SHARED_INPUTS))
+def test_a_shared_expansion_gives_the_fields_of_separate_syntheses(name):
+    c = SHARED_INPUTS[name]()
+    grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0, 129, 129)
+    shared = wigner._expand(c)
+    identity = ((1.0, 0.0), (1.0, 0.0))
+    for with_grad in (False, True, False):
+        got = outcome(lambda: wigner._synthesize_mapped(shared, grid, with_grad, identity,
+                                                        "Wigner field"))
+        assert got == outcome(lambda: _synthesize(c, grid, with_grad))
+    bounds = np.empty((2, *grid.shape))
+    for expansion, bound in zip((shared, wigner._expand(c)), bounds):
+        wigner._fields(expansion, grid.q, grid.p, False, bound)
+    assert np.array_equal(bounds[0].view(np.int64), bounds[1].view(np.int64))
+    # the smoothing pass reuses the expansion where the turn is theta = 0
+    turn = np.exp(-1j * 0.0 * np.arange(len(c)))
+    turned = wigner._expand(turn[:, None] * c * turn.conj())
+    assert np.array_equal(turned.D.view(np.int64), shared.D.view(np.int64))
 
 
 def test_field_values_must_be_real():
@@ -243,7 +310,7 @@ def test_guards_reject_nan():
     f = wigner_gradient(rho, GRID)
     f.grad_q = np.full(GRID.shape, np.nan)
     with pytest.raises(ConsistencyError):
-        _check_gradient(rho, f)
+        _check_gradient(f)
 
 
 def test_wigner_bound_and_mass():
@@ -421,4 +488,4 @@ def test_gradient_check_rejects_perturbed_gradient(state, axis, rel):
     field = wigner_gradient(rho)
     setattr(field, axis, getattr(field, axis) * (1.0 + rel))
     with pytest.raises(ConsistencyError):
-        _check_gradient(rho, field)
+        _check_gradient(field)
