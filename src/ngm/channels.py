@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import CapacityError, TruncationRiskError
 from .fock import FockDensityMatrix, as_density, trim_density
-from .numerics import _log_factorial, integrate
-from .wigner import MASS_TOL, _expand, _require_finite, _synthesize_mapped
+from .numerics import _log_factorial
+from .wigner import MASS_TOL, _expand, _independent_cells, _require_finite, _synthesize_mapped
 
 __all__ = [
     "ThermalLossSpec",
@@ -187,7 +187,8 @@ def thermal_loss_phase_space(rho, spec, grid):
     rho.validate(herm_tol=np.inf)
     maps = ((spec.tau, 2.0 * spec.noise),) * 2
     field = _synthesize_mapped(expansion, grid, False, maps, "phase-space channel output")
-    mass = integrate(field.values, grid)
+    (W, _, _), _, _, wq, wp = _independent_cells(field)
+    mass = wq @ W @ wp
     if not abs(mass - 1.0) <= MASS_TOL:
         if mass > 1.0:
             cause = "the grid is too coarse for the output field (--grid-points)"
@@ -199,5 +200,5 @@ def thermal_loss_phase_space(rho, spec, grid):
             f"{MASS_TOL:.0e} of 1: {cause}",
             magnitude=abs(mass - 1.0),
         )
-    field.values /= mass
+    field._arrays[0] /= mass
     return field

@@ -21,6 +21,7 @@ only with ``--cat``, and ``sweep`` does not read ``--extent-sigmas`` or
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .errors import NumericalError
 from .fisher import BAND_DEFAULT, _smoothing_reports, cramer_rao_check, fisher_from_field
 from .fock import as_density, cat, load_state, state_moments
 from .measure import _physical_quadrature, measure_from_field, ngm
-from .numerics import MIN_POINTS, PhaseSpaceGrid, _ordered_map, worker_count
+from .numerics import MIN_POINTS, PhaseSpaceGrid, _odd_points, _ordered_map, worker_count
 from .wigner import default_grid, wigner_gradient
 
 __all__ = [
@@ -190,7 +191,8 @@ def cmd_sweep(ns):
     metadata = [
         ("preset", preset.name),
         ("recipe", preset.recipe),
-        ("points", ns.grid_points),
+        # the count every grid of the preset is built with
+        ("points", _odd_points(ns.grid_points)),
     ]
     if preset.loss_taus:
         metadata.append(("nbar", preset.loss_nbar))
@@ -220,7 +222,7 @@ def _fisher_report(ns):
     doc = {
         "command": "fisher",
         "source": label,
-        "points": ns.grid_points,
+        "points": field.grid.n_q,
         "J": fisher.J.tolist(),
         "trace_J": fisher.trace,
         "trace_Vinv": float(np.trace(np.linalg.inv(V))),
@@ -406,8 +408,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` parses every call with, built on the first."""
+    return build_parser()
+
+
 def main(argv=None):
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         _validate(ns)
         return _HANDLERS[ns.command](ns)

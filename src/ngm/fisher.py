@@ -116,8 +116,8 @@ def fisher_from_field(field):
     if not field.has_gradient:
         raise ValueError("fisher_from_field needs analytic gradients; "
                          "synthesize with wigner_gradient")
-    cells, wq, wp = _independent_cells(field)
-    W, gq, gp, grid = field.values[cells], field.grad_q[cells], field.grad_p[cells], field.grid
+    (W, gq, gp), _, _, wq, wp = _independent_cells(field)
+    grid = field.grid
     # no zero crossings: integrated in full wherever W != 0
     definite = W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR)
     pairs = ((0, gq, gq), (1, gq, gp), (2, gp, gp))

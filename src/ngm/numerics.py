@@ -58,6 +58,11 @@ def _axis(lo, hi, n):
     return np.concatenate((-half[:0:-1], half))
 
 
+def _odd_points(n):
+    """n rounded up to odd: Simpson needs an even number of panels."""
+    return n + 1 - n % 2
+
+
 class PhaseSpaceGrid:
     """Uniform rectangular grid over single-mode phase space.
 
@@ -74,11 +79,7 @@ class PhaseSpaceGrid:
         n_q, n_p = int(n_q), int(n_p)
         if n_q < min_points or n_p < min_points:
             raise ValueError(f"grid needs at least {min_points} points per axis")
-        # round up to odd: Simpson needs an even number of panels
-        if n_q % 2 == 0:
-            n_q += 1
-        if n_p % 2 == 0:
-            n_p += 1
+        n_q, n_p = _odd_points(n_q), _odd_points(n_p)
         self.q_min, self.q_max = float(q_min), float(q_max)
         self.p_min, self.p_max = float(p_min), float(p_max)
         self.n_q, self.n_p = n_q, n_p

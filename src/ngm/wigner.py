@@ -21,8 +21,10 @@ x >= 0 and each product is E + O at x, E - O at -x, with E and O the sums
 over the even and the odd orders: half the flops of a whole GEMM, with the
 rounding bound from one quadrant.  Where D's rows (q) or columns (p) of
 one order parity are exactly 0 (a real state's odd columns; a cat's, |n>'s
-or a GKP state's odd rows too), E or O is 0: the products and the rounding
-drop run on x >= 0 only, and x < 0 is their signed copy.  The rank is
+or a GKP state's odd rows too), E or O is 0 and W has one parity: the
+products and the rounding drop run on x >= 0 only, and the field holds
+that block (``WignerField``), unfolded into its signed copy at x < 0 only
+when a caller reads the grid-shaped arrays.  The rank is
 2 dim - 1 for any rho, pure or mixed, and nothing is sampled but the grid
 itself.  The analytic gradient uses phi_n' = sqrt(n/2) phi_{n-1} -
 sqrt((n+1)/2) phi_{n+1}, one order above D and of the opposite parity.
@@ -44,10 +46,12 @@ Every integral of a sampled field -- the mass check, the moments,
 -int W ln|W| and the negative volume -- comes from one quadrature pass
 (``_quadrature``).  A synthesized field carries the axes it is even along,
 known from its expansion's parities; the pass reads it on x >= 0 along
-those axes with the folded Simpson weights (a quarter of the grid for a
-cat, |n> or a GKP state, half for a real state), and there the mean and the
-cross moment are 0 exactly.  Any other field takes the whole grid with the
-same body.
+those axes -- the block the field holds -- with the folded Simpson weights
+(a quarter of the grid for a cat, |n> or a GKP state, half for a real
+state), and there the mean and the cross moment are 0 exactly.  Any other
+field takes the whole grid with the same body.  The Fisher sweep, the
+gradient check, the synthesis's finiteness and residue checks and the
+phase-space channel's mass check read the block too.
 """
 
 import collections
@@ -108,28 +112,84 @@ class GaussianMoments:
 
 
 class WignerField:
-    """Sampled Wigner function, optionally with analytic gradient fields."""
+    """Sampled Wigner function, optionally with analytic gradient fields.
+
+    ``values``, ``grad_q`` and ``grad_p`` are real grid-shaped arrays (a
+    gradient may be None).  A synthesized field whose W has one parity along
+    a mirrored axis holds only its cells from the centre on along that axis
+    (the block; ``_fold``), which the library's passes read.  The first read
+    or assignment of any of the three unfolds the field in place: x < 0 is
+    the block mirrored with its parity's sign, which flips for the
+    derivative along that axis.
+    """
 
     #: (q, p): whether W is even along each axis, W(-q, p) = W(q, p) bit for
     #: bit (likewise in p); set by the synthesis, which knows it from D
     _even = (False, False)
+    #: (q, p): W's parity (0 even, 1 odd) along each axis the arrays hold
+    #: folded, from the centre on; None along an axis they hold whole
+    _fold = (None, None)
     #: the ``_expand`` value the synthesis drew the field from
     _expansion = None
 
     def __init__(self, grid, values, grad_q=None, grad_p=None):
-        if np.iscomplexobj(values):
-            raise ValueError("field values must be real")
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError("field values do not match the grid shape")
-        self.grid = grid
-        self.values = values
-        self.grad_q = grad_q
-        self.grad_p = grad_p
+        self.grid, self._arrays = grid, [None, None, None]
+        self.values, self.grad_q, self.grad_p = values, grad_q, grad_p
+
+    def _grid_array(index, name):
+        """The field's array ``index`` (W, dW/dq, dW/dp) as a property:
+        reading or assigning it unfolds the field first, and an assigned
+        array must be real and grid-shaped (a gradient may be None)."""
+
+        def get(self):
+            self._unfold()
+            return self._arrays[index]
+
+        def put(self, value):
+            if value is not None or index == 0:
+                if np.iscomplexobj(value):
+                    raise ValueError(f"{name} must be real")
+                value = np.asarray(value, dtype=float)
+                if value.shape != self.grid.shape:
+                    raise ValueError(f"{name} do not match the grid shape")
+            self._unfold()
+            self._arrays[index] = value
+
+        return property(get, put)
+
+    values = _grid_array(0, "field values")
+    grad_q = _grid_array(1, "gradient values grad_q")
+    grad_p = _grid_array(2, "gradient values grad_p")
+    del _grid_array
 
     @property
     def has_gradient(self):
-        return self.grad_q is not None and self.grad_p is not None
+        return self._arrays[1] is not None and self._arrays[2] is not None
+
+    def _unfold(self):
+        """Hold every array whole, from here on."""
+        if self._fold != (None, None):
+            self._arrays = [None if a is None else _unfolded(a, self.grid.shape, self._fold, odd)
+                            for a, odd in zip(self._arrays, (None, 0, 1))]
+            self._fold = (None, None)
+
+
+def _unfolded(block, shape, fold, odd=None):
+    """The array of ``shape`` that ``block`` holds the cells of from the
+    centre on along each axis with a parity in ``fold`` (0 even, 1 odd;
+    None: all of it): x < 0 is x > 0 mirrored times (-1)^parity, with one
+    more flip along the axis ``odd`` (0 q, 1 p) for a derivative along it.
+    ``block`` itself if no axis is folded."""
+    if fold == (None, None):
+        return block
+    hq, hp = (n - m for n, m in zip(shape, block.shape))
+    sq, sp = (1.0 if f is None else (-1.0) ** (f + (axis == odd)) for axis, f in enumerate(fold))
+    out = np.empty(shape)
+    out[hq:, hp:] = block
+    # a product with +-1 is the signed copy, bit for bit
+    np.multiply(out[hq:, shape[1] - hp :][:, ::-1], sp, out=out[hq:, :hp])
+    np.multiply(out[shape[0] - hq :][::-1], sq, out=out[:hq])
+    return out
 
 
 #: unit roundoff of float64
@@ -378,7 +438,7 @@ def _coefficients(c):
     return D
 
 
-def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS, order=None, flip=1.0):
+def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS, order=None):
     """out = A^T Y for A the table on the axis x, T its columns on x[h:].
 
     x[:h] is -x[h + c:] reversed (c = n - 2h).  With E and O the sums over
@@ -388,44 +448,30 @@ def _parity_product(T, Y, h, odd, out, finish=None, cells=_BLOCK_CELLS, order=No
     may work on a block in cache (rows from ``first`` on have mirrors) with
     O's buffer, now free, and two more: a float one and a bool one.  If
     Y's nonzero rows are all of the order parity ``order`` (0 even, 1 odd),
-    row -x is +-(row x): one product, no combine passes, and ``mirrored``
-    is None.  If Y has fewer columns than out, it gives out's last ones,
-    and out's first ones are their mirror times ``flip``, copied by blocks.
+    row -x is +-(row x) and is not computed: out holds x[h:] alone (the
+    caller passes h = 0), one product per block, and ``mirrored`` is None.
     """
-    c, cut = out.shape[0] - 2 * h, out.shape[1] - Y.shape[1]
-    right, left = out[:, cut:], out[:, :cut][:, ::-1]
+    c = out.shape[0] - 2 * h
     (Te, To), (Ye, Yo) = (T[0::2].T, T[1::2].T), (Y[0::2], Y[1::2])
     for rows, other, diff, *bufs in _row_blocks((T.shape[1], Y.shape[1]), 3, cells):
-        block, first = right[h:][rows], max(rows.start, c) - rows.start
-        if order is None:
-            np.matmul(Te[rows], Ye, out=block)
-            np.matmul(To[rows], Yo, out=other)
-            mirrored, sign = diff[first:], 1.0
-            np.subtract(*(block[first:], other[first:])[:: 1 - 2 * odd], out=mirrored)
-            block += other
-        else:
+        block, first = out[h:][rows], max(rows.start, c) - rows.start
+        if order is not None:
             np.matmul((Te, To)[order][rows], (Ye, Yo)[order], out=block)
-            mirrored, sign = None, (-1.0) ** (order + odd)
+            if finish:
+                finish(rows, block, None, first, other, *bufs)
+            continue
+        np.matmul(Te[rows], Ye, out=block)
+        np.matmul(To[rows], Yo, out=other)
+        mirrored = diff[first:]
+        np.subtract(*(block[first:], other[first:])[:: 1 - 2 * odd], out=mirrored)
+        block += other
         if finish:
             finish(rows, block, mirrored, first, other, *bufs)
-        at = slice(rows.start + first - c, rows.stop - c)
-        mirror = right[:h][::-1][at]
-        _signed_copy(block[first:] if mirrored is None else mirrored, sign, mirror)
-        if cut:
-            _signed_copy(block[:, -cut:], flip, left[h:][rows])
-            _signed_copy(mirror[:, -cut:], flip, left[:h][::-1][at])
-
-
-def _signed_copy(src, sign, out):
-    """out = sign src for sign +-1; a copy takes half the time of a product."""
-    if sign > 0:
-        out[...] = src
-    else:
-        np.negative(src, out=out)
+        out[:h][::-1][rows.start + first - c : rows.stop - c] = mirrored
 
 
 def _fields(expansion, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0))):
-    """[W] or [W, dW/dq, dW/dp] of an expansion's D on the q and p axes.
+    """([W] or [W, dW/dq, dW/dp], fold) of an expansion's D on the q and p axes.
 
     W = A_q D A_p^T / sqrt(pi), A[i, j] = chi_j(sqrt2 x_i) at the (tau, v) of
     ``maps`` per axis (the field dilated by sqrt(tau) and convolved with
@@ -434,29 +480,30 @@ def _fields(expansion, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0)
     sqrt((n+1)/2) phi_{n+1}, one order above D.  Values of W inside
     gamma (|A_q| |D| |A_p|^T) / sqrt(pi), the products' own rounding bound
     (each entry still sums size products per product, in another order),
-    carry no sign and are set to 0; ``bound``, if given, receives it.
-    On a mirrored axis where D has one order parity, x < 0 is x >= 0 signed.
-    Returns the fields and, per axis, whether W is even along it (mirrored,
-    and D's nonzero rows (q) or columns (p) all of even order).
+    carry no sign and are set to 0; ``bound``, if given, receives it on the
+    whole grid.  On a mirrored axis where D's nonzero rows (q) or columns
+    (p) are all of one order parity, W has that parity and the fields are
+    computed and returned on x >= 0 only: ``fold`` gives, per axis, that
+    parity (see ``_unfolded``), else None.
     """
     size = expansion.D.shape[0]
     orders = size + 1 if with_grad else size
     # h points of an axis mirror its last h, x[i] = -x[n-1-i] bit for bit
     hq, hp = (x.size // 2 if (x == -x[::-1]).all() else 0 for x in (q, p))
-    uq, cq, cp = q.size - hq, q.size - 2 * hq, p.size - 2 * hp
+    uq = q.size - hq
     # the expansion's order parities, on the mirrored axes
     pq, pp = (o if h else None for o, h in zip(expansion.parity, (hq, hp)))
-    # W's columns from ``cols`` on are computed, the rest mirror them
-    cols, flip = (0, 1.0) if pp is None else (hp, (-1.0) ** pp)
+    # the fields start at x[h] along a folded axis; the products mirror the others
+    fq, fp = (0 if o is None else h for o, h in ((pq, hq), (pp, hp)))
     # one table for both axes where their maps agree
     axes = [np.concatenate((q[hq:], p[hp:]))] if maps[0] == maps[1] else (q[hq:], p[hp:])
     tables = [_hermite_functions(np.sqrt(2.0) * x, orders, *m) for x, m in zip(axes, maps)]
     table = tables[0] if len(tables) == 1 else np.hstack(tables)
     Tq, Tp = table[:size, :uq], table[:size, uq:]
     Dt = np.ascontiguousarray(expansion.D.T) / np.sqrt(np.pi)
-    # inner = D A_p^T on W's computed columns is one block
-    inner = np.empty((size, p.size - cols))
-    _parity_product(Tp, Dt, hp - cols, False, inner.T, cells=inner.size, order=pp)
+    # inner = D A_p^T on W's columns is one block
+    inner = np.empty((size, p.size - fp))
+    _parity_product(Tp, Dt, hp - fp, False, inner.T, cells=inner.size, order=pp)
     n_terms = 2 * size
     gamma = n_terms * _UNIT_ROUNDOFF / (1.0 - n_terms * _UNIT_ROUNDOFF)
     # the bound's products skip the orders whose rows or columns of D are 0
@@ -467,8 +514,8 @@ def _fields(expansion, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0)
 
     # the bound is even in q and p: one quadrant serves the four
     def drop_rounding(rows, block, mirrored, first, mag, row_bound, mask):
-        np.matmul(abs_q[rows], spread, out=row_bound[:, hp - cols :])
-        row_bound[:, : hp - cols][:, ::-1] = row_bound[:, p.size - hp :]
+        np.matmul(abs_q[rows], spread, out=row_bound[:, hp - fp :])
+        row_bound[:, : hp - fp][:, ::-1] = row_bound[:, p.size - hp :]
         for cells, k in ((block, 0), (mirrored, first)):
             if cells is None:
                 continue
@@ -476,14 +523,14 @@ def _fields(expansion, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0)
             if mask[k:].any():
                 np.copyto(cells, 0.0, where=mask[k:])
         if bound is not None:
-            bound[hq:][rows, cols:] = row_bound
+            bound[hq:][rows, fp:] = row_bound
 
     # field-sized temporaries would be faulted in and freed on every call
-    W = np.empty((q.size, p.size))
-    _parity_product(Tq, inner, hq, False, W, drop_rounding, order=pq, flip=flip)
+    W = np.empty((q.size - fq, p.size - fp))
+    _parity_product(Tq, inner, hq - fq, False, W, drop_rounding, order=pq)
     if bound is not None:
-        bound[:hq] = bound[hq + cq :][::-1]
-        bound[:, :cols] = bound[:, p.size - cols :][:, ::-1]
+        bound[:hq] = bound[q.size - hq :][::-1]
+        bound[:, :fp] = bound[:, p.size - fp :][:, ::-1]
     fields = [W]
     if with_grad:
         # d/dq phi_n(sqrt2 q) = sqrt(n) phi_{n-1} - sqrt(n+1) phi_{n+1}
@@ -491,11 +538,11 @@ def _fields(expansion, q, p, with_grad, bound=None, maps=((1.0, 0.0), (1.0, 0.0)
         deriv = root[:size] * np.vstack((np.zeros_like(table[:1]), table[: size - 1]))
         deriv -= root[1:] * table[1:]
         fields += [np.empty_like(W), np.empty_like(W)]
-        _parity_product(deriv[:, :uq], inner, hq, True, fields[1], order=pq, flip=flip)
+        _parity_product(deriv[:, :uq], inner, hq - fq, True, fields[1], order=pq)
         # D dA_p^T
-        _parity_product(deriv[:, uq:], Dt, hp - cols, True, inner.T, cells=inner.size, order=pp)
-        _parity_product(Tq, inner, hq, False, fields[2], order=pq, flip=-flip)
-    return fields, (pq == 0, pp == 0)
+        _parity_product(deriv[:, uq:], Dt, hp - fp, True, inner.T, cells=inner.size, order=pp)
+        _parity_product(Tq, inner, hq - fq, False, fields[2], order=pq)
+    return fields, (pq, pp)
 
 
 #: a Fock-basis matrix c expanded once for all its fields (``_expand``): D,
@@ -537,14 +584,15 @@ def _synthesize(c, grid, with_grad):
 
 def _synthesize_mapped(expansion, grid, with_grad, maps, label):
     """The ``WignerField`` of ``_fields`` for an expansion at the table
-    ``maps``, carrying the axes W is even along and the expansion.  Each
-    array is checked finite, and the imaginary fields W[a], where the
-    expansion holds a, within IMAG_RESIDUE_HARD (else ConsistencyError
-    naming ``label``).
+    ``maps``, held as ``_fields`` returns it, carrying the axes W is even
+    along and the expansion.  Each array is checked finite, and the
+    imaginary fields W[a], where the expansion holds a, within
+    IMAG_RESIDUE_HARD (else ConsistencyError naming ``label``), on the cells
+    computed: the others are their signed mirror.
     """
     q = np.asarray(grid.q, dtype=float)
     p = np.asarray(grid.p, dtype=float)
-    fields, even = _fields(expansion, q, p, with_grad, maps=maps)
+    fields, fold = _fields(expansion, q, p, with_grad, maps=maps)
     imag = [] if expansion.anti is None else _fields(expansion.anti, q, p, with_grad, maps=maps)[0]
     for f in fields + imag:
         _require_finite(f, "synthesized Wigner field")
@@ -554,8 +602,9 @@ def _synthesize_mapped(expansion, grid, with_grad, maps, label):
             f"{label} has imaginary residue {residue:.3e} > {IMAG_RESIDUE_HARD:.0e}; "
             "the input is effectively non-Hermitian"
         )
-    field = WignerField(grid, *fields)
-    field._even, field._expansion = even, expansion
+    field = WignerField.__new__(WignerField)
+    field.grid, field._arrays = grid, fields + [None] * (3 - len(fields))
+    field._fold, field._even, field._expansion = fold, tuple(f == 0 for f in fold), expansion
     return field
 
 
@@ -591,9 +640,12 @@ def wigner_gradient(rho, grid=None, points=513):
 
 def _check_gradient(field):
     stride, h = _CHECK_STRIDE, _CHECK_STEP
-    qs = field.grid.q[::stride]
-    ps = field.grid.p[::stride]
-    mask = np.abs(field.values[::stride, ::stride]) > 1e-6
+    grid, (W, grad_q, grad_p) = field.grid, field._arrays
+    # every stride-th point the arrays hold: along a folded axis from the
+    # centre on (the rest mirrors it bit for bit)
+    qs, ps = (x[0 if f is None else x.size // 2 :: stride]
+              for x, f in zip((grid.q, grid.p), field._fold))
+    mask = np.abs(W[::stride, ::stride]) > 1e-6
     if not np.any(mask):
         return
     e = field._expansion
@@ -601,11 +653,12 @@ def _check_gradient(field):
     # W(q, p) from D is W(p, q) from D^T: the shifted axis goes first, as
     # xs -+ h interleaved, which is mirrored if xs is: -(x_i + h) = x_{m-i} - h
     swapped = e._replace(D=e.D.T, parity=e.parity[::-1])
-    for grad, C, xs, ys in ((field.grad_q, e, qs, ps), (field.grad_p.T, swapped, ps, qs)):
+    for grad, C, xs, ys in ((grad_q, e, qs, ps), (grad_p.T, swapped, ps, qs)):
         shifted = np.column_stack((xs - h, xs + h)).ravel()
         bounds = np.empty((shifted.size, ys.size))
-        (W,), _ = _fields(C, shifted, ys, False, bounds)
-        fd.append((W[1::2] - W[0::2]) / (2.0 * h))
+        (samples,), fold = _fields(C, shifted, ys, False, bounds)
+        samples = _unfolded(samples, bounds.shape, fold)
+        fd.append((samples[1::2] - samples[0::2]) / (2.0 * h))
         # both samples are within their rounding bounds, so the central
         # difference is within their sum over 2h
         slack = (bounds[0::2] + bounds[1::2]) / (2.0 * h)
@@ -621,20 +674,27 @@ def _check_gradient(field):
 
 
 def _independent_cells(field):
-    """(cells, wq, wp): the part of the field a pass reads and its Simpson
-    weights.  Along an axis W is even along (``WignerField._even``; grids
-    have odd point counts) the indices from the centre h on, weighted w_h,
-    2 w_{h+1}, ... (w is symmetric); along any other axis all of it, the
-    weights unfolded."""
-    grid, cells, weights = field.grid, [], []
-    for n, step, even in zip(grid.shape, (grid.dq, grid.dp), field._even):
-        h = n // 2 if even else 0
-        w = axis_weights(n, step)[h:]
+    """([W, dW/dq, dW/dp], q, p, wq, wp): the field's arrays (a missing
+    gradient None) on the part of the grid a pass reads, its coordinates
+    and its Simpson weights.  Along an axis W is even along (grids have odd
+    point counts) that is the indices from the centre h on, weighted w_h,
+    2 w_{h+1}, ... (w is symmetric): the block itself where the field holds
+    it folded.  Along any other axis it is all of it, the weights unfolded;
+    a field held folded along an odd axis (mass 0: an imaginary part or a
+    matrix that is not a state) is unfolded first."""
+    if 1 in field._fold:
+        field._unfold()
+    grid, axes, weights, cells = field.grid, [], [], []
+    for x, step, even, fold in zip((grid.q, grid.p), (grid.dq, grid.dp), field._even,
+                                   field._fold):
+        h = x.size // 2 if even else 0
+        w = axis_weights(x.size, step)[h:]
         if even:
             w[1:] *= 2.0
-        cells.append(slice(h, None))
+        axes.append(x[h:])
         weights.append(w)
-    return tuple(cells), *weights
+        cells.append(slice(0 if fold is not None else h, None))
+    return [None if a is None else a[tuple(cells)] for a in field._arrays], *axes, *weights
 
 
 def _quadrature(field):
@@ -650,8 +710,7 @@ def _quadrature(field):
     more than MASS_TOL (or NaN) raises NormalizationError, and moments past
     the float range NumericalError; the callers validate the moments.
     """
-    cells, wq, wp = _independent_cells(field)
-    W, q, p = field.values[cells], field.grid.q[cells[0]], field.grid.p[cells[1]]
+    (W, _, _), q, p, wq, wp = _independent_cells(field)
     marg_q, ent_rows, neg_rows = np.empty((3, W.shape[0]))
     marg_p = np.zeros(W.shape[1])
     for rows, b, zero in _row_blocks(W.shape, 1):

@@ -506,8 +506,8 @@ def test_thermal_loss_past_dim_257(n_bar):
 def dilated(rho, s, grid):
     """(1/s^2) W(r/s) of rho on the grid, exactly: the table map (s^2, 0)."""
     expansion = wigner._expand(as_density(rho).entries)
-    (values,), _ = wigner._fields(expansion, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
-    return WignerField(grid, values)
+    (values,), fold = wigner._fields(expansion, grid.q, grid.p, False, maps=((s * s, 0.0),) * 2)
+    return WignerField(grid, wigner._unfolded(values, grid.shape, fold))
 
 
 def test_rescale_identity():

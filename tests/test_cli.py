@@ -22,7 +22,7 @@ import pytest
 from test_synthesis import spy_on_coefficients
 
 import ngm as ngm_package
-from ngm import catalog, cli, fisher, measure, wigner
+from ngm import catalog, channels, cli, fisher, measure, wigner
 from ngm.catalog import build_state, preset_random_qudits
 from ngm.cli import _jsonable, main
 from ngm.fock import FockVector, as_density, cat, save_state
@@ -701,3 +701,77 @@ def test_fisher_integrates_each_field_once(tmp_path, monkeypatch, capsys, checks
     assert doc["trace_Vinv"] == float(np.trace(np.linalg.inv(V)))
     want = fisher.cramer_rao_check(V, fisher.fisher_from_field(field).J)
     assert doc["cramer_rao"] == json.loads(json.dumps(_jsonable(want)))
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (None, 1),
+    (["fisher", "--cat", "1.3", "--debruijn", "--derivative"], 1 + len(fisher.SMOOTHING_EPSILONS)),
+    (["channel", "--cat", "1.5", "--tau", "0.7", "--engine", "both", "--cutoff", "20"], 3),
+], ids=["ngm", "fisher", "channel"])
+def test_cat_commands_unfold_no_field(tmp_path, monkeypatch, capsys, argv, fields):
+    # every field is held on its quadrant, and every pass reads it there
+    made = []
+    synthesize = wigner._synthesize_mapped
+
+    def spy(*args):
+        made.append(synthesize(*args))
+        return made[-1]
+
+    for module in (wigner, fisher, channels):
+        monkeypatch.setattr(module, "_synthesize_mapped", spy)
+    if argv is None:
+        ngm(cat(1.5, "even", 40)).validate()
+    else:
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
+    assert len(made) == fields
+    assert [f._fold for f in made] == [(0, 0)] * fields
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        common = ["--grid-points", "65", "--cutoff", "20"]
+        runs = [["measure", "--cat", "1.2", *common],
+                ["fisher", "--cat", "1.2", "--debruijn", *common],
+                ["fisher", "--cat", "1.2", *common],
+                ["channel", "--cat", "1.2", "--tau", "0.8", *common],
+                ["sweep", "--preset", "vacuum", "--grid-points", "65"]]
+        docs = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{i}.out"
+            assert main([*argv, "--out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        capsys.readouterr()
+        assert builds == [1]
+        # the second fisher run keeps none of the first one's options
+        assert "debruijn" in json.loads(docs[1]) and "debruijn" not in json.loads(docs[2])
+        # and writes what a fresh parser's run writes
+        cli._parser.cache_clear()
+        out = tmp_path / "fresh.out"
+        assert main([*runs[2], "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == docs[2]
+        assert builds == [1, 1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_reported_point_count_is_the_grids(tmp_path, capsys):
+    # PhaseSpaceGrid rounds the count up to odd; the documents report that
+    out = tmp_path / "fisher.json"
+    assert main(["fisher", "--cat", "1.2", "--grid-points", "128", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["points"] == 129
+    grid = default_grid(as_density(cat(1.2, "even", 40)), points=128, sigmas=5.5)
+    assert grid.n_q == grid.n_p == 129
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "qubit-hemisphere", "--grid-points", "100",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert read_metadata(path)["points"] == "101"
+    rows = catalog.run_preset(catalog.named_preset("qubit-hemisphere"), points=100)
+    assert [float(r["re_mu"]) for r in read_rows(path)] == [r["re_mu"] for r in rows]

@@ -423,8 +423,8 @@ def smoothed(state, grid, cov):
     maps (1, 2 cov_qq) and (1, 2 cov_pp) on the state's coefficients."""
     expansion = wigner._expand(as_density(state).entries)
     maps = tuple((1.0, 2.0 * c) for c in np.diag(cov))
-    (values,), _ = wigner._fields(expansion, grid.q, grid.p, False, maps=maps)
-    return values
+    (values,), fold = wigner._fields(expansion, grid.q, grid.p, False, maps=maps)
+    return wigner._unfolded(values, grid.shape, fold)
 
 
 def coherent_at(mean):

@@ -444,11 +444,13 @@ def test_rounding_bound_buffers_match_whole_blocks(make, monkeypatch):
     grid = default_grid(rho)
     expansion = wigner._expand(rho.entries)
     bound = np.empty(grid.shape)
-    (W,), _ = wigner._fields(expansion, grid.q, grid.p, False, bound)
+    (W,), fold = wigner._fields(expansion, grid.q, grid.p, False, bound)
+    W = wigner._unfolded(W, grid.shape, fold)
     want_W, want_bound = fields_by_whole_blocks(expansion.D, grid.q, grid.p)
     # the same products with a zero bound: nothing but exact zeros is cut
     monkeypatch.setattr(wigner, "_UNIT_ROUNDOFF", 0.0)
-    (raw,), _ = wigner._fields(expansion, grid.q, grid.p, False)
+    (raw,), fold = wigner._fields(expansion, grid.q, grid.p, False)
+    raw = wigner._unfolded(raw, grid.shape, fold)
     zeroed = np.abs(raw) <= bound
     assert np.array_equal(W == 0.0, zeroed)
     assert np.array_equal(W[~zeroed], raw[~zeroed])
@@ -549,24 +551,28 @@ def test_parity_kernel_matches_whole_gemms(grid_name, kind, monkeypatch):
     # W and both gradients, each within the two computations' bounds of
     # each other; a cell of W that the kernel zeroed was within its own
     # bound of 0, so it is within three bounds of the whole GEMM.  Along
-    # an axis of definite parity the fields mirror bit for bit, the
-    # derivative along it with the opposite sign
+    # an axis of definite parity the fields are computed from the centre
+    # on and mirror bit for bit, the derivative along it with the opposite
+    # sign
     grid = KERNEL_GRIDS[grid_name]()
     make, (pq, pp) = (RING_INPUTS if grid_name == "outer-ring" else KERNEL_INPUTS)[kind]
     expansion = wigner._expand(make())
     orders = []
     product = wigner._parity_product
+    block = tuple(n - n // 2 * (f is not None) for n, f in zip(grid.shape, (pq, pp)))
 
     def spy(T, Y, h, odd, out, *args, order=None, **kwargs):
-        orders.append((out.shape == grid.shape, order))
+        orders.append((out.shape == block, order))
         return product(T, Y, h, odd, out, *args, order=order, **kwargs)
 
     monkeypatch.setattr(wigner, "_parity_product", spy)
-    got, even = wigner._fields(expansion, grid.q, grid.p, True)
+    got, fold = wigner._fields(expansion, grid.q, grid.p, True)
     # D A_p^T, W, dW/dq, D dA_p^T, dW/dp: the inner products run along p
     assert orders == [(False, pp), (True, pq), (True, pq), (False, pp), (True, pq)]
-    # W is even along exactly the axes of even order parity
-    assert even == (pq == 0, pp == 0)
+    # the fields are held folded along exactly the axes of one order parity
+    assert fold == (pq, pp)
+    assert [f.shape for f in got] == [block] * 3
+    got = [wigner._unfolded(f, grid.shape, fold, odd) for f, odd in zip(got, (None, 0, 1))]
     want = whole_gemm_fields(expansion.D, grid.q, grid.p)
     assert np.max(np.abs(want[0][0])) > 1e-4
     for i, (field, (oracle, bound)) in enumerate(zip(got, want)):

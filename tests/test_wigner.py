@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from ngm import wigner
+from ngm.catalog import apply_qubit_state
 from ngm.channels import ThermalLossSpec, thermal_loss_phase_space
 from ngm.errors import ConsistencyError, NormalizationError, NumericalError
 from ngm.fisher import _smoothing_reports, fisher_from_field
@@ -261,6 +262,100 @@ def test_a_shared_expansion_gives_the_fields_of_separate_syntheses(name):
 def test_field_values_must_be_real():
     with pytest.raises(ValueError, match="real"):
         WignerField(GRID, np.zeros(GRID.shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [lambda g: g[:-1], lambda g: g.T[:, :-1],
+                                 lambda g: g + 0j, lambda g: g[0]],
+                         ids=["short", "transposed-short", "complex", "one-row"])
+def test_field_gradients_must_be_real_and_grid_shaped(bad):
+    # such a gradient was accepted, and fisher_from_field died on it with
+    # a broadcast ValueError or a UFuncTypeError
+    field = wigner_gradient(fock_density(1), GRID)
+    W, gq, gp = field.values, field.grad_q, field.grad_p
+    for args in ((W, bad(gq), gp), (W, gq, bad(gp))):
+        with pytest.raises(ValueError, match="grad_"):
+            WignerField(GRID, *args)
+    for axis in ("grad_q", "grad_p"):
+        with pytest.raises(ValueError, match=axis):
+            setattr(field, axis, bad(getattr(field, axis)))
+    assert field.grad_q is gq and field.grad_p is gp
+    assert WignerField(GRID, W, None, gp).grad_q is None
+
+
+# ------------------------------------------------------------- folded fields
+
+
+def _gkp_1025():
+    rho = gkp_logical(0, 10 ** (-10 / 20), n_c=60).to_density()
+    extent = np.sqrt(2.0 * 61) + 3.0
+    return wigner_from_fock(rho, PhaseSpaceGrid(-extent, extent, -extent, extent, 1025, 1025))
+
+
+def _smoothed_cat():
+    expansion = wigner._expand(cat(1.2, "even", 30).to_density().entries)
+    maps = ((1.0, 2e-3), (1.0, 4e-3))
+    return wigner._synthesize_mapped(expansion, GRID, False, maps, "smoothed Wigner field")
+
+
+def _channel_output():
+    rho, spec = cat(1.5, "even", 30), ThermalLossSpec(0.7, 0.2)
+    grid = PhaseSpaceGrid.for_moments(*spec.output_moments(*state_moments(rho)), points=129)
+    return thermal_loss_phase_space(rho, spec, grid)
+
+
+#: a synthesized field and the parities (q, p) it is held folded along
+FOLDED_FIELDS = {
+    "cat": (lambda: wigner_from_fock(cat(1.5, "even", 40).to_density(), GRID), (0, 0)),
+    "odd-cat": (lambda: wigner_from_fock(cat(1.5, "odd", 40).to_density(), GRID), (0, 0)),
+    "fock-3": (lambda: wigner_from_fock(fock_density(3), GRID), (0, 0)),
+    "gkp-1025": (_gkp_1025, (0, 0)),
+    "real-ds60": (lambda: wigner_from_fock(displaced_squeezed(2.0, 0.3, 60).to_density()),
+                  (None, 0)),
+    "qubit-pi/2": (lambda: wigner_from_fock(apply_qubit_state(0.75, np.pi / 2, 0.0), GRID),
+                   (None, 0)),
+    "gradient": (lambda: wigner_gradient(cat(1.2, "even", 30).to_density(), GRID), (0, 0)),
+    "smoothed": (_smoothed_cat, (0, 0)),
+    "phase-space": (_channel_output, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(FOLDED_FIELDS))
+def test_unfolded_arrays_are_the_block_mirrored_with_its_parity(name):
+    make, fold = FOLDED_FIELDS[name]
+    field = make()
+    assert field._fold == fold
+    blocks = [None if a is None else a.copy() for a in field._arrays]
+    shape = field.grid.shape
+    hs = [n // 2 if f is not None else 0 for n, f in zip(shape, fold)]
+    assert [b.shape for b in blocks if b is not None] == [(shape[0] - hs[0], shape[1] - hs[1])] * (
+        3 if field.has_gradient else 1)
+    arrays = [field.values, field.grad_q, field.grad_p]
+    assert field._fold == (None, None)
+    for derivative, (block, full) in enumerate(zip(blocks, arrays), start=-1):
+        if block is None:
+            assert full is None
+            continue
+        assert full.shape == shape and full.flags.c_contiguous
+        assert full[hs[0]:, hs[1]:].tobytes() == block.tobytes()
+        for axis, (h, f) in enumerate(zip(hs, fold)):
+            if f is None:
+                continue
+            # x < 0 is x > 0 reversed, negated where the array is odd there
+            near = np.take(full, np.arange(h), axis)
+            far = np.flip(np.take(full, np.arange(shape[axis] - h, shape[axis]), axis), axis)
+            odd = (f + (axis == derivative)) % 2
+            assert near.tobytes() == (np.negative(far) if odd else far).tobytes()
+
+
+def test_a_cat_holds_its_quadrant_until_read():
+    field = wigner_from_fock(cat(1.5, "even", 40).to_density(), GRID)
+    quadrant = (GRID.n_q // 2 + 1) * (GRID.n_p // 2 + 1)
+    assert field._arrays[0].size == quadrant
+    moments(field)
+    negative_volume(field)
+    assert field._arrays[0].size == quadrant
+    assert field.values.shape == GRID.shape
+    assert field._arrays[0].shape == GRID.shape
 
 
 @pytest.mark.parametrize("eps, accepted", [(1e-10, True), (2e-10, False),
