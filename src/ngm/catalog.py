@@ -271,7 +271,7 @@ def _measure_rows(preset, params, points):
     return rows
 
 
-def run_preset(preset, points=513, workers=None):
+def run_preset(preset, points=513):
     """Evaluate the measure over the whole grid; one row per run.
 
     Rows are ordered as the parameter tuples are (loss sweeps expand in
@@ -280,6 +280,6 @@ def run_preset(preset, points=513, workers=None):
     """
     chunks = _ordered_map(
         lambda params: _measure_rows(preset, params, points),
-        preset.parameters, workers,
+        preset.parameters,
     )
     return [row for chunk in chunks for row in chunk]

@@ -200,5 +200,5 @@ def thermal_loss_phase_space(rho, spec, grid):
             f"{MASS_TOL:.0e} of 1: {cause}",
             magnitude=abs(mass - 1.0),
         )
-    field._arrays[0] /= mass
+    W /= mass
     return field

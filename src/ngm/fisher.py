@@ -121,7 +121,7 @@ def fisher_from_field(field):
     # no zero crossings: integrated in full wherever W != 0
     definite = W.min() >= NEGATIVITY_FLOOR * max(W.max(), TAIL_FLOOR)
     pairs = ((0, gq, gq), (1, gq, gp), (2, gp, gp))
-    if any(field._even):
+    if 0 in field._parity:
         # along an axis W is even along, dW/dq dW/dp is odd: J_qp is 0 exactly
         pairs = pairs[::2]
     # rows: qq, qp, pp at the full then the half level; excluded, total |W|

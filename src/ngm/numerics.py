@@ -29,11 +29,9 @@ _MIN_EXTENT = 6.0
 MIN_POINTS = 65
 
 
-def worker_count(workers=None):
-    """Thread-pool size: the argument, else NGM_WORKERS, else 1; ValueError
-    naming NGM_WORKERS if it is set to a non-integer."""
-    if workers is not None:
-        return max(1, int(workers))
+def worker_count():
+    """Thread-pool size: NGM_WORKERS, else 1; ValueError naming NGM_WORKERS
+    if it is set to a non-integer."""
     env = os.environ.get("NGM_WORKERS", "")
     try:
         return max(1, int(env)) if env.strip() else 1
@@ -41,9 +39,9 @@ def worker_count(workers=None):
         raise ValueError(f"NGM_WORKERS must be an integer, got {env!r}") from None
 
 
-def _ordered_map(fn, items, workers=None):
-    """[fn(x) for x in items], on a thread pool of worker_count(workers)."""
-    count = worker_count(workers)
+def _ordered_map(fn, items):
+    """[fn(x) for x in items], on a thread pool of worker_count()."""
+    count = worker_count()
     if count == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=count) as pool:
@@ -96,12 +94,17 @@ class PhaseSpaceGrid:
         standard deviations keeps the tail bias of a quadrature-extracted
         covariance below ~1e-6 relative; a plain 5-sigma window would bias
         det V of a minimal-uncertainty Gaussian past the uncertainty-bound
-        check.
+        check.  NaN moments, a negative variance or a ``sigmas`` that is not
+        positive raise ValueError.
         """
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
-        sig = np.sqrt(np.diag(cov))
-        rms = np.sqrt(np.diag(cov) + mean**2)
+        var = np.diag(cov)
+        if np.isnan(mean.sum() + cov.sum()) or not (var.min() >= 0.0 and sigmas > 0.0):
+            raise ValueError("grid moments must not be NaN, variances must be >= 0 "
+                             "and sigmas > 0")
+        sig = np.sqrt(var)
+        rms = np.sqrt(var + mean**2)
         eq = max(_MIN_EXTENT, sigmas * rms[0], abs(mean[0]) + sigmas * sig[0])
         ep = max(_MIN_EXTENT, sigmas * rms[1], abs(mean[1]) + sigmas * sig[1])
         return cls(-eq, eq, -ep, ep, points, points)

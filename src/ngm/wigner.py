@@ -23,8 +23,8 @@ rounding bound from one quadrant.  Where D's rows (q) or columns (p) of
 one order parity are exactly 0 (a real state's odd columns; a cat's, |n>'s
 or a GKP state's odd rows too), E or O is 0 and W has one parity: the
 products and the rounding drop run on x >= 0 only, and the field holds
-that block (``WignerField``), unfolded into its signed copy at x < 0 only
-when a caller reads the grid-shaped arrays.  The rank is
+that block (``WignerField``) for good: a caller that reads the grid-shaped
+arrays gets a copy, the block's signed mirror at x < 0.  The rank is
 2 dim - 1 for any rho, pure or mixed, and nothing is sampled but the grid
 itself.  The analytic gradient uses phi_n' = sqrt(n/2) phi_{n-1} -
 sqrt((n+1)/2) phi_{n+1}, one order above D and of the opposite parity.
@@ -44,9 +44,9 @@ the smoothed fields of the Fisher checks, and the phase-space channel's.
 
 Every integral of a sampled field -- the mass check, the moments,
 -int W ln|W| and the negative volume -- comes from one quadrature pass
-(``_quadrature``).  A synthesized field carries the axes it is even along,
-known from its expansion's parities; the pass reads it on x >= 0 along
-those axes -- the block the field holds -- with the folded Simpson weights
+(``_quadrature``).  A synthesized field carries W's parity per axis,
+known from its expansion's parities; along an even axis the pass reads the
+block the field holds, x >= 0, with the folded Simpson weights
 (a quarter of the grid for a cat, |n> or a GKP state, half for a real
 state), and there the mean and the cross moment are 0 exactly.  Any other
 field takes the whole grid with the same body.  The Fisher sweep, the
@@ -112,66 +112,57 @@ class GaussianMoments:
 
 
 class WignerField:
-    """Sampled Wigner function, optionally with analytic gradient fields.
+    """Sampled Wigner function, optionally with analytic gradient fields;
+    it never changes once built.
 
-    ``values``, ``grad_q`` and ``grad_p`` are real grid-shaped arrays (a
-    gradient may be None).  A synthesized field whose W has one parity along
-    a mirrored axis holds only its cells from the centre on along that axis
-    (the block; ``_fold``), which the library's passes read.  The first read
-    or assignment of any of the three unfolds the field in place: x < 0 is
+    ``values``, ``grad_q`` and ``grad_p`` are read-only grid-shaped arrays
+    (a gradient may be None); the arrays a field is built from must be real
+    and grid-shaped.  A synthesized field whose W has one parity along a
+    mirrored axis holds only its cells from the centre on along that axis
+    (the block; ``_parity``), which every pass reads.  The first read of
+    each of the three unfolds a copy of the block and keeps it: x < 0 is
     the block mirrored with its parity's sign, which flips for the
     derivative along that axis.
     """
 
-    #: (q, p): whether W is even along each axis, W(-q, p) = W(q, p) bit for
-    #: bit (likewise in p); set by the synthesis, which knows it from D
-    _even = (False, False)
     #: (q, p): W's parity (0 even, 1 odd) along each axis the arrays hold
-    #: folded, from the centre on; None along an axis they hold whole
-    _fold = (None, None)
+    #: from the centre on, W(-q, p) = +-W(q, p) bit for bit (likewise in
+    #: p); None along an axis they hold whole
+    _parity = (None, None)
     #: the ``_expand`` value the synthesis drew the field from
     _expansion = None
 
     def __init__(self, grid, values, grad_q=None, grad_p=None):
-        self.grid, self._arrays = grid, [None, None, None]
-        self.values, self.grad_q, self.grad_p = values, grad_q, grad_p
-
-    def _grid_array(index, name):
-        """The field's array ``index`` (W, dW/dq, dW/dp) as a property:
-        reading or assigning it unfolds the field first, and an assigned
-        array must be real and grid-shaped (a gradient may be None)."""
-
-        def get(self):
-            self._unfold()
-            return self._arrays[index]
-
-        def put(self, value):
-            if value is not None or index == 0:
+        arrays = []
+        for value, name in ((values, "field values"), (grad_q, "gradient values grad_q"),
+                            (grad_p, "gradient values grad_p")):
+            if value is not None or not arrays:  # only a gradient may be None
                 if np.iscomplexobj(value):
                     raise ValueError(f"{name} must be real")
                 value = np.asarray(value, dtype=float)
-                if value.shape != self.grid.shape:
+                if value.shape != grid.shape:
                     raise ValueError(f"{name} do not match the grid shape")
-            self._unfold()
-            self._arrays[index] = value
+            arrays.append(value)
+        self.grid, self._arrays, self._whole = grid, tuple(arrays), [None] * 3
 
-        return property(get, put)
-
-    values = _grid_array(0, "field values")
-    grad_q = _grid_array(1, "gradient values grad_q")
-    grad_p = _grid_array(2, "gradient values grad_p")
-    del _grid_array
+    values = property(lambda self: self._read(0), doc="W on the grid, read-only")
+    grad_q = property(lambda self: self._read(1), doc="dW/dq on the grid, read-only, or None")
+    grad_p = property(lambda self: self._read(2), doc="dW/dp on the grid, read-only, or None")
 
     @property
     def has_gradient(self):
         return self._arrays[1] is not None and self._arrays[2] is not None
 
-    def _unfold(self):
-        """Hold every array whole, from here on."""
-        if self._fold != (None, None):
-            self._arrays = [None if a is None else _unfolded(a, self.grid.shape, self._fold, odd)
-                            for a, odd in zip(self._arrays, (None, 0, 1))]
-            self._fold = (None, None)
+    def _read(self, index):
+        """Array ``index`` (W, dW/dq, dW/dp) on the whole grid, read-only:
+        the held one unfolded on the first read, then kept."""
+        if self._whole[index] is None and self._arrays[index] is not None:
+            # a view: a whole held array may be the caller's, which stays writable
+            whole = _unfolded(self._arrays[index], self.grid.shape, self._parity,
+                              (None, 0, 1)[index]).view()
+            whole.flags.writeable = False
+            self._whole[index] = whole
+        return self._whole[index]
 
 
 def _unfolded(block, shape, fold, odd=None):
@@ -584,15 +575,15 @@ def _synthesize(c, grid, with_grad):
 
 def _synthesize_mapped(expansion, grid, with_grad, maps, label):
     """The ``WignerField`` of ``_fields`` for an expansion at the table
-    ``maps``, held as ``_fields`` returns it, carrying the axes W is even
-    along and the expansion.  Each array is checked finite, and the
-    imaginary fields W[a], where the expansion holds a, within
-    IMAG_RESIDUE_HARD (else ConsistencyError naming ``label``), on the cells
-    computed: the others are their signed mirror.
+    ``maps``: it holds the arrays as ``_fields`` returns them, their parity
+    per axis as ``_parity`` and the expansion.  Each array is checked
+    finite, and the imaginary fields W[a], where the expansion holds a,
+    within IMAG_RESIDUE_HARD (else ConsistencyError naming ``label``), on
+    the cells computed: the others are their signed mirror.
     """
     q = np.asarray(grid.q, dtype=float)
     p = np.asarray(grid.p, dtype=float)
-    fields, fold = _fields(expansion, q, p, with_grad, maps=maps)
+    fields, parity = _fields(expansion, q, p, with_grad, maps=maps)
     imag = [] if expansion.anti is None else _fields(expansion.anti, q, p, with_grad, maps=maps)[0]
     for f in fields + imag:
         _require_finite(f, "synthesized Wigner field")
@@ -603,8 +594,8 @@ def _synthesize_mapped(expansion, grid, with_grad, maps, label):
             "the input is effectively non-Hermitian"
         )
     field = WignerField.__new__(WignerField)
-    field.grid, field._arrays = grid, fields + [None] * (3 - len(fields))
-    field._fold, field._even, field._expansion = fold, tuple(f == 0 for f in fold), expansion
+    field.grid, field._arrays, field._whole = grid, (*fields, None, None)[:3], [None] * 3
+    field._parity, field._expansion = parity, expansion
     return field
 
 
@@ -641,10 +632,9 @@ def wigner_gradient(rho, grid=None, points=513):
 def _check_gradient(field):
     stride, h = _CHECK_STRIDE, _CHECK_STEP
     grid, (W, grad_q, grad_p) = field.grid, field._arrays
-    # every stride-th point the arrays hold: along a folded axis from the
-    # centre on (the rest mirrors it bit for bit)
-    qs, ps = (x[0 if f is None else x.size // 2 :: stride]
-              for x, f in zip((grid.q, grid.p), field._fold))
+    # every stride-th point the arrays hold: their last ones on each axis
+    # (the rest mirrors them bit for bit)
+    qs, ps = (x[x.size - n :: stride] for x, n in zip((grid.q, grid.p), W.shape))
     mask = np.abs(W[::stride, ::stride]) > 1e-6
     if not np.any(mask):
         return
@@ -674,27 +664,24 @@ def _check_gradient(field):
 
 
 def _independent_cells(field):
-    """([W, dW/dq, dW/dp], q, p, wq, wp): the field's arrays (a missing
-    gradient None) on the part of the grid a pass reads, its coordinates
-    and its Simpson weights.  Along an axis W is even along (grids have odd
-    point counts) that is the indices from the centre h on, weighted w_h,
-    2 w_{h+1}, ... (w is symmetric): the block itself where the field holds
-    it folded.  Along any other axis it is all of it, the weights unfolded;
-    a field held folded along an odd axis (mass 0: an imaginary part or a
-    matrix that is not a state) is unfolded first."""
-    if 1 in field._fold:
-        field._unfold()
-    grid, axes, weights, cells = field.grid, [], [], []
-    for x, step, even, fold in zip((grid.q, grid.p), (grid.dq, grid.dp), field._even,
-                                   field._fold):
-        h = x.size // 2 if even else 0
+    """((W, dW/dq, dW/dp), q, p, wq, wp): the arrays a pass reads (a missing
+    gradient None), their coordinates and their Simpson weights.  These are
+    the arrays the field holds: along an axis W is even along (grids have
+    odd point counts), its cells from the centre h on, weighted w_h,
+    2 w_{h+1}, ... (w is symmetric), along any other axis all of it.  A
+    field held along an odd axis (mass 0: only a matrix that is not a state
+    gives one) is read whole, with unfolded weights."""
+    whole = 1 in field._parity
+    arrays = (field.values, field.grad_q, field.grad_p) if whole else field._arrays
+    grid, axes, weights = field.grid, [], []
+    for x, step, parity in zip((grid.q, grid.p), (grid.dq, grid.dp), field._parity):
+        h = x.size // 2 if parity == 0 and not whole else 0
         w = axis_weights(x.size, step)[h:]
-        if even:
+        if h:
             w[1:] *= 2.0
         axes.append(x[h:])
         weights.append(w)
-        cells.append(slice(0 if fold is not None else h, None))
-    return [None if a is None else a[tuple(cells)] for a in field._arrays], *axes, *weights
+    return arrays, *axes, *weights
 
 
 def _quadrature(field):
@@ -730,7 +717,7 @@ def _quadrature(field):
         raise NormalizationError(
             f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
         )
-    even_q, even_p = field._even
+    even_q, even_p = (parity == 0 for parity in field._parity)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         dq = 0.0 if even_q else float((wq * q) @ marg_q)
         dp = 0.0 if even_p else float(marg_p @ (wp * p))

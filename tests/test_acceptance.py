@@ -158,9 +158,10 @@ def test_criterion_04_cat_endpoints():
            f"alpha=3: ({merge_re:.1e}, {merge_im:.1e}) (tol 0.05)")
 
 
-def test_criterion_05_gkp_plateau_and_monotonicity():
+def test_criterion_05_gkp_plateau_and_monotonicity(monkeypatch):
     # Expected to fail on the plateau clause; see the module docstring.
-    rows = run_preset(preset_gkp_family(), points=1025, workers=WORKERS)
+    monkeypatch.setenv("NGM_WORKERS", str(WORKERS))
+    rows = run_preset(preset_gkp_family(), points=1025)
     series = {0: [], 1: []}
     for row in rows:
         series[int(row["logical"])].append(row)
@@ -234,9 +235,9 @@ def test_criterion_07_dual_engine_equivalence():
            f"worst |d im_mu|={worst_im:.2e} (tol 2e-3)")
 
 
-def test_criterion_08_loss_monotonicity_random_qudits():
-    rows = run_preset(named_preset("random-qudits"), points=513,
-                      workers=WORKERS)
+def test_criterion_08_loss_monotonicity_random_qudits(monkeypatch):
+    monkeypatch.setenv("NGM_WORKERS", str(WORKERS))
+    rows = run_preset(named_preset("random-qudits"), points=513)
     groups = {}
     for row in rows:
         groups.setdefault((row["d"], row["seed"]), []).append(row)

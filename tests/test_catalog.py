@@ -104,29 +104,32 @@ def test_cat_family_parities_merge_at_large_alpha():
     assert abs(even.im_mu - odd.im_mu) < 0.05
 
 
-def test_gkp_rows_match_closed_form_through_six_db():
+def test_gkp_rows_match_closed_form_through_six_db(monkeypatch):
     preset = preset_gkp_family(delta_db_list=(2.0, 4.0, 6.0))
-    rows = run_preset(preset, workers=2)
+    monkeypatch.setenv("NGM_WORKERS", "2")
+    rows = run_preset(preset)
     assert len(rows) == 6
     for row in rows:
         exact = exact_gkp_im_mu(row["delta_db"], row["logical"])
         assert row["im_mu"] == pytest.approx(exact, abs=1e-3)
 
 
-def test_gkp_high_cutoff_tracks_closed_form_at_ten_db():
+def test_gkp_high_cutoff_tracks_closed_form_at_ten_db(monkeypatch):
     # a diagnostic past the 6 dB rows: at n_c = 200 the 10 dB logicals
     # keep their outer peaks and follow the lattice-sum route (measured
     # 2.7e-4 and 1.9e-4 apart); criterion 5 keeps its pinned n_c = 60
     preset = preset_gkp_family(delta_db_list=(10.0,), n_c=200)
-    rows = run_preset(preset, points=2049, workers=2)
+    monkeypatch.setenv("NGM_WORKERS", "2")
+    rows = run_preset(preset, points=2049)
     assert len(rows) == 2
     for row in rows:
         exact = exact_gkp_im_mu(row["delta_db"], row["logical"])
         assert row["im_mu"] == pytest.approx(exact, abs=1e-3)
 
 
-def test_gkp_family_re_mu_monotone_in_squeezing():
-    rows = run_preset(preset_gkp_family(), workers=4)
+def test_gkp_family_re_mu_monotone_in_squeezing(monkeypatch):
+    monkeypatch.setenv("NGM_WORKERS", "4")
+    rows = run_preset(preset_gkp_family())
     assert len(rows) == 14
     for L in (0, 1):
         track = [r["re_mu"] for r in rows if r["logical"] == L]
@@ -179,10 +182,12 @@ def test_random_qudits_seeded_and_level_flag():
     assert abs(rho.entries[1, 1]) < 1e-12
 
 
-def test_run_preset_threaded_matches_serial():
+def test_run_preset_threaded_matches_serial(monkeypatch):
     preset = preset_cat_family(alphas=(0.5, 1.0, 1.5), parities=("even",))
+    monkeypatch.setenv("NGM_WORKERS", "1")
     serial = run_preset(preset)
-    threaded = run_preset(preset, workers=3)
+    monkeypatch.setenv("NGM_WORKERS", "3")
+    threaded = run_preset(preset)
     assert serial == threaded
 
 

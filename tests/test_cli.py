@@ -703,13 +703,23 @@ def test_fisher_integrates_each_field_once(tmp_path, monkeypatch, capsys, checks
     assert doc["cramer_rao"] == json.loads(json.dumps(_jsonable(want)))
 
 
-@pytest.mark.parametrize("argv, fields", [
-    (None, 1),
-    (["fisher", "--cat", "1.3", "--debruijn", "--derivative"], 1 + len(fisher.SMOOTHING_EPSILONS)),
-    (["channel", "--cat", "1.5", "--tau", "0.7", "--engine", "both", "--cutoff", "20"], 3),
-], ids=["ngm", "fisher", "channel"])
-def test_cat_commands_unfold_no_field(tmp_path, monkeypatch, capsys, argv, fields):
-    # every field is held on its quadrant, and every pass reads it there
+@pytest.mark.parametrize("run, fields, parities", [
+    (lambda: ngm(cat(1.5, "even", 40)).validate(), 1, {(0, 0)}),
+    (["fisher", "--cat", "1.3", "--debruijn", "--derivative"], 1 + len(fisher.SMOOTHING_EPSILONS),
+     {(0, 0)}),
+    (["channel", "--cat", "1.5", "--tau", "0.7", "--engine", "both", "--cutoff", "20"], 3,
+     {(0, 0)}),
+    # real states: even in p, and in q too where diagonal
+    (["sweep", "--preset", "qubit-hemisphere", "--grid-points", "65"],
+     len(catalog.named_preset("qubit-hemisphere").parameters), {(0, 0), (None, 0)}),
+    (lambda: measure.product_measure_check(cat(1.5, "even", 40), cat(1.2, "odd", 40)), 2,
+     {(0, 0)}),
+    (lambda: measure.entropy_upper_bound_check(
+        wigner.wigner_from_fock(cat(1.5, "even", 40).to_density()), re_form=True), 1, {(0, 0)}),
+], ids=["ngm", "fisher", "channel", "sweep", "product-check", "entropy-check"])
+def test_cat_commands_unfold_no_field(tmp_path, monkeypatch, capsys, run, fields, parities):
+    # every field is held on its block, every pass reads it there, and no
+    # field builds its whole copy
     made = []
     synthesize = wigner._synthesize_mapped
 
@@ -719,13 +729,14 @@ def test_cat_commands_unfold_no_field(tmp_path, monkeypatch, capsys, argv, field
 
     for module in (wigner, fisher, channels):
         monkeypatch.setattr(module, "_synthesize_mapped", spy)
-    if argv is None:
-        ngm(cat(1.5, "even", 40)).validate()
+    if callable(run):
+        run()
     else:
-        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert main([*run, "--out", str(tmp_path / "out.json")]) == 0
         capsys.readouterr()
     assert len(made) == fields
-    assert [f._fold for f in made] == [(0, 0)] * fields
+    assert {f._parity for f in made} <= parities
+    assert [f._whole for f in made] == [[None] * 3] * fields
 
 
 def test_main_builds_one_parser(tmp_path, monkeypatch, capsys):

@@ -293,17 +293,18 @@ def test_entropy_checks_the_mass():
 
 # --------------------------------------------------- parity-definite fields
 
-#: state and the axes (q, p) its field is even along: cats, |n>, GKP and
-#: diagonal states in both, real states in p, complex ones in neither
+#: state and its field's parity (q, p), 0 along the axes it is even along
+#: (held from the centre on), else None: cats, |n>, GKP and diagonal states
+#: are even in both, real states in p, complex ones in neither
 PARITY_STATES = {
-    "cat": (lambda: cat(1.5, "even"), (True, True)),
-    "fock-3": (lambda: fock_density(3), (True, True)),
-    "gkp": (lambda: gkp_logical(0, 10 ** (-6 / 20), n_c=30), (True, True)),
-    "real-ds": (lambda: displaced_squeezed(1.2, -0.4, 50), (False, True)),
-    "qubit-0": (lambda: apply_qubit_state(0.75, 0.0, 0.0), (True, True)),
-    "qubit-pi/2": (lambda: apply_qubit_state(0.75, np.pi / 2, 0.0), (False, True)),
-    "complex-qudit": (lambda: random_qudit(4, seed=3), (False, False)),
-    "complex-ds60": (lambda: displaced_squeezed(2.0 * np.exp(0.7j), 0.0, 60), (False, False)),
+    "cat": (lambda: cat(1.5, "even"), (0, 0)),
+    "fock-3": (lambda: fock_density(3), (0, 0)),
+    "gkp": (lambda: gkp_logical(0, 10 ** (-6 / 20), n_c=30), (0, 0)),
+    "real-ds": (lambda: displaced_squeezed(1.2, -0.4, 50), (None, 0)),
+    "qubit-0": (lambda: apply_qubit_state(0.75, 0.0, 0.0), (0, 0)),
+    "qubit-pi/2": (lambda: apply_qubit_state(0.75, np.pi / 2, 0.0), (None, 0)),
+    "complex-qudit": (lambda: random_qudit(4, seed=3), (None, None)),
+    "complex-ds60": (lambda: displaced_squeezed(2.0 * np.exp(0.7j), 0.0, 60), (None, None)),
 }
 
 
@@ -313,13 +314,13 @@ def test_synthesized_fields_carry_their_even_axes(name):
     rho = as_density(make())
     grid = default_grid(rho, points=129)
     field = wigner_gradient(rho, grid=grid)
-    assert wigner_from_fock(rho, grid=grid)._even == field._even == want
+    assert wigner_from_fock(rho, grid=grid)._parity == field._parity == want
     # a field built by hand carries none
-    assert WignerField(grid, field.values)._even == (False, False)
+    assert WignerField(grid, field.values)._parity == (None, None)
 
 
-@pytest.mark.parametrize("G, want", [(np.eye(2), (True, True)),
-                                     ([[1.0, 0.5], [0.5, 1.0]], (False, False))],
+@pytest.mark.parametrize("G, want", [(np.eye(2), (0, 0)),
+                                     ([[1.0, 0.5], [0.5, 1.0]], (None, None))],
                          ids=["diagonal", "turned"])
 def test_smoothed_fields_carry_their_even_axes(monkeypatch, G, want):
     rho = cat(1.2, "even", 30)
@@ -328,15 +329,15 @@ def test_smoothed_fields_carry_their_even_axes(monkeypatch, G, want):
     calls = spy_on_quadrature(monkeypatch)
     _smoothing_reports(field, fisher, G)
     assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
-    assert [f._even for f in calls] == [want] * len(calls)
+    assert [f._parity for f in calls] == [want] * len(calls)
 
 
 def test_phase_space_channel_output_carries_its_even_axes():
     spec = ThermalLossSpec(0.7, 0.2)
-    for rho, want in ((cat(1.5, "even", 30), (True, True)),
-                      (random_qudit(3, seed=5), (False, False))):
+    for rho, want in ((cat(1.5, "even", 30), (0, 0)),
+                      (random_qudit(3, seed=5), (None, None))):
         grid = PhaseSpaceGrid.for_moments(*spec.output_moments(*state_moments(rho)), points=129)
-        assert thermal_loss_phase_space(rho, spec, grid)._even == want
+        assert thermal_loss_phase_space(rho, spec, grid)._parity == want
 
 
 def test_preset_fields_carry_their_even_axes(monkeypatch):
@@ -345,14 +346,15 @@ def test_preset_fields_carry_their_even_axes(monkeypatch):
     # theta = pi/2 have real coherences, odd in q
     calls = spy_on_quadrature(monkeypatch)
     preset = named_preset("qubit-hemisphere")
-    run_preset(preset, points=65, workers=1)
+    monkeypatch.setenv("NGM_WORKERS", "1")
+    run_preset(preset, points=65)
     assert len(calls) == len(preset.parameters)
     for params, field in zip(preset.parameters, calls):
-        assert field._even[1]
+        assert field._parity[1] == 0
         if params["theta"] == 0.0:
-            assert field._even == (True, True)
+            assert field._parity == (0, 0)
         if params["theta"] == np.pi / 2 and params["r"] != 0.5:
-            assert field._even == (False, True)
+            assert field._parity == (None, 0)
 
 
 def by_hand(field):
@@ -362,12 +364,12 @@ def by_hand(field):
 
 @pytest.mark.parametrize("name", ["cat", "fock-3", "gkp", "real-ds", "qubit-pi/2"])
 def test_half_and_quadrant_passes_match_the_full_pass(name):
-    make, even = PARITY_STATES[name]
+    make, parity = PARITY_STATES[name]
     field = wigner_gradient(make(), points=257)
-    assert field._even == even
+    assert field._parity == parity
     (m, entropy, neg), (mf, want_entropy, want_neg) = _quadrature(field), _quadrature(by_hand(field))
     for axis in (0, 1):
-        if even[axis]:
+        if parity[axis] == 0:
             assert m.d[axis] == 0.0
         else:
             assert abs(m.d[axis] - mf.d[axis]) <= 1e-14 * max(abs(mf.d[axis]), 1.0)

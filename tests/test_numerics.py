@@ -378,6 +378,28 @@ def test_grid_for_moments_covers_displaced_wide_axis():
     assert g.p_max >= abs(d[1]) + 5.5 * np.sqrt(V[1, 1])
 
 
+@pytest.mark.parametrize("d, V, sigmas", [
+    ([np.nan, 0.0], 0.5 * np.eye(2), 5.5),
+    ([0.0, 0.0], [[0.5, np.nan], [np.nan, 0.5]], 5.5),
+    ([0.0, 0.0], [[np.nan, 0.0], [0.0, 0.5]], 5.5),
+    ([0.0, 0.0], [[0.5, 0.0], [0.0, -0.5]], 5.5),
+    ([0.0, 0.0], 0.5 * np.eye(2), np.nan),
+    ([0.0, 0.0], 0.5 * np.eye(2), 0.0),
+    ([0.0, 0.0], 0.5 * np.eye(2), -5.5),
+], ids=["nan-mean", "nan-covariance", "nan-variance", "negative-variance", "nan-sigmas",
+        "zero-sigmas", "negative-sigmas"])
+def test_grid_for_moments_rejects_bad_moments(d, V, sigmas):
+    # each fell through max() to the 6-unit floor, and a state was measured
+    # on [-6, 6]^2 without a warning
+    with pytest.raises(ValueError, match="sigmas"):
+        PhaseSpaceGrid.for_moments(d, V, points=129, sigmas=sigmas)
+
+
+def test_default_grid_rejects_nan_sigmas():
+    with pytest.raises(ValueError, match="sigmas"):
+        wigner.default_grid(coherent(1.0, 20), points=129, sigmas=np.nan)
+
+
 # --------------------------------------------------------------- integrate
 
 
