@@ -21,7 +21,7 @@ from .errors import (
     NumericalError,
     TruncationRiskError,
 )
-from .numerics import PhaseSpaceGrid, integrate, worker_count
+from .numerics import PhaseSpaceGrid, worker_count
 from .fock import (
     FockDensityMatrix,
     FockVector,
@@ -113,7 +113,6 @@ __all__ = [
     "fisher_matrix",
     "gaussian_associate_entropy",
     "gkp_logical",
-    "integrate",
     "load_state",
     "measure_derivative_check",
     "measure_from_field",

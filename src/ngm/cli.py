@@ -34,7 +34,7 @@ from .channels import ThermalLossSpec, thermal_loss_fock, thermal_loss_phase_spa
 from .errors import NumericalError
 from .fisher import BAND_DEFAULT, _smoothing_reports, cramer_rao_check, fisher_from_field
 from .fock import as_density, cat, load_state, state_moments
-from .measure import _physical_quadrature, measure_from_field, ngm
+from .measure import measure_from_field, ngm
 from .numerics import MIN_POINTS, PhaseSpaceGrid, _odd_points, _ordered_map, worker_count
 from .wigner import default_grid, wigner_gradient
 
@@ -204,11 +204,11 @@ def cmd_sweep(ns):
 
 
 def _fisher_fields(rho, ns):
-    """The gradient field of ``rho`` on the options' grid, its Fisher matrix
-    and its quadrature pass (V, and the base of the smoothing checks)."""
+    """The gradient field of ``rho`` on the options' grid and its Fisher
+    matrix, whose pass also gives V and the smoothing checks' base."""
     grid = default_grid(rho, points=ns.grid_points, sigmas=ns.extent_sigmas)
     field = wigner_gradient(rho, grid=grid)
-    return field, fisher_from_field(field), _physical_quadrature(field)
+    return field, fisher_from_field(field)
 
 
 def _band_warning(rel_gap):
@@ -217,8 +217,8 @@ def _band_warning(rel_gap):
 
 def _fisher_report(ns):
     label, rho = _resolve_state(ns)
-    (field, fisher, base), warns = _collect(lambda: _fisher_fields(rho, ns))
-    V = base[0].V
+    (field, fisher), warns = _collect(lambda: _fisher_fields(rho, ns))
+    V = fisher.moments.V
     doc = {
         "command": "fisher",
         "source": label,
@@ -237,9 +237,7 @@ def _fisher_report(ns):
     if ns.debruijn or ns.derivative:
         # the library checks on this field and its Fisher matrix, smoothed
         # once for both
-        reports, extra = _collect(
-            lambda: _smoothing_reports(field, fisher, np.eye(2), base=base)
-        )
+        reports, extra = _collect(lambda: _smoothing_reports(field, fisher, np.eye(2)))
         for key, report, wanted in zip(
             ("debruijn", "measure_derivative"), reports,
             (ns.debruijn, ns.derivative),
@@ -261,9 +259,9 @@ def cmd_fisher(ns):
 
     def row(n):
         """Tr J against Tr V^-1 for the number state |n>."""
-        _, fisher, base = _fisher_fields(build_state("fock", {"n": n}), ns)
+        _, fisher = _fisher_fields(build_state("fock", {"n": n}), ns)
         return {"n": n, "trace_J": fisher.trace,
-                "trace_Vinv": float(np.trace(np.linalg.inv(base[0].V))),
+                "trace_Vinv": float(np.trace(np.linalg.inv(fisher.moments.V))),
                 "excluded_fraction": fisher.excluded_fraction, "rel_gap": fisher.rel_gap,
                 "converged": fisher.converged, "band": BAND_DEFAULT}
 

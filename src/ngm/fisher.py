@@ -18,13 +18,14 @@ odd 1/x part) and is one in regular regions, the tails included.  A hard
 mask or a sub-cell tube leaves an unresolved 1/x on the mesh, so the
 width is 6 mesh steps with the band and 3 with band/2: the threshold
 halves exactly, the second weight is ramp(2t) bit for bit, and Richardson
-extrapolation of the two removes the residual linear in the width.  One
-sweep of q-row blocks reduces both levels' integrands, the excluded and
-the total |W| mass to row sums against the p weights.  Fields without
-sign changes take the same sweep with W != 0 as their one weight.  A field
-even along an axis is swept on the half (or quadrant) the quadrature pass
-reads, with its folded weights; there dW/dq dW/dp is odd, so J_qp is 0
-exactly and its products are skipped.
+extrapolation of the two removes the residual linear in the width.  The
+field's one quadrature pass (``wigner._quadrature``) takes, per block of
+q rows in cache, both levels' integrands, the excluded and the total |W|
+mass as row sums against the p weights, so J comes with the field's
+moments, entropy and negative volume, past the pass's mass check.  Fields
+without sign changes take W != 0 as their one weight.  On the half (or
+quadrant) the pass reads of a field even along an axis, dW/dq dW/dp is
+odd, so J_qp is 0 exactly and its products are skipped.
 
 On top of J the module provides the drift condition Tr[G(V^-1 - J)]
 whose sign controls whether the relative-entropy measure decreases under
@@ -32,10 +33,11 @@ an infinitesimal Gaussian convolution of covariance G, the Cramer-Rao
 gap V - J^-1, and two finite-difference cross-checks (differential
 entropy and measure derivative under epsilon-smoothing) that validate J
 against an independent numerical route.  Both checks share one gradient
-field, its Fisher matrix and one smoothing pass, whose fields are
-drawn from the gradient field's own Hermite-Gauss expansion (turned and
-expanded once for a non-diagonal G) at the smoothed table maps: no
-sampled field is convolved and no coefficient is rebuilt.
+field, its Fisher matrix (whose pass is their unsmoothed base for a
+diagonal G) and one smoothing pass, whose fields are drawn from the
+gradient field's own Hermite-Gauss expansion (turned and expanded once
+for a non-diagonal G) at the smoothed table maps: no sampled field is
+convolved and no coefficient is rebuilt.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .measure import _physical_quadrature, gaussian_associate_entropy
-from .numerics import _row_blocks
-from .wigner import _expand, _independent_cells, _synthesize_mapped, wigner_gradient
+from .wigner import (GaussianMoments, _expand, _independent_cells, _quadrature,
+                     _synthesize_mapped, wigner_gradient)
 
 __all__ = [
     "BAND_DEFAULT",
@@ -89,14 +91,16 @@ SMOOTHING_EPSILONS = (1e-3, 5e-4, 2.5e-4)
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Extrapolated Fisher matrix with its band-convergence diagnostics.
+    """Fisher matrix, its band diagnostics and its field's quadrature.
 
     ``J`` is the Richardson estimate ``2 J(band/2) - J(band)``, band
     ``BAND_DEFAULT``; the two raw values are kept so callers can judge the
     extrapolation.
     ``excluded_fraction`` is the share of the total |W| mass removed by
     the band at its full width, and ``converged`` records whether the
-    two raw values agree to within ``CONVERGENCE_LIMIT``.
+    two raw values agree to within ``CONVERGENCE_LIMIT``.  ``moments``
+    (checked as by ``wigner.moments``), ``entropy`` (-int W ln|W|) and
+    ``neg_volume`` come from the same pass, past its mass check.
     """
 
     J: np.ndarray
@@ -105,6 +109,9 @@ class FisherMatrix:
     excluded_fraction: float
     rel_gap: float
     converged: bool
+    moments: GaussianMoments
+    entropy: float
+    neg_volume: float
 
     @property
     def trace(self):
@@ -112,7 +119,7 @@ class FisherMatrix:
 
 
 def fisher_from_field(field):
-    """Fisher matrix of an already-synthesized field with gradients."""
+    """Fisher matrix of a gradient field, taken in its quadrature pass."""
     if not field.has_gradient:
         raise ValueError("fisher_from_field needs analytic gradients; "
                          "synthesize with wigner_gradient")
@@ -126,54 +133,57 @@ def fisher_from_field(field):
         pairs = pairs[::2]
     # rows: qq, qp, pp at the full then the half level; excluded, total |W|
     sums = np.zeros((8, W.shape[0]))
-    with np.errstate(invalid="ignore", over="ignore"):  # checked on the sums
-        for rows, a, t, full, half, mask in _row_blocks(W.shape, 4):
-            block = W[rows]
-            np.matmul(np.abs(block, out=a), wp, out=sums[7, rows])
-            if definite:
-                np.copyto(full, np.not_equal(block, 0.0, out=mask))
-                kernels = (full,)
-            else:
-                # t = |W| / max(band/pi, width |grad W|) at the full level;
-                # the half level halves both, so its ramp takes 2t exactly
-                np.square(gq[rows], out=t)
-                t += np.square(gp[rows], out=half)
-                np.sqrt(t, out=t)
-                t *= 2.0 * RESOLUTION_CELLS * max(grid.dq, grid.dp)
-                np.divide(a, np.maximum(t, BAND_DEFAULT / math.pi, out=t), out=t)
-                kernels = (full, half)
-                for k in kernels:
-                    # the C^2 smoothstep t^3 (10 - 15 t + 6 t^2) of min(t, 1)
-                    np.minimum(t, 1.0, out=t)
-                    np.multiply(t, 6.0, out=k)
-                    k -= 15.0
-                    k *= t
-                    k += 10.0
-                    for _ in range(3):
-                        k *= t
-                    t *= 2.0
-                np.subtract(1.0, full, out=t)
-                np.matmul(np.multiply(t, a, out=t), wp, out=sums[6, rows])
-            # weight / W, with W = 0 read as 1: every weight vanishes there
-            np.copyto(t, block)
-            np.copyto(t, 1.0, where=np.equal(block, 0.0, out=mask))
+
+    def finish(rows, block, zero, a, t, full, half):
+        np.matmul(np.abs(block, out=a), wp, out=sums[7, rows])
+        if definite:
+            np.logical_not(zero, out=full)
+            kernels = (full,)
+        else:
+            # t = |W| / max(band/pi, width |grad W|) at the full level;
+            # the half level halves both, so its ramp takes 2t exactly
+            np.square(gq[rows], out=t)
+            t += np.square(gp[rows], out=half)
+            np.sqrt(t, out=t)
+            t *= 2.0 * RESOLUTION_CELLS * max(grid.dq, grid.dp)
+            np.divide(a, np.maximum(t, BAND_DEFAULT / math.pi, out=t), out=t)
+            kernels = (full, half)
             for k in kernels:
-                k /= t
-            for n, gi, gj in pairs:
-                np.multiply(gi[rows], gj[rows], out=a)
-                for level, k in enumerate(kernels):
-                    np.matmul(np.multiply(a, k, out=t), wp, out=sums[3 * level + n, rows])
+                # the C^2 smoothstep t^3 (10 - 15 t + 6 t^2) of min(t, 1)
+                np.minimum(t, 1.0, out=t)
+                np.multiply(t, 6.0, out=k)
+                k -= 15.0
+                k *= t
+                k += 10.0
+                for _ in range(3):
+                    k *= t
+                t *= 2.0
+            np.subtract(1.0, full, out=t)
+            np.matmul(np.multiply(t, a, out=t), wp, out=sums[6, rows])
+        # weight / W, with W = 0 read as 1: every weight vanishes there
+        np.copyto(t, block)
+        np.copyto(t, 1.0, where=zero)
+        for k in kernels:
+            k /= t
+        for n, gi, gj in pairs:
+            np.multiply(gi[rows], gj[rows], out=a)
+            for level, k in enumerate(kernels):
+                np.matmul(np.multiply(a, k, out=t), wp, out=sums[3 * level + n, rows])
+
+    with np.errstate(invalid="ignore", over="ignore"):  # checked on the sums
+        m, entropy, neg = _quadrature(field, finish)
     totals = sums @ wq
     if not np.all(np.isfinite(totals)):
         raise NumericalError("non-finite Fisher integrals: the field or its "
                              "gradient has non-finite entries")
+    quadrature = m.validate(physical=True), entropy, neg
     J_full, J_half = (totals[[k, k + 1, k + 1, k + 2]].reshape(2, 2) for k in (0, 3))
     if definite:
-        return FisherMatrix(J_full, J_full.copy(), J_full.copy(), 0.0, 0.0, True)
+        return FisherMatrix(J_full, J_full.copy(), J_full.copy(), 0.0, 0.0, True, *quadrature)
     J = 2.0 * J_half - J_full
     rel_gap = float(np.linalg.norm(J_full - J_half) / max(np.linalg.norm(J), TAIL_FLOOR))
     return FisherMatrix(J, J_full, J_half, float(totals[6] / totals[7]),
-                        rel_gap, rel_gap <= CONVERGENCE_LIMIT)
+                        rel_gap, rel_gap <= CONVERGENCE_LIMIT, *quadrature)
 
 
 def fisher_matrix(rho, grid=None, points=513):
@@ -266,7 +276,7 @@ def _principal_axes(G):
     return np.maximum(lam, 0.0), math.atan2(U[1, 0], U[0, 0])
 
 
-def _smoothing_reports(field, fisher, G, base=None):
+def _smoothing_reports(field, fisher, G):
     """The de Bruijn and measure-derivative reports of one smoothing pass.
 
     ``fisher`` is the Fisher matrix of ``field``, a synthesized gradient
@@ -275,9 +285,8 @@ def _smoothing_reports(field, fisher, G, base=None):
     finiteness and residue checks of every field; a non-diagonal G expands
     once the matrix turned by c_mn e^{-i(m - n) theta} (field W(R r)), which
     leaves the entropy, Tr(G J) and Tr(G V^-1) as they are.  One quadrature
-    pass per field serves both reports; ``base``, the field's own
-    ``_physical_quadrature`` if the caller has it, saves that pass when G is
-    diagonal (for another G the turned field's own pass is the base).
+    pass per field serves both reports; for a diagonal G the base is the
+    Fisher pass's (for another G the turned field's own pass).
     """
     lam, theta = _principal_axes(G)
     G = np.asarray(G, dtype=float)
@@ -291,7 +300,7 @@ def _smoothing_reports(field, fisher, G, base=None):
         return _physical_quadrature(
             _synthesize_mapped(expansion, field.grid, False, maps, "smoothed Wigner field"))
 
-    m, entropy, _ = quadrature((0.0, 0.0)) if theta else base or _physical_quadrature(field)
+    m, entropy = quadrature((0.0, 0.0))[:2] if theta else (fisher.moments, fisher.entropy)
     passes = [quadrature(2.0 * eps * lam) for eps in SMOOTHING_EPSILONS]
     entropies = [h for _, h, _ in passes]
     debruijn = _slope_report(

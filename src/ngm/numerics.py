@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "PhaseSpaceGrid",
     "axis_weights",
-    "integrate",
     "worker_count",
 ]
 
@@ -212,13 +211,3 @@ def _row_blocks(shape, floats, cells=_BLOCK_CELLS):
     for i in range(0, shape[0], step):
         n = min(step, shape[0] - i)
         yield (slice(i, i + n), *(b[:n] for b in bufs))
-
-
-def integrate(values, grid):
-    """Integrate sampled values over the grid (tensor-product Simpson)."""
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-    wq = axis_weights(grid.n_q, grid.dq)
-    wp = axis_weights(grid.n_p, grid.dp)
-    return wq @ values @ wp

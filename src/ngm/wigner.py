@@ -43,15 +43,16 @@ drawn from that value and carries it: W, its gradients and their check,
 the smoothed fields of the Fisher checks, and the phase-space channel's.
 
 Every integral of a sampled field -- the mass check, the moments,
--int W ln|W| and the negative volume -- comes from one quadrature pass
-(``_quadrature``).  A synthesized field carries W's parity per axis,
+-int W ln|W|, the negative volume and, for a gradient field, the Fisher
+sums (``fisher``, each block while in cache) -- comes from one quadrature
+pass (``_quadrature``).  A synthesized field carries W's parity per axis,
 known from its expansion's parities; along an even axis the pass reads the
 block the field holds, x >= 0, with the folded Simpson weights
 (a quarter of the grid for a cat, |n> or a GKP state, half for a real
 state), and there the mean and the cross moment are 0 exactly.  Any other
-field takes the whole grid with the same body.  The Fisher sweep, the
-gradient check, the synthesis's finiteness and residue checks and the
-phase-space channel's mass check read the block too.
+field takes the whole grid with the same body.  The gradient check, the
+synthesis's finiteness and residue checks and the phase-space channel's
+mass check read the block too.
 """
 
 import collections
@@ -684,24 +685,26 @@ def _independent_cells(field):
     return arrays, *axes, *weights
 
 
-def _quadrature(field):
+def _quadrature(field, finish=None):
     """(moments, -int W ln|W|, int max(-W, 0)) of a field, in one pass.
 
     The weights are an outer product wq wp^T (composite Simpson), so the
     mass and the marginals are matvecs and each integral is wq @ f @ wp:
     one sweep of q-row blocks through reused buffers takes the marginals
     and the row integrals of the entropy integrand and the negative part
-    (the cross moment reads the field again).  A field even along an axis
-    is read on its half x >= 0 there (``_independent_cells``); its mean
-    along that axis and its cross moment are 0 exactly.  A mass off 1 by
-    more than MASS_TOL (or NaN) raises NormalizationError, and moments past
-    the float range NumericalError; the callers validate the moments.
+    (the cross moment reads the field again), then ``finish(rows, block,
+    zero, *bufs)``, if given, works on the block in cache with its zero
+    mask and four free float buffers (the Fisher sums).  A field even along
+    an axis is read on its half x >= 0 there (``_independent_cells``); its
+    mean along that axis and its cross moment are 0 exactly.  A mass off 1
+    by more than MASS_TOL (or not finite) raises NormalizationError, and
+    moments past the float range NumericalError; the callers validate them.
     """
     (W, _, _), q, p, wq, wp = _independent_cells(field)
     marg_q, ent_rows, neg_rows = np.empty((3, W.shape[0]))
     marg_p = np.zeros(W.shape[1])
-    for rows, b, zero in _row_blocks(W.shape, 1):
-        block = W[rows]
+    for rows, *bufs, zero in _row_blocks(W.shape, 4 if finish else 1):
+        block, b = W[rows], bufs[0]
         np.matmul(block, wp, out=marg_q[rows])
         marg_p += wq[rows] @ block
         # ln 1 = 0 puts the integrand at its limit, 0, where W = 0
@@ -712,11 +715,12 @@ def _quadrature(field):
         b *= block
         np.matmul(b, wp, out=ent_rows[rows])
         np.matmul(np.minimum(block, 0.0, out=b), wp, out=neg_rows[rows])
+        if finish:
+            finish(rows, block, zero, *bufs)
     mass = float(wq @ marg_q)
     if not abs(mass - 1.0) <= MASS_TOL:
-        raise NormalizationError(
-            f"field mass {mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}"
-        )
+        raise NormalizationError(f"{'' if np.isfinite(mass) else 'non-finite '}field mass "
+                                 f"{mass:.6f} deviates from 1 beyond {MASS_TOL:.0e}")
     even_q, even_p = (parity == 0 for parity in field._parity)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         dq = 0.0 if even_q else float((wq * q) @ marg_q)

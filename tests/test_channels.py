@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_numerics import integrate
 
 from ngm import channels, wigner
 from ngm.errors import (
@@ -38,7 +39,7 @@ from ngm.channels import (
 from ngm.catalog import preset_random_qudits
 from ngm.measure import measure_from_field, ngm, wigner_entropy_real
 from ngm.wigner import WignerField, default_grid, moments, wigner_from_fock
-from ngm.numerics import PhaseSpaceGrid, _log_factorial, integrate
+from ngm.numerics import PhaseSpaceGrid, _log_factorial
 
 
 def fock_density(n):

@@ -680,16 +680,17 @@ def test_fisher_checks_share_one_field(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("checks", [[], ["--debruijn", "--derivative"]],
                          ids=["plain", "smoothing-checks"])
 def test_fisher_integrates_each_field_once(tmp_path, monkeypatch, capsys, checks):
-    # the base field once (V and both checks), then each smoothed field
+    # the base field once, in its Fisher pass (J, V and both checks' base),
+    # then each smoothed field
     calls = []
     quadrature = wigner._quadrature
 
-    def spy(field):
+    def spy(field, finish=None):
         calls.append(field)
-        return quadrature(field)
+        return quadrature(field, finish)
 
-    monkeypatch.setattr(wigner, "_quadrature", spy)
-    monkeypatch.setattr(measure, "_quadrature", spy)
+    for module in (wigner, measure, fisher):
+        monkeypatch.setattr(module, "_quadrature", spy)
     out = tmp_path / "fisher.json"
     assert main(["fisher", "--cat", "1.4", *checks, "--out", str(out)]) == 0
     capsys.readouterr()

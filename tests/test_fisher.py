@@ -15,14 +15,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_numerics import padded_convolve_gaussian
+from test_measure import spy_on_quadrature
+from test_numerics import integrate, padded_convolve_gaussian
 from test_synthesis import spy_on_coefficients
 
-from ngm import fisher as fisher_module
-from ngm import numerics
+from ngm import cli, numerics, wigner
 from ngm.channels import ThermalLossSpec, thermal_loss_fock
 from ngm.cli import main
-from ngm.errors import NumericalError
+from ngm.errors import NormalizationError, NumericalError
 from ngm.fock import (
     FockDensityMatrix,
     FockVector,
@@ -44,7 +44,7 @@ from ngm.fisher import (
     measure_derivative_check,
     monotonicity_condition,
 )
-from ngm.numerics import PhaseSpaceGrid, integrate
+from ngm.numerics import PhaseSpaceGrid
 from ngm.measure import wigner_entropy_real
 from ngm.wigner import WignerField, moments, wigner_from_fock, wigner_gradient
 
@@ -131,6 +131,23 @@ def test_fisher_requires_gradient_field():
         fisher_from_field(field)
 
 
+def test_fisher_checks_the_mass(monkeypatch, capsys):
+    # c = |0><1| + |1><0| is not a state: its W is odd in q, of mass 0, and
+    # its J would be rounding noise
+    c = np.zeros((2, 2), complex)
+    c[0, 1] = c[1, 0] = 1.0
+    grid = PhaseSpaceGrid(-6.0, 6.0, -6.0, 6.0, 129, 129)
+    field = wigner_gradient(FockDensityMatrix(c), grid=grid)
+    with pytest.raises(NormalizationError, match="field mass"):
+        fisher_from_field(field)
+    with pytest.raises(NormalizationError, match="field mass"):
+        fisher_matrix(FockDensityMatrix(c), grid=grid)
+    # the CLI reads no such state, so its field is put in by hand
+    monkeypatch.setattr(cli, "wigner_gradient", lambda rho, grid: field)
+    assert main(["fisher", "--cat", "1.0", "--grid-points", "129"]) == 3
+    assert '"type": "NormalizationError"' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("part", ["values", "grad_q", "grad_p"])
 @pytest.mark.parametrize("n", [0, 1], ids=["vacuum", "one-photon"])
@@ -213,15 +230,23 @@ BANDED = ("cat", "one-photon")
 @pytest.mark.parametrize("state", list(FISHER_STATES))
 def test_row_block_sweep_matches_whole_field_fisher(state, grid, monkeypatch):
     rho = FISHER_STATES[state]()
+    sizes = []
     if grid == "129x257":
-        # off-centre axes are not mirrored; blocks of 11 rows leave a
-        # partial last block of 8 (so do the mirrored 513 and 1025 grids)
+        # off-centre axes are not mirrored; blocks of 11 rows of the Fisher
+        # quadrature pass leave a partial last block of 8 (so do the mirrored
+        # 513 and 1025 grids)
         field = wigner_gradient(rho, grid=PhaseSpaceGrid(-6.5, 7.0, -7.0, 6.0, 129, 257))
-        monkeypatch.setattr(fisher_module, "_row_blocks",
-                            lambda shape, floats: numerics._row_blocks(shape, floats, 10 * 257))
+
+        def row_blocks(shape, floats):
+            for block in numerics._row_blocks(shape, floats, 10 * 257):
+                sizes.append(block[0].stop - block[0].start)
+                yield block
+
+        monkeypatch.setattr(wigner, "_row_blocks", row_blocks)
     else:
         field = wigner_gradient(rho, points=int(grid))
     fm = fisher_from_field(field)
+    assert sizes == ([11] * 11 + [8] if grid == "129x257" else [])
     J, J_band, J_half, excluded, rel_gap, converged = whole_field_fisher(field)
     # relative to the matrix: off-diagonal entries may vanish
     for got, want in ((fm.J, J), (fm.J_band, J_band), (fm.J_half_band, J_half)):
@@ -525,6 +550,16 @@ def test_fock_sweep_threaded_matches_serial(tmp_path, capsys, monkeypatch):
         assert rows == want
         texts.append(text)
     assert texts[0] == texts[1]
+
+
+def test_fock_sweep_rows_sweep_their_field_once(tmp_path, capsys, monkeypatch):
+    # each row's Fisher pass is its field's one pass and gives its V, to the bit
+    calls = spy_on_quadrature(monkeypatch)
+    _, rows = cli_fock_sweep(tmp_path, capsys, 3, 129)
+    fields = list(calls)
+    assert len(fields) == len(rows) == 4
+    for row, field in zip(rows, fields):
+        assert row["trace_Vinv"] == float(np.trace(np.linalg.inv(moments(field).V)))
 
 
 def test_write_fisher_csv_roundtrip(tmp_path, capsys):

@@ -14,6 +14,7 @@ from expm_unitaries import displace_state, rotate_state, squeeze_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ngm.fisher as fisher_module
 import ngm.measure as measure_module
 import ngm.wigner as wigner_module
 from ngm.catalog import named_preset, run_preset
@@ -259,11 +260,11 @@ def test_zero_negative_volume_is_positive_zero():
 def spy_on_quadrature(monkeypatch):
     calls = []
 
-    def spy(field):
+    def spy(field, finish=None):
         calls.append(field)
-        return _quadrature(field)
+        return _quadrature(field, finish)
 
-    for module in (wigner_module, measure_module):
+    for module in (wigner_module, measure_module, fisher_module):
         monkeypatch.setattr(module, "_quadrature", spy)
     return calls
 
@@ -275,12 +276,11 @@ def test_ngm_runs_one_quadrature_pass(monkeypatch):
 
 
 def test_smoothing_reports_run_one_quadrature_pass_per_field(monkeypatch):
-    rho = fock_density(1)
-    field = wigner_gradient(rho)
-    fisher = fisher_from_field(field)
+    # the Fisher pass is the base's, then one pass per smoothed field
+    field = wigner_gradient(fock_density(1))
     calls = spy_on_quadrature(monkeypatch)
-    _smoothing_reports(field, fisher, np.eye(2))
-    assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
+    _smoothing_reports(field, fisher_from_field(field), np.eye(2))
+    assert calls[0] is field and len(calls) == 1 + len(SMOOTHING_EPSILONS)
 
 
 def test_entropy_checks_the_mass():
@@ -323,13 +323,14 @@ def test_synthesized_fields_carry_their_even_axes(name):
                                      ([[1.0, 0.5], [0.5, 1.0]], (None, None))],
                          ids=["diagonal", "turned"])
 def test_smoothed_fields_carry_their_even_axes(monkeypatch, G, want):
+    # the Fisher pass reads the cat; a turned G adds its turned field's base
     rho = cat(1.2, "even", 30)
     field = wigner_gradient(rho, points=129)
-    fisher = fisher_from_field(field)
     calls = spy_on_quadrature(monkeypatch)
-    _smoothing_reports(field, fisher, G)
-    assert len(calls) == 1 + len(SMOOTHING_EPSILONS)
-    assert [f._parity for f in calls] == [want] * len(calls)
+    _smoothing_reports(field, fisher_from_field(field), G)
+    assert calls[0] is field
+    assert len(calls) == 1 + (want != (0, 0)) + len(SMOOTHING_EPSILONS)
+    assert [f._parity for f in calls[1:]] == [want] * (len(calls) - 1)
 
 
 def test_phase_space_channel_output_carries_its_even_axes():

@@ -22,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from test_numerics import integrate
 
 from ngm import fock, wigner
 from ngm.channels import ThermalLossSpec, thermal_loss_fock
 from ngm.errors import NormalizationError
 from ngm.fock import FockVector, as_density, cat, displaced_squeezed, gkp_logical, random_qudit
 from ngm.measure import ngm
-from ngm.numerics import PhaseSpaceGrid, integrate
+from ngm.numerics import PhaseSpaceGrid
 from ngm.wigner import _synthesize, default_grid, wigner_from_fock
 
 # ln(n!) for n = 0..256
